@@ -1,7 +1,10 @@
 # Build and verification entry points. `make verify` is the gate every
 # change must pass (ROADMAP.md): compile, vet, staticcheck (when
-# installed), the twca-lint analyzer suite, and the full test suite
-# under the race detector.
+# installed), the twca-lint analyzer suite, the full test suite under
+# the race detector, and vet + tests of the svcbench benchmark module.
+# svcbench is a nested module, so the root `go build ./...` never
+# compiles it; without the extra step a service API change could break
+# the benchmark unnoticed.
 
 GO ?= go
 
@@ -53,6 +56,7 @@ verify:
 	fi
 	$(GO) run ./cmd/twca-lint ./...
 	$(GO) test -race ./...
+	cd svcbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) policy-matrix
 
 # policy-matrix runs the cross-policy soundness property under the race
@@ -93,11 +97,11 @@ chaos:
 # concurrent identical queries coalesce to one computation, and killing
 # a replica mid-campaign completes the stream with byte-exact documents.
 # It also runs the self-healing rounds: the admin join/leave surface
-# with fleet-wide propagation, retry/hedge relay resilience under
-# injected faults, and the membership-churn chaos round (join a fourth
-# replica mid-campaign, drain one, kill one and let heartbeats evict
-# it) — all asserting byte-exact documents against single-node ground
-# truth.
+# with fleet-wide propagation, relay retry and fallback under injected
+# faults, the one-source down-state oracle, and the membership-churn
+# chaos round (join a fourth replica mid-campaign, drain one, kill one
+# and let heartbeats evict it) — all asserting byte-exact documents
+# against single-node ground truth.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/service/
 

@@ -274,7 +274,7 @@ func BenchmarkSimMapped(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunMapped(sys, mapping, sim.Config{Horizon: 100_000}); err != nil {
+		if _, err := sim.Run(sys, sim.Config{Horizon: 100_000, Mapping: mapping}); err != nil {
 			b.Fatal(err)
 		}
 	}

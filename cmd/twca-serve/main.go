@@ -7,7 +7,7 @@
 //
 //	twca-serve [-addr :8443] [-cache 128] [-inflight 0] [-timeout 30s] [-drain 30s] [-faults spec] [-pprof]
 //	           [-self URL -peers URL,URL,...] [-cluster-secret S]
-//	           [-heartbeat 2s] [-hedge-after 150ms] [-relay-retries 2] [-relay-backoff 25ms]
+//	           [-heartbeat 2s]
 //
 // Endpoints (see docs/SERVICE.md for the full reference and a worked
 // curl session):
@@ -39,12 +39,12 @@
 // with the shared -cluster-secret credential, which every replica of a
 // multi-host fleet must set — the cluster decides whose responses are
 // served verbatim, so admission is never authenticated by a spoofable
-// relay header), a jittered -heartbeat loop probes peer
-// /healthz and evicts dead or draining replicas from routing, and
-// relays retry the next ring arc with backoff (-relay-retries,
-// -relay-backoff), hedge a second attempt when the owner is slower
-// than -hedge-after, and fall back to local compute when every arc is
-// exhausted — duplicated work at worst, never a wrong-side bound.
+// relay header), a jittered -heartbeat loop probes peer /healthz and
+// is the one detector of dead or draining replicas: a failed relay
+// reports its peer to it, and a peer stays out of routing until a
+// probe finds it alive. Relays retry the next ring arc with backoff
+// and fall back to local compute when every arc is exhausted —
+// duplicated work at worst, never a wrong-side bound.
 // SIGINT/SIGTERM drain gracefully:
 // new analysis requests are refused with 503 + Retry-After, in-flight
 // ones get the -drain window to finish, and stragglers are canceled
@@ -97,10 +97,7 @@ func run(args []string, stdout io.Writer) error {
 	clusterSecret := fs.String("cluster-secret", os.Getenv("TWCA_CLUSTER_SECRET"),
 		"shared credential authorizing off-host /v1/cluster mutations (default $TWCA_CLUSTER_SECRET; empty = loopback-only)")
 	maxCampaign := fs.Int("max-campaign-items", 0, "max systems per /v1/campaign request (0 = 1024)")
-	heartbeat := fs.Duration("heartbeat", 0, "peer health-probe interval (0 = 2s, negative disables)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "slow-peer threshold before a hedged relay attempt (0 = 150ms, negative disables)")
-	relayRetries := fs.Int("relay-retries", 0, "extra relay attempts onto the next ring arcs (0 = 2, negative disables)")
-	relayBackoff := fs.Duration("relay-backoff", 0, "base decorrelated-jitter backoff between relay retries (0 = 25ms)")
+	heartbeat := fs.Duration("heartbeat", 0, "peer health-probe interval (0 = 2s)")
 	faults := fs.String("faults", os.Getenv("TWCA_FAULTS"),
 		"arm the fault-injection harness (rule spec, see internal/faultinject; default $TWCA_FAULTS)")
 	if err := fs.Parse(args); err != nil {
@@ -135,9 +132,6 @@ func run(args []string, stdout io.Writer) error {
 		ClusterSecret:     *clusterSecret,
 		MaxCampaignItems:  *maxCampaign,
 		HeartbeatInterval: *heartbeat,
-		HedgeDelay:        *hedgeAfter,
-		RelayRetries:      *relayRetries,
-		RelayBackoff:      *relayBackoff,
 	})
 	if err != nil {
 		return err

@@ -61,7 +61,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Multi-resource simulation (dense arrivals, WCET) ==")
-	simRes, err := sim.RunMapped(sys, mapping, sim.Config{Horizon: 1_000_000})
+	simRes, err := sim.Run(sys, sim.Config{Horizon: 1_000_000, Mapping: mapping})
 	if err != nil {
 		log.Fatal(err)
 	}

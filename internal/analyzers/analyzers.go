@@ -118,9 +118,8 @@ func DefaultConfig() Config {
 			// The artifact store's consistent-hash ring: every replica
 			// must compute identical key ownership from the same peer
 			// set, so map iteration or non-seeded randomness in routing
-			// would split the fleet's brain. (Its down-peer cooldown is
-			// timer-driven rather than clock-comparing, so no wall-clock
-			// read reaches a routing decision.)
+			// would split the fleet's brain. (Its down set has no clock:
+			// the service's heartbeat is its only writer.)
 			"internal/store",
 		},
 		SaturatingTypes: []string{"repro/internal/curves.Time"},
@@ -170,7 +169,6 @@ func DefaultConfig() Config {
 			"internal/sensitivity",
 			"internal/segments",
 			"internal/model",
-			"internal/paths",
 			"internal/casestudy",
 			"internal/policy",
 		},

@@ -51,9 +51,9 @@ const (
 	PointSensitivityWarmStore Point = "sensitivity.warmstore"
 	// PointServiceRelay fires at the start of every fleet relay
 	// attempt. An injected error makes the attempt fail as if the peer
-	// were unreachable (driving retry, hedging and local fallback); an
-	// injected delay simulates a slow peer, which is what arms the
-	// hedged second attempt deterministically in tests.
+	// were unreachable (driving the failure report, retry and local
+	// fallback); an injected delay simulates a slow peer, which must
+	// not be reported down.
 	PointServiceRelay Point = "service.relay"
 	// PointServiceHeartbeat fires at every peer health probe of the
 	// service's heartbeat loop. An injected error fails the probe,

@@ -38,8 +38,8 @@ import (
 // replica that missed the update keeps its stale ring, and the forward
 // header's one-hop loop guard makes ring disagreement safe — the worst
 // case is a relay that lands on a non-owner and is computed there
-// (duplicated work, never a wrong answer). The heartbeat prober and
-// the down-cooldown converge routing in the background either way.
+// (duplicated work, never a wrong answer). The heartbeat prober
+// converges routing in the background either way.
 
 // clusterRequest is the body of a membership mutation.
 type clusterRequest struct {
@@ -54,8 +54,8 @@ type clusterRequest struct {
 type clusterPeerView struct {
 	URL string `json:"url"`
 	// State is "self", "up" or "down" (down per this replica's view:
-	// routed around by the store after failed relays, or still
-	// considered dead by the heartbeat prober's state machine).
+	// reported by a failed relay or by failed probes, and not yet
+	// answering a probe again).
 	State string `json:"state"`
 }
 
@@ -243,10 +243,8 @@ func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // clusterView assembles the current membership snapshot. A peer is
-// reported "down" when the store routes around it (cooldown-bounded,
-// marked by failed relays) or when the heartbeat state machine still
-// considers it dead — the latter so an expired store cooldown does not
-// hide a still-dead peer from operators between probe rounds.
+// reported "down" when it is in the store's down set, which the
+// heartbeat alone writes — the same set routing reads.
 func (s *Server) clusterView() clusterResponse {
 	m := s.store.Membership()
 	resp := clusterResponse{
@@ -258,11 +256,6 @@ func (s *Server) clusterView() clusterResponse {
 	down := make(map[string]bool, len(m.Down))
 	for _, p := range m.Down {
 		down[p] = true
-	}
-	if s.hb != nil {
-		for _, p := range s.hb.downPeers() {
-			down[p] = true
-		}
 	}
 	for _, p := range m.Peers {
 		state := "up"

@@ -67,7 +67,7 @@ func TestClusterAdminAuth(t *testing.T) {
 		Self:              "http://a",
 		Peers:             []string{"http://a", "http://b"},
 		ClusterSecret:     "fleet-credential",
-		HeartbeatInterval: -1,
+		HeartbeatInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestClusterAdminAuth(t *testing.T) {
 	bare, err := New(Config{
 		Self:              "http://a",
 		Peers:             []string{"http://a", "http://b"},
-		HeartbeatInterval: -1,
+		HeartbeatInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestClusterPropagationCarriesSecret(t *testing.T) {
 		Self:              "http://a",
 		Peers:             []string{"http://a", "http://b"},
 		ClusterSecret:     "fleet-credential",
-		HeartbeatInterval: -1,
+		HeartbeatInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,55 +228,13 @@ func TestClusterPropagationCarriesSecret(t *testing.T) {
 	}
 }
 
-// TestClusterViewMergesProberDown: a peer the heartbeat state machine
-// still considers dead shows as "down" in GET /v1/cluster even after
-// the store's cooldown-bounded down mark has been cleared -- the view
-// merges both sources, as the runbook promises.
-func TestClusterViewMergesProberDown(t *testing.T) {
-	svc, err := New(Config{
-		Self:              "http://a",
-		Peers:             []string{"http://a", "http://b"},
-		HeartbeatInterval: -1, // prober driven by hand below
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	svc.hb = newHeartbeat(svc.store, svc.met, time.Hour, 1, 1, 1)
-
-	svc.hb.record("http://b", errors.New("probe failed"))
-	if !svc.store.Down("http://b") {
-		t.Fatal("probe failure did not mark the peer down")
-	}
-	// Simulate the store's cooldown expiring between probe rounds: the
-	// store forgets, the prober still knows.
-	svc.store.MarkUp("http://b")
-	states := map[string]string{}
-	for _, p := range svc.clusterView().Peers {
-		states[p.URL] = p.State
-	}
-	if states["http://b"] != "down" {
-		t.Errorf(`prober-dead peer state = %q, want "down" (store cooldown expired)`, states["http://b"])
-	}
-
-	// Recovery clears both sources.
-	svc.hb.record("http://b", nil)
-	states = map[string]string{}
-	for _, p := range svc.clusterView().Peers {
-		states[p.URL] = p.State
-	}
-	if states["http://b"] != "up" {
-		t.Errorf(`recovered peer state = %q, want "up"`, states["http://b"])
-	}
-}
-
 // TestClusterAdminValidation: malformed mutation bodies are rejected at
 // the door with 400, and membership never changes.
 func TestClusterAdminValidation(t *testing.T) {
 	svc, err := New(Config{
 		Self:              "http://a",
 		Peers:             []string{"http://a", "http://b"},
-		HeartbeatInterval: -1,
+		HeartbeatInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +273,7 @@ func TestClusterAdminValidation(t *testing.T) {
 // too (which drains: it owns nothing but keeps serving), and a later
 // join restores it everywhere.
 func TestClusterJoinLeavePropagation(t *testing.T) {
-	c := newCluster(t, 3, Config{HeartbeatInterval: -1})
+	c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
 
 	view := getCluster(t, c.url(0))
 	if !view.Fleet || len(view.Peers) != 3 || view.MembershipVersion != 0 {
@@ -377,132 +335,111 @@ func TestClusterJoinLeavePropagation(t *testing.T) {
 	}
 }
 
-// TestClusterRelayRetry: an injected failure on the first relay attempt
-// makes the relay walk to the next ring arc after backoff and succeed
-// there; when the deadline budget cannot absorb the backoff, the relay
-// gives up instead of outliving the caller's patience.
+// TestClusterRelayRetry pins the relay loop: a failed attempt reports
+// its peer down and moves to the next ring arc after backoff; each
+// candidate is tried at most once, so a lone candidate falls back at
+// once; a deadline budget too short for the backoff gives up instead
+// of outliving the caller's patience; and a slow owner that answers
+// within budget is not reported down -- slowness is not death.
 func TestClusterRelayRetry(t *testing.T) {
 	defer faultinject.Disarm()
-	faultinject.Disarm()
-
-	c := newCluster(t, 3, Config{
-		HeartbeatInterval: -1,
-		HedgeDelay:        -1, // isolate the retry path
-		RelayRetries:      2,
-		RelayBackoff:      time.Millisecond,
-	})
 	body, err := json.Marshal(analyzeRequest{System: thalesJSON(t), Chain: "sigma_c", K: []int64{1, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := []string{c.url(1), c.url(2)}
-
-	// First attempt fails by injection; the retry lands on the next arc.
-	if err := faultinject.Configure([]faultinject.Rule{
-		{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError, Times: 1},
-	}); err != nil {
-		t.Fatal(err)
+	arm := func(t *testing.T, rules ...faultinject.Rule) {
+		t.Helper()
+		faultinject.Disarm()
+		if err := faultinject.Configure(rules); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retries := func(s *Server) int64 {
+		s.met.mu.Lock()
+		defer s.met.mu.Unlock()
+		return s.met.relayRetries
+	}
+	relay := func(t *testing.T, s *Server, ctx context.Context, cands ...string) (int, string, error) {
+		t.Helper()
+		resp, peer, err := s.relay(ctx, cands, "/v1/analyze/dmm", body)
+		if err != nil {
+			return 0, "", err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, peer, nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	resp, peer, release, err := c.svcs[0].relay(ctx, cands, "/v1/analyze/dmm", body)
-	if err != nil {
-		t.Fatalf("relay with one injected failure: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	release()
-	if resp.StatusCode != http.StatusOK || peer != c.url(2) {
-		t.Fatalf("relay answered %d via %q, want 200 via the second arc %q", resp.StatusCode, peer, c.url(2))
-	}
-	c.svcs[0].met.mu.Lock()
-	retries := c.svcs[0].met.relayRetries
-	c.svcs[0].met.mu.Unlock()
-	if retries != 1 {
-		t.Errorf("relayRetries = %d, want 1", retries)
-	}
-	if !c.svcs[0].store.Down(c.url(1)) {
-		t.Error("failed arc not marked down")
-	}
 
-	// Budget: with ~5ms left, the backoff plus safety margin does not
-	// fit -- the relay must fail fast, not retry past the deadline.
-	if err := faultinject.Configure([]faultinject.Rule{
-		{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer bcancel()
-	_, _, _, err = c.svcs[0].relay(bctx, cands, "/v1/analyze/dmm", body)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("relay with every attempt failing reported success")
-	}
-	if !errors.Is(err, ErrPeerUnavailable) {
-		t.Errorf("relay error = %v, want ErrPeerUnavailable", err)
-	}
-	if elapsed > time.Second {
-		t.Errorf("budget-starved relay took %v -- retried past the deadline", elapsed)
-	}
-	c.svcs[0].met.mu.Lock()
-	after := c.svcs[0].met.relayRetries
-	c.svcs[0].met.mu.Unlock()
-	if after != retries {
-		t.Errorf("budget-starved relay recorded %d retries, want 0", after-retries)
-	}
-}
-
-// TestClusterRelayHedge: a slow owner (injected delay far beyond
-// HedgeDelay) arms the hedged second attempt on the next arc, which
-// wins; the slow peer is NOT marked down -- slowness is not death.
-func TestClusterRelayHedge(t *testing.T) {
-	defer faultinject.Disarm()
-	faultinject.Disarm()
-
-	c := newCluster(t, 3, Config{
-		HeartbeatInterval: -1,
-		HedgeDelay:        30 * time.Millisecond,
-		RelayRetries:      -1, // isolate the hedge path
-		RelayBackoff:      time.Millisecond,
+	t.Run("next arc after a failure", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError, Times: 1})
+		status, peer, err := relay(t, c.svcs[0], ctx, c.url(1), c.url(2))
+		if err != nil {
+			t.Fatalf("relay with one injected failure: %v", err)
+		}
+		if status != http.StatusOK || peer != c.url(2) {
+			t.Fatalf("relay answered %d via %q, want 200 via the second arc %q", status, peer, c.url(2))
+		}
+		if got := retries(c.svcs[0]); got != 1 {
+			t.Errorf("relayRetries = %d, want 1", got)
+		}
+		if !c.svcs[0].store.Down(c.url(1)) {
+			t.Error("failed arc not marked down")
+		}
 	})
-	body, err := json.Marshal(analyzeRequest{System: thalesJSON(t), Chain: "sigma_c", K: []int64{1, 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Configure([]faultinject.Rule{
-		{Point: faultinject.PointServiceRelay, Action: faultinject.ActionDelay, Delay: 1500 * time.Millisecond, Times: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	resp, peer, release, err := c.svcs[0].relay(ctx, []string{c.url(1), c.url(2)}, "/v1/analyze/dmm", body)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("hedged relay: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	release()
-	if resp.StatusCode != http.StatusOK || peer != c.url(2) {
-		t.Fatalf("hedged relay answered %d via %q, want 200 via the hedge arc %q", resp.StatusCode, peer, c.url(2))
-	}
-	if elapsed >= 1500*time.Millisecond {
-		t.Errorf("hedged relay took %v -- waited out the slow primary instead of hedging", elapsed)
-	}
-	c.svcs[0].met.mu.Lock()
-	hedges, wins := c.svcs[0].met.relayHedges, c.svcs[0].met.relayHedgeWins
-	c.svcs[0].met.mu.Unlock()
-	if hedges != 1 || wins != 1 {
-		t.Errorf("hedges = %d launched / %d won, want 1/1", hedges, wins)
-	}
-	if c.svcs[0].store.Down(c.url(1)) {
-		t.Error("slow-but-alive peer was marked down by hedging")
-	}
+	t.Run("lone candidate falls back at once", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError, Times: 1})
+		_, _, err := relay(t, c.svcs[0], ctx, c.url(1))
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("relay to a failed lone candidate = %v, want ErrPeerUnavailable (local fallback)", err)
+		}
+		if got := retries(c.svcs[0]); got != 0 {
+			t.Errorf("relayRetries = %d, want 0: the failed peer was retried", got)
+		}
+		if !c.svcs[0].store.Down(c.url(1)) {
+			t.Error("failed candidate not marked down")
+		}
+	})
+
+	t.Run("budget too short for the backoff", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError})
+		start := time.Now()
+		bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer bcancel()
+		_, _, err := relay(t, c.svcs[0], bctx, c.url(1), c.url(2))
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("budget-starved relay took %v -- retried past the deadline", elapsed)
+		}
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Errorf("relay error = %v, want ErrPeerUnavailable", err)
+		}
+		if got := retries(c.svcs[0]); got != 0 {
+			t.Errorf("budget-starved relay recorded %d retries, want 0", got)
+		}
+	})
+
+	t.Run("slow owner within budget is not down", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionDelay, Delay: 300 * time.Millisecond, Times: 1})
+		status, peer, err := relay(t, c.svcs[0], ctx, c.url(1), c.url(2))
+		if err != nil {
+			t.Fatalf("slow relay: %v", err)
+		}
+		if status != http.StatusOK || peer != c.url(1) {
+			t.Fatalf("slow relay answered %d via %q, want 200 via the owner %q", status, peer, c.url(1))
+		}
+		if got := retries(c.svcs[0]); got != 0 {
+			t.Errorf("relayRetries = %d, want 0", got)
+		}
+		if c.svcs[0].store.Down(c.url(1)) {
+			t.Error("slow-but-alive owner was reported down")
+		}
+	})
 }
 
 // TestClusterChurn is the membership-churn chaos round: mid-campaign, a
@@ -614,11 +551,11 @@ func TestClusterChurn(t *testing.T) {
 // propagation -- the single operator POST converges every ring,
 // including the newcomer's.
 func TestClusterJoinTeachesNewcomer(t *testing.T) {
-	c := newCluster(t, 3, Config{HeartbeatInterval: -1})
+	c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
 
 	ts, hv := clusterListener()
 	defer ts.Close()
-	svc, err := New(Config{Self: ts.URL, Peers: []string{ts.URL, c.url(0)}, HeartbeatInterval: -1})
+	svc, err := New(Config{Self: ts.URL, Peers: []string{ts.URL, c.url(0)}, HeartbeatInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

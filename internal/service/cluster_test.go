@@ -205,12 +205,7 @@ func runCampaign(t testing.TB, url string, req campaignRequest) ([]schema.Campai
 // repeat answers entirely from the sharded stores — at least 10x faster
 // and with zero new computation.
 func TestClusterSharing(t *testing.T) {
-	// Hedging deliberately trades duplicate computation for tail
-	// latency (a hedged attempt lands on a non-owner, which computes
-	// the artifact itself), so it is disabled here: this test pins the
-	// exactly-once property of the un-hedged fleet. The hedge path has
-	// its own pin in TestClusterRelayHedge.
-	c := newCluster(t, 3, Config{HedgeDelay: -1})
+	c := newCluster(t, 3, Config{})
 	req := fleetCampaign(fleetSystems(t, 50))
 
 	lines, cold := runCampaign(t, c.url(0), req)
@@ -274,10 +269,7 @@ func TestClusterSharing(t *testing.T) {
 // relay to the owner, and the owner's in-flight coalescing absorbs the
 // stampede. This is the fleet-wide singleflight property.
 func TestClusterSingleflight(t *testing.T) {
-	// Hedging off for the same reason as TestClusterSharing: a hedge
-	// fired during a slow cold solve would compute a duplicate on a
-	// non-owner, and this test pins exactly-once.
-	c := newCluster(t, 3, Config{HedgeDelay: -1})
+	c := newCluster(t, 3, Config{})
 	sys := thalesJSON(t)
 	req := analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1, 10, 100}}
 
@@ -371,9 +363,9 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	}
 	// Observe the kill deterministically (whether the campaign itself
 	// raced the kill is timing): restore the corpse into replica 0's
-	// routing, then send one request it owns — the relay attempt must
-	// fail, mark it down again, and still answer 200 via the next arc
-	// or local fallback.
+	// routing, as a successful probe would, then send one request it
+	// owns — the relay attempt must fail, report it down again, and
+	// still answer 200 via the next arc or local fallback.
 	c.svcs[0].store.MarkUp(c.url(1))
 	before := c.svcs[0].StoreStats()
 	probed := false

@@ -27,26 +27,25 @@ import (
 // one key to one owner, and the owner's store coalesces concurrent
 // twins.
 //
-// Relays are resilient, in three layers, all safe by construction
-// because every replica computes byte-identical documents:
+// Relays are resilient, safe by construction because every replica
+// computes byte-identical documents:
 //
 //   - Retry: a failed attempt (unreachable, or answering 502/503/504)
-//     marks the peer down and retries the next ring arc after a
-//     decorrelated-jitter backoff, bounded by Config.RelayRetries and
-//     by the request's remaining deadline budget.
-//   - Hedge: if the first attempt is still pending after
-//     Config.HedgeDelay, one hedged attempt races it on the next arc;
-//     the first byte-complete response wins and the loser is canceled.
+//     reports the peer to the heartbeat, which marks it down, and the
+//     relay tries the next ring arc after a decorrelated-jitter
+//     backoff. Each candidate is tried at most once per relay, at most
+//     relayRetries times over, and never past the request's remaining
+//     deadline budget.
 //   - Throttle propagation: a 429 from the owner is admission control,
 //     not death — it is never a reason to mark the peer down. Unary
 //     relays stream the 429 (with its Retry-After) to the client;
 //     campaign items fall back to local compute.
 //
-// Exhausting every layer is still only a performance event: the
-// requester marks the owner down for a cooldown, recomputes locally,
-// and the ring re-hashes the owner's keys to the next arc until the
-// cooldown expires. Bounds stay sound either way — a fallback costs
-// duplicated work, never a wrong-side answer.
+// Running out of candidates is still only a performance event: the
+// requester recomputes locally, and the ring re-hashes the reported
+// owner's keys to the next arc until a heartbeat probe finds it alive
+// again. Bounds stay sound either way — a fallback costs duplicated
+// work, never a wrong-side answer.
 
 // forwardHeader marks a relayed request with the sender's identity. Its
 // presence is the loop guard: an owner never re-forwards a relayed
@@ -60,10 +59,18 @@ const forwardHeader = "X-Twca-Forward"
 // relayed request — observability for multi-replica deployments.
 const servedByHeader = "X-Twca-Served-By"
 
-// relayHeadroom pads the relay deadline over the owner's own analysis
-// budget, so an owner that degrades-and-answers right at its deadline
-// beats the requester's timeout instead of racing it.
-const relayHeadroom = 2 * time.Second
+const (
+	// relayHeadroom pads the relay deadline over the owner's own
+	// analysis budget, so an owner that degrades-and-answers right at
+	// its deadline beats the requester's timeout instead of racing it.
+	relayHeadroom = 2 * time.Second
+	// relayRetries bounds the attempts after the first, each on the
+	// next ring arc.
+	relayRetries = 2
+	// relayBackoff is the sleep before the first retry; later sleeps
+	// are drawn from [relayBackoff, 3·prev).
+	relayBackoff = 25 * time.Millisecond
+)
 
 // relayed reports whether r is a relay from a peer replica.
 func relayed(r *http.Request) bool { return r.Header.Get(forwardHeader) != "" }
@@ -89,12 +96,11 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 		return false
 	}
 	// The relay budget mirrors the local-compute budget (plus headroom
-	// for the wire), bounded by the client's own context: retries and
-	// hedges never outlive what the caller was willing to wait for a
-	// local analysis.
+	// for the wire), bounded by the client's own context: retries never
+	// outlive what the caller was willing to wait for a local analysis.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout+relayHeadroom)
 	defer cancel()
-	resp, peer, release, err := s.relay(ctx, cands, r.URL.Path, body)
+	resp, peer, err := s.relay(ctx, cands, r.URL.Path, body)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client went away mid-relay; the local path will fail
@@ -104,7 +110,6 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 		s.store.CountLocalFallback()
 		return false
 	}
-	defer release()
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
 		s.met.relayThrottle()
@@ -126,8 +131,8 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 	if _, err := io.Copy(w, resp.Body); err != nil && r.Context().Err() == nil {
 		// The peer died mid-stream. The status line is already on the
 		// wire, so the client sees a short body — all we can do is
-		// refuse to count it as a healthy peer serve and route around
-		// the peer for the cooldown.
+		// refuse to count it as a healthy peer serve and report the
+		// peer down.
 		s.met.relayTruncated()
 		s.attemptFailed(peer)
 	}
@@ -135,114 +140,52 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 	return true
 }
 
-// relay races body against the candidate peers: a primary attempt on
-// cands[0], bounded retries walking the next arcs after decorrelated-
-// jitter backoffs, and at most one hedged attempt launched when the
-// primary is still pending after HedgeDelay. The winner is the first
-// attempt to complete with a non-failure status; its response, the
-// peer that served it, and a release func (call after the body is
-// consumed) are returned. Losing attempts are canceled and drained in
-// the background.
-func (s *Server) relay(ctx context.Context, cands []string, path string, body []byte) (*http.Response, string, context.CancelFunc, error) {
-	maxAttempts := 1 + s.cfg.RelayRetries + 1 // primary + retries + hedge
-	results := make(chan relayAttempt, maxAttempts)
-	launched, received, next := 0, 0, 0
-	start := func() {
-		idx := launched
-		peer := cands[next%len(cands)]
-		next++
-		launched++
-		actx, acancel := context.WithCancel(ctx)
-		go func() {
-			resp, err := s.attempt(actx, peer, path, body)
-			results <- relayAttempt{resp: resp, err: err, peer: peer, idx: idx, cancel: acancel}
-		}()
+// relay sends body to the candidates in ring order, each at most once:
+// an attempt that fails reports its peer down, sleeps the
+// decorrelated-jitter backoff if the deadline budget allows, and moves
+// on to the next arc. It returns the first usable response and the
+// peer that served it. Otherwise it returns the last attempt's error
+// (cands must be non-empty) and the caller falls back to local
+// compute.
+func (s *Server) relay(ctx context.Context, cands []string, path string, body []byte) (*http.Response, string, error) {
+	if len(cands) > 1+relayRetries {
+		cands = cands[:1+relayRetries]
 	}
-	start()
-
-	var hedgeC <-chan time.Time
-	if s.cfg.HedgeDelay > 0 && len(cands) > 1 {
-		hedgeC = time.After(s.cfg.HedgeDelay)
-	}
-	hedgeIdx := -1
-	retriesLeft := s.cfg.RelayRetries
-	backoff := s.cfg.RelayBackoff
-	var backoffC <-chan time.Time
-	var lastErr error
-	for {
-		select {
-		case res := <-results:
-			received++
-			if res.err == nil {
-				if res.idx == hedgeIdx {
-					// The hedged attempt beat every earlier one to a
-					// usable response: the hedge won the race.
-					s.met.relayHedge(true)
-				}
-				reapAttempts(results, launched-received)
-				return res.resp, res.peer, res.cancel, nil
+	backoff := relayBackoff
+	var err error
+	for i, peer := range cands {
+		if i > 0 {
+			if !budgetAllows(ctx, backoff) {
+				break
 			}
-			res.cancel()
-			lastErr = res.err
-			if retriesLeft > 0 && backoffC == nil && ctx.Err() == nil && budgetAllows(ctx, backoff) {
-				retriesLeft--
-				s.met.relayRetry()
-				backoffC = time.After(backoff)
-				backoff = s.nextBackoff(backoff)
-				continue
+			s.met.relayRetry()
+			if !sleep(ctx, backoff) {
+				break
 			}
-			if received == launched && backoffC == nil {
-				return nil, "", nil, lastErr
-			}
-		case <-backoffC:
-			backoffC = nil
-			start()
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < maxAttempts && ctx.Err() == nil {
-				hedgeIdx = launched
-				s.met.relayHedge(false)
-				start()
-			}
-		case <-ctx.Done():
-			reapAttempts(results, launched-received)
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: relay: %v", ErrPeerUnavailable, ctx.Err())
-			}
-			return nil, "", nil, lastErr
+			backoff = s.nextBackoff(backoff)
+		}
+		var resp *http.Response
+		if resp, err = s.attempt(ctx, peer, path, body); err == nil {
+			return resp, peer, nil
+		}
+		if ctx.Err() != nil {
+			break
 		}
 	}
+	return nil, "", err
 }
 
-// relayAttempt is one in-flight relay attempt's outcome. cancel is the
-// attempt context's cancel func: the winner's is released only after
-// its body has been consumed; losers' are called on reaping.
-type relayAttempt struct {
-	resp *http.Response
-	err  error
-	peer string
-	// idx is the attempt's launch ordinal (0 = primary), used to
-	// attribute a win to the hedged attempt.
-	idx    int
-	cancel context.CancelFunc
-}
-
-// reapAttempts cancels and drains n outstanding attempts in the
-// background so their transport resources are reclaimed without
-// blocking the winner's response.
-func reapAttempts(results chan relayAttempt, n int) {
-	if n <= 0 {
-		return
+// sleep waits d or until ctx is done, reporting whether the full sleep
+// elapsed.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	go func() {
-		for i := 0; i < n; i++ {
-			res := <-results
-			res.cancel()
-			if res.resp != nil {
-				res.resp.Body.Close()
-			}
-		}
-	}()
 }
 
 // budgetAllows reports whether ctx's deadline leaves room to sleep d
@@ -259,7 +202,7 @@ func budgetAllows(ctx context.Context, d time.Duration) bool {
 // drawn from [base, 3·prev), capped, with the draw taken from a
 // splitmix64 stream (deterministic per process, no math/rand).
 func (s *Server) nextBackoff(prev time.Duration) time.Duration {
-	base := s.cfg.RelayBackoff
+	base := relayBackoff
 	span := 3*prev - base
 	if span <= 0 {
 		return base
@@ -272,15 +215,15 @@ func (s *Server) nextBackoff(prev time.Duration) time.Duration {
 }
 
 // attempt performs one relay attempt against peer. Transport errors
-// and 502/503/504 answers mark the peer down (its keys re-hash to the
-// next arc) and report ErrPeerUnavailable; every other status — 200,
+// and 502/503/504 answers report the peer down (its keys re-hash to the
+// next arc) and return ErrPeerUnavailable; every other status — 200,
 // client errors, 429 — is the peer's answer and is returned for the
 // caller to interpret.
 func (s *Server) attempt(ctx context.Context, peer, path string, body []byte) (*http.Response, error) {
 	// Fault-injection seam: an injected error makes this attempt fail
-	// as if the peer were unreachable (exercising retry/hedge/fallback
+	// as if the peer were unreachable (exercising retry and fallback
 	// without killing a listener); an injected delay simulates a slow
-	// peer, which is what arms the hedging path deterministically.
+	// peer.
 	if f := faultinject.At(faultinject.PointServiceRelay); f != nil {
 		if err := f.Apply(); err != nil {
 			s.attemptFailed(peer)
@@ -329,17 +272,17 @@ func (s *Server) forward(ctx context.Context, peer, path string, body []byte) (*
 	return resp, nil
 }
 
-// attemptFailed records one failed relay attempt: the peer sits out
-// routing for the down cooldown (its keys re-hash to the next ring
-// arc). Unlike a local fallback this is per-attempt accounting — the
-// relay as a whole may still succeed on another arc.
+// attemptFailed records one failed relay attempt: the heartbeat marks
+// the peer down until a probe finds it alive (its keys re-hash to the
+// next ring arc). Unlike a local fallback this is per-attempt
+// accounting — the relay as a whole may still succeed on another arc.
 func (s *Server) attemptFailed(peer string) {
-	s.store.MarkDown(peer)
+	s.hb.report(peer)
 	s.store.CountPeerUnavailable()
 }
 
 // relayItemDMM evaluates one campaign item on the owning peer (or its
-// retry/hedge arcs) via the unary DMM endpoint, returning the analysis
+// retry arcs) via the unary DMM endpoint, returning the analysis
 // document and the peer's cache outcome. A store.ErrPeerUnavailable-
 // wrapped error asks the caller to fall back to local compute; any
 // other error is the item's real outcome as classified by the owner.
@@ -360,8 +303,8 @@ func (s *Server) relayItemLatency(ctx context.Context, cands []string, req *anal
 	return out.Latency, out.Cache, nil
 }
 
-// relayItem performs one item relay — with the same retry/hedge
-// resilience as unary relays — and decodes the 200 response into out.
+// relayItem performs one item relay — with the same retry resilience
+// as unary relays — and decodes the 200 response into out.
 // Non-200 answers from the serving peer are returned as
 // remoteItemError so the campaign line preserves the owner's error
 // classification; a 429 asks for local fallback without marking the
@@ -371,11 +314,10 @@ func (s *Server) relayItem(ctx context.Context, cands []string, path string, req
 	if err != nil {
 		return err
 	}
-	resp, peer, release, err := s.relay(ctx, cands, path, body)
+	resp, peer, err := s.relay(ctx, cands, path, body)
 	if err != nil {
 		return err
 	}
-	defer release()
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:

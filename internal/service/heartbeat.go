@@ -13,20 +13,22 @@ import (
 	"repro/internal/store"
 )
 
-// The heartbeat prober is the fleet's active health check. Per-request
-// failure detection (a relay attempt marking its peer down) only sees
-// peers the traffic happens to route to; the heartbeat probes every
-// member's /healthz on a jittered interval and drives the store's
-// MarkDown/MarkUp directly, so a dead or draining replica is evicted
-// from routing before it costs a request its retry budget — and a
-// recovered one rejoins without waiting out the down cooldown.
+// The heartbeat is the fleet's one failure detector: it alone decides
+// whether a peer is down, and it is the only writer of the store's
+// down set (which Route, RemoteCandidates and GET /v1/cluster read).
+// Two kinds of evidence feed it:
 //
-// The prober is a small state machine per peer: HeartbeatDownAfter
-// consecutive probe failures mark it down (single blips don't flap the
-// ring), one configurable streak of successes marks it back up. A peer
-// already down keeps being probed, and every failed probe past the
-// threshold re-marks it — so the store's timer-based cooldown expiry
-// never lets a still-dead peer back into routing for real traffic.
+//   - Relay reports. A relay attempt that fails calls report, which
+//     marks the peer down at once: traffic already paid for the
+//     failure, so the next request must not pay again.
+//   - Probes. Every member's /healthz is probed on a jittered interval.
+//     heartbeatDownAfter consecutive failures mark a peer down (a
+//     single blip does not flap the ring); one successful probe marks
+//     it up. A downed peer keeps being probed, and a probe is the only
+//     way back into routing — there is no cooldown.
+//
+// The store's down set is the only record of who is down, so reports
+// and probe outcomes cannot drift apart: whichever lands last decides.
 //
 // Determinism contract: the store's routing stays a pure function of
 // the membership and down sets (no wall clock — internal/store is in
@@ -36,19 +38,22 @@ import (
 // all seams, so the state machine and the loop are tested on a fake
 // clock with scripted probe outcomes.
 
-// heartbeatProbeTimeout bounds one /healthz probe round-trip.
-const heartbeatProbeTimeout = 2 * time.Second
+const (
+	// heartbeatProbeTimeout bounds one /healthz probe round-trip.
+	heartbeatProbeTimeout = 2 * time.Second
+	// heartbeatDownAfter is the number of consecutive failed probes
+	// that mark a peer down.
+	heartbeatDownAfter = 2
+)
 
-// heartbeat probes the fleet's peers and drives the store's peer
-// health. Construct with newHeartbeat; run runOnce per tick (the
-// Server's loop does this on a jittered interval).
+// heartbeat probes the fleet's peers and owns their down state in the
+// store. Construct with newHeartbeat; loop runs runOnce on a jittered
+// interval.
 type heartbeat struct {
-	store     *store.Store
-	met       *metrics
-	interval  time.Duration
-	downAfter int // consecutive failures before MarkDown
-	upAfter   int // consecutive successes before MarkUp
-	seed      uint64
+	store    *store.Store
+	met      *metrics
+	interval time.Duration
+	seed     uint64
 
 	// probe checks one peer ("" error = healthy). The default probes
 	// GET peer/healthz through the server's HTTP client; tests script
@@ -59,32 +64,17 @@ type heartbeat struct {
 	after func(d time.Duration) <-chan time.Time
 
 	mu    sync.Mutex
-	state map[string]*peerHealth
+	fails map[string]int // consecutive probe failures per peer
 }
 
-// peerHealth is one peer's probe state machine.
-type peerHealth struct {
-	fails int // consecutive probe failures
-	oks   int // consecutive probe successes
-	down  bool
-}
-
-func newHeartbeat(st *store.Store, met *metrics, interval time.Duration, downAfter, upAfter int, seed uint64) *heartbeat {
-	if downAfter <= 0 {
-		downAfter = 2
-	}
-	if upAfter <= 0 {
-		upAfter = 1
-	}
+func newHeartbeat(st *store.Store, met *metrics, interval time.Duration, seed uint64) *heartbeat {
 	return &heartbeat{
-		store:     st,
-		met:       met,
-		interval:  interval,
-		downAfter: downAfter,
-		upAfter:   upAfter,
-		seed:      seed,
-		after:     time.After,
-		state:     make(map[string]*peerHealth),
+		store:    st,
+		met:      met,
+		interval: interval,
+		seed:     seed,
+		after:    time.After,
+		fails:    make(map[string]int),
 	}
 }
 
@@ -100,9 +90,9 @@ func (h *heartbeat) jittered(round uint64) time.Duration {
 	return h.interval - span/2 + time.Duration(splitmix64(h.seed^round)%uint64(span))
 }
 
-// runOnce probes every remote member once and advances the per-peer
-// state machines. Probes run without holding the state lock (they are
-// HTTP round-trips); state is updated as each probe returns.
+// runOnce probes every remote member once and applies the outcomes.
+// Probes run without holding the state lock (they are HTTP
+// round-trips); each outcome is applied as its probe returns.
 func (h *heartbeat) runOnce(ctx context.Context) {
 	m := h.store.Membership()
 	remotes := make([]string, 0, len(m.Peers))
@@ -113,85 +103,51 @@ func (h *heartbeat) runOnce(ctx context.Context) {
 	}
 	h.prune(remotes)
 	for _, peer := range remotes {
-		err := h.probe(ctx, peer)
-		h.record(peer, err)
+		h.record(peer, h.probe(ctx, peer))
 	}
 }
 
-// record advances one peer's state machine with a probe outcome and
-// drives the store's MarkDown/MarkUp on the edges.
+// record applies one probe outcome to peer's failure streak and the
+// store's down set.
 func (h *heartbeat) record(peer string, probeErr error) {
-	h.mu.Lock()
-	ph := h.state[peer]
-	if ph == nil {
-		ph = &peerHealth{}
-		h.state[peer] = ph
-	}
-	var markDown, markUp, transition bool
-	if probeErr != nil {
-		ph.fails++
-		ph.oks = 0
-		if ph.fails >= h.downAfter {
-			// Re-mark on every probed failure past the threshold: the
-			// store's cooldown may have expired meanwhile, and a dead
-			// peer must not re-enter routing until a probe succeeds.
-			markDown = true
-			transition = !ph.down
-			ph.down = true
-		}
-	} else {
-		ph.oks++
-		ph.fails = 0
-		if ph.oks >= h.upAfter {
-			markUp = ph.down
-			transition = ph.down
-			ph.down = false
-		}
-	}
-	h.mu.Unlock()
-
 	h.met.heartbeatProbe(probeErr == nil)
-	if markDown {
-		h.store.MarkDown(peer)
-		if transition {
-			h.met.heartbeatTransition(false)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if probeErr == nil {
+		delete(h.fails, peer)
+		if h.store.MarkUp(peer) {
+			h.met.heartbeatTransition(true)
 		}
+		return
 	}
-	if markUp {
-		h.store.MarkUp(peer)
-		h.met.heartbeatTransition(true)
+	h.fails[peer]++
+	if h.fails[peer] >= heartbeatDownAfter && h.store.MarkDown(peer) {
+		h.met.heartbeatTransition(false)
 	}
 }
 
-// prune drops state for peers no longer in the membership.
+// report marks peer down after a failed relay attempt. Only a later
+// successful probe brings it back.
+func (h *heartbeat) report(peer string) {
+	if h.store.MarkDown(peer) {
+		h.met.heartbeatTransition(false)
+	}
+}
+
+// prune drops the failure streaks of peers no longer in the
+// membership.
 func (h *heartbeat) prune(remotes []string) {
 	keep := make(map[string]bool, len(remotes))
 	for _, p := range remotes {
 		keep[p] = true
 	}
 	h.mu.Lock()
-	for p := range h.state {
+	for p := range h.fails {
 		if !keep[p] {
-			delete(h.state, p)
+			delete(h.fails, p)
 		}
 	}
 	h.mu.Unlock()
-}
-
-// downPeers lists the peers the state machine currently considers
-// down. clusterView merges it into the /v1/cluster peer states, so a
-// peer whose store cooldown expired between probe rounds still shows
-// as down while the prober sees it dead.
-func (h *heartbeat) downPeers() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []string
-	for p, ph := range h.state {
-		if ph.down {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // probePeer is the production probe: GET peer/healthz with a bounded
@@ -231,18 +187,17 @@ func (s *Server) probePeer(ctx context.Context, peer string) error {
 	return nil
 }
 
-// heartbeatLoop runs the prober until the server's root context is
-// canceled. Each round sleeps the jittered interval first, so a
-// just-started replica doesn't immediately declare silent peers dead
-// while they are still binding their listeners.
-func (s *Server) heartbeatLoop() {
-	defer close(s.hbStopped)
+// loop runs the prober until ctx is canceled. Each round sleeps the
+// jittered interval first, so a just-started replica doesn't
+// immediately declare silent peers dead while they are still binding
+// their listeners.
+func (h *heartbeat) loop(ctx context.Context) {
 	for round := uint64(0); ; round++ {
 		select {
-		case <-s.root.Done():
+		case <-ctx.Done():
 			return
-		case <-s.hb.after(s.hb.jittered(round)):
+		case <-h.after(h.jittered(round)):
 		}
-		s.hb.runOnce(s.root)
+		h.runOnce(ctx)
 	}
 }

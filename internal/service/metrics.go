@@ -50,13 +50,11 @@ type metrics struct {
 	// panicked (recovered to an error; the process survived).
 	workerPanics int64
 	// fleet relay resilience counters: retries walked to the next ring
-	// arc, hedged attempts launched and won, responses truncated
-	// mid-stream by a dying peer, and 429 throttles propagated instead
-	// of being treated as peer death.
-	relayRetries, relayHedges, relayHedgeWins int64
-	relayTruncations, relayThrottles          int64
-	// heartbeat prober counters: probes by result and up/down state
-	// transitions driven into the store.
+	// arc, responses truncated mid-stream by a dying peer, and 429
+	// throttles propagated instead of being treated as peer death.
+	relayRetries, relayTruncations, relayThrottles int64
+	// heartbeat counters: probes by result and the up/down edges of the
+	// store's down set (from probes and relay reports).
 	heartbeatOK, heartbeatFail   int64
 	heartbeatUps, heartbeatDowns int64
 	// membership admin counters: applied mutations by endpoint and
@@ -214,19 +212,6 @@ func (m *metrics) relayRetry() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.relayRetries++
-}
-
-// relayHedge accounts hedging: launched (won=false) when the slow-peer
-// threshold fires a second attempt, won (won=true) when a hedged race
-// was resolved by the hedge rather than the primary finishing alone.
-func (m *metrics) relayHedge(won bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if won {
-		m.relayHedgeWins++
-	} else {
-		m.relayHedges++
-	}
 }
 
 // relayTruncated accounts one relayed response cut off mid-stream by a
@@ -425,11 +410,6 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE twca_fleet_relay_retries_total counter\n")
 	fmt.Fprintf(w, "twca_fleet_relay_retries_total %d\n", m.relayRetries)
 
-	fmt.Fprintf(w, "# HELP twca_fleet_relay_hedges_total Hedged relay attempts by outcome.\n")
-	fmt.Fprintf(w, "# TYPE twca_fleet_relay_hedges_total counter\n")
-	fmt.Fprintf(w, "twca_fleet_relay_hedges_total{outcome=\"launched\"} %d\n", m.relayHedges)
-	fmt.Fprintf(w, "twca_fleet_relay_hedges_total{outcome=\"won\"} %d\n", m.relayHedgeWins)
-
 	fmt.Fprintf(w, "# HELP twca_fleet_relay_truncated_total Relayed responses cut off mid-stream by a dying peer.\n")
 	fmt.Fprintf(w, "# TYPE twca_fleet_relay_truncated_total counter\n")
 	fmt.Fprintf(w, "twca_fleet_relay_truncated_total %d\n", m.relayTruncations)
@@ -443,7 +423,7 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "twca_heartbeat_probes_total{result=\"ok\"} %d\n", m.heartbeatOK)
 	fmt.Fprintf(w, "twca_heartbeat_probes_total{result=\"fail\"} %d\n", m.heartbeatFail)
 
-	fmt.Fprintf(w, "# HELP twca_heartbeat_transitions_total Probe-driven peer state transitions.\n")
+	fmt.Fprintf(w, "# HELP twca_heartbeat_transitions_total Peer down-state transitions, from probes and relay failure reports.\n")
 	fmt.Fprintf(w, "# TYPE twca_heartbeat_transitions_total counter\n")
 	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"up\"} %d\n", m.heartbeatUps)
 	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"down\"} %d\n", m.heartbeatDowns)

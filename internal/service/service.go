@@ -104,30 +104,11 @@ type Config struct {
 	// over loopback with "local_only": true.
 	ClusterSecret string
 	// HeartbeatInterval is the period of the active peer health probe
-	// (jittered ±20% per round). Zero selects the default (2s) when the
-	// fleet tier is enabled; negative disables active probing, leaving
-	// only per-request failure detection. Probe outcomes drive the
-	// store's MarkDown/MarkUp through a per-peer state machine:
-	// HeartbeatDownAfter consecutive failures evict a peer from routing
-	// (default 2), HeartbeatUpAfter consecutive successes restore it
-	// (default 1).
-	HeartbeatInterval  time.Duration
-	HeartbeatDownAfter int
-	HeartbeatUpAfter   int
-	// RelayRetries bounds the additional relay attempts after the first
-	// (walking the next ring arcs, decorrelated-jitter backoff between
-	// attempts, never past the request's deadline budget). Zero selects
-	// the default (2); negative disables retries.
-	RelayRetries int
-	// RelayBackoff is the base backoff before the first relay retry
-	// (default 25ms); subsequent sleeps are drawn from [base, 3·prev).
-	RelayBackoff time.Duration
-	// HedgeDelay is the slow-peer threshold: a relay still pending
-	// after it races one hedged attempt against the next ring arc
-	// (first complete response wins, loser canceled — safe because
-	// replicas produce byte-identical documents). Zero selects the
-	// default (150ms); negative disables hedging.
-	HedgeDelay time.Duration
+	// (jittered ±20% per round; default 2s). The prober runs whenever
+	// the replica has a fleet identity (Self): it is the one failure
+	// detector, and its probes are the only way a downed peer returns
+	// to routing (see heartbeat.go).
+	HeartbeatInterval time.Duration
 	// MaxCampaignItems bounds the items of one /v1/campaign request
 	// (default 1024).
 	MaxCampaignItems int
@@ -154,42 +135,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxCampaignItems <= 0 {
 		c.MaxCampaignItems = 1024
 	}
-	// For the resilience knobs, zero means "default" and negative means
-	// "disabled" (normalized to 0 here so use sites test > 0).
-	c.HeartbeatInterval = defaultOrOff(c.HeartbeatInterval, 2*time.Second)
-	if c.HeartbeatDownAfter <= 0 {
-		c.HeartbeatDownAfter = 2
+	if c.HeartbeatInterval <= 0 {
+		c.HeartbeatInterval = 2 * time.Second
 	}
-	if c.HeartbeatUpAfter <= 0 {
-		c.HeartbeatUpAfter = 1
-	}
-	switch {
-	case c.RelayRetries == 0:
-		c.RelayRetries = 2
-	case c.RelayRetries < 0:
-		c.RelayRetries = 0
-	}
-	if c.RelayBackoff <= 0 {
-		c.RelayBackoff = 25 * time.Millisecond
-	}
-	c.HedgeDelay = defaultOrOff(c.HedgeDelay, 150*time.Millisecond)
 	c.Self = strings.TrimRight(c.Self, "/")
 	for i, p := range c.Peers {
 		c.Peers[i] = strings.TrimRight(p, "/")
 	}
 	return c
-}
-
-// defaultOrOff resolves a duration knob where zero selects def and a
-// negative value means disabled (0).
-func defaultOrOff(v, def time.Duration) time.Duration {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // Validate rejects nonsensical configurations (negative sizes or
@@ -216,6 +169,9 @@ func (c Config) Validate() error {
 	}
 	if c.CampaignWorkers < 0 {
 		return errNegative("CampaignWorkers", int64(c.CampaignWorkers))
+	}
+	if c.HeartbeatInterval < 0 {
+		return errNegative("HeartbeatInterval", int64(c.HeartbeatInterval))
 	}
 	if len(c.Peers) > 0 {
 		if c.Self == "" {
@@ -254,8 +210,9 @@ type Server struct {
 	// relaySeq feeds the deterministic splitmix64 stream behind relay
 	// backoff jitter.
 	relaySeq atomic.Uint64
-	// hb is the peer health prober (nil when disabled); hbStopped is
-	// closed when its loop has exited, so Close can wait for it.
+	// hb is the peer health prober (nil without a fleet identity);
+	// hbStopped is closed when its loop has exited, so Close can wait
+	// for it.
 	hb        *heartbeat
 	hbStopped chan struct{}
 }
@@ -317,12 +274,14 @@ func New(cfg Config) (*Server, error) {
 	// Active health checking runs whenever this replica has a fleet
 	// identity, even if the initial membership is single-node — a later
 	// /v1/cluster/join must get probing without a restart.
-	if cfg.Self != "" && cfg.HeartbeatInterval > 0 {
-		s.hb = newHeartbeat(s.store, s.met, cfg.HeartbeatInterval,
-			cfg.HeartbeatDownAfter, cfg.HeartbeatUpAfter, hashSeed(cfg.Self))
+	if cfg.Self != "" {
+		s.hb = newHeartbeat(s.store, s.met, cfg.HeartbeatInterval, hashSeed(cfg.Self))
 		s.hb.probe = s.probePeer
 		s.hbStopped = make(chan struct{})
-		go s.heartbeatLoop()
+		go func(hb *heartbeat) {
+			defer close(s.hbStopped)
+			hb.loop(root)
+		}(s.hb)
 	}
 	return s, nil
 }
@@ -379,14 +338,12 @@ func (s *Server) refuseDraining(w http.ResponseWriter, endpoint string) {
 // Close cancels the server's root context: in-flight analyses stop at
 // their next cooperative check and their requests fail with the
 // cancellation mapping (or 503 when draining). It then waits for the
-// heartbeat loop to exit and cancels the store's pending down-cooldown
-// timers. Idempotent.
+// heartbeat loop to exit. Idempotent.
 func (s *Server) Close() {
 	s.stop()
 	if s.hbStopped != nil {
 		<-s.hbStopped
 	}
-	s.store.Close()
 }
 
 // requestCtx derives the analysis context for one request: the client's

@@ -631,6 +631,7 @@ func TestMixedParallelQueries(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	for _, cfg := range []Config{
 		{CacheSize: -1}, {MaxInflight: -2}, {RequestTimeout: -time.Second}, {MaxBodyBytes: -1},
+		{HeartbeatInterval: -time.Second}, // the prober has no off-mode
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted", cfg)

@@ -117,7 +117,7 @@ func TestAbortCaseStudySoundness(t *testing.T) {
 
 func TestAbortOnMissRejectedByMultiEngine(t *testing.T) {
 	sys := casestudy.New()
-	if _, err := sim.RunMapped(sys, nil, sim.Config{AbortOnMiss: true}); err == nil {
+	if _, err := sim.Run(sys, sim.Config{AbortOnMiss: true, Mapping: map[string]string{"tau1c": "cpu"}}); err == nil {
 		t.Error("multi engine accepted AbortOnMiss")
 	}
 }

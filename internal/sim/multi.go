@@ -11,26 +11,6 @@ import (
 	"repro/internal/policy"
 )
 
-// RunMapped simulates a system whose tasks are distributed over
-// several resources; see Config.Mapping.
-//
-// Deprecated: set Config.Mapping and use Run/RunCtx — the mapping now
-// travels with the rest of the configuration (and through the facade's
-// SimConfig). This wrapper remains for source compatibility.
-func RunMapped(sys *model.System, mapping map[string]string, cfg Config) (*Result, error) {
-	cfg.Mapping = mapping
-	if len(mapping) == 0 {
-		// The historical contract: an empty mapping still runs the
-		// multi-resource engine (everything on the default resource "").
-		pol, err := policy.SimulatorFor(cfg.Policy)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		return runMapped(context.Background(), sys, cfg, pol)
-	}
-	return Run(sys, cfg)
-}
-
 // runMapped is the multi-resource engine behind Config.Mapping: tasks
 // mapped to different resource names execute in parallel, each resource
 // scheduled independently under the configured (preemptive) policy.
@@ -38,8 +18,9 @@ func RunMapped(sys *model.System, mapping map[string]string, cfg Config) (*Resul
 // successor, wherever that successor is mapped; unmapped tasks share
 // the default resource "".
 //
-// With an empty mapping, the result is behaviorally identical to Run
-// (asserted by TestRunMappedMatchesRun).
+// With every task mapped to one resource, the result is behaviorally
+// identical to the uniprocessor engine (asserted by
+// TestRunMappedMatchesRun).
 func runMapped(ctx context.Context, sys *model.System, cfg Config, pol policy.Simulator) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

@@ -10,6 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
+// oneResource maps every task of sys to the same resource, which runs
+// the multi-resource engine on a uniprocessor.
+func oneResource(sys *model.System) map[string]string {
+	mapping := map[string]string{}
+	for _, c := range sys.Chains {
+		for _, task := range c.Tasks {
+			mapping[task.Name] = "cpu"
+		}
+	}
+	return mapping
+}
+
 // TestRunMappedMatchesRun: with everything on one resource the
 // multi-resource engine must reproduce the uniprocessor engine exactly.
 func TestRunMappedMatchesRun(t *testing.T) {
@@ -22,7 +34,9 @@ func TestRunMappedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := sim.RunMapped(sys, nil, cfg)
+		mcfg := cfg
+		mcfg.Mapping = oneResource(sys)
+		multi, err := sim.Run(sys, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +53,7 @@ func TestRunMappedMatchesRun(t *testing.T) {
 
 func TestRunMappedUnknownTask(t *testing.T) {
 	sys := casestudy.New()
-	if _, err := sim.RunMapped(sys, map[string]string{"nope": "r1"}, sim.Config{}); err == nil {
+	if _, err := sim.Run(sys, sim.Config{Mapping: map[string]string{"nope": "r1"}}); err == nil {
 		t.Error("unknown task in mapping accepted")
 	}
 }
@@ -53,7 +67,7 @@ func TestParallelResources(t *testing.T) {
 	sys := b.MustBuild()
 
 	// Shared resource: the low-priority chain waits for the high one.
-	shared, err := sim.RunMapped(sys, nil, sim.Config{Horizon: 1000})
+	shared, err := sim.Run(sys, sim.Config{Horizon: 1000, Mapping: oneResource(sys)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +75,7 @@ func TestParallelResources(t *testing.T) {
 		t.Errorf("shared: latency(a) = %d, want 80", got)
 	}
 	// Separate resources: both finish in their own WCET.
-	split, err := sim.RunMapped(sys, map[string]string{"ta": "r1", "tb": "r2"}, sim.Config{Horizon: 1000})
+	split, err := sim.Run(sys, sim.Config{Horizon: 1000, Mapping: map[string]string{"ta": "r1", "tb": "r2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +112,7 @@ func TestPipelineAcrossResources(t *testing.T) {
 		t.Errorf("mapped holistic WCL = %d, want 120", hol.WCL)
 	}
 
-	res, err := sim.RunMapped(sys, mapping, sim.Config{Horizon: 10_000, RecordTrace: true})
+	res, err := sim.Run(sys, sim.Config{Horizon: 10_000, RecordTrace: true, Mapping: mapping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +182,12 @@ func TestDistributedSoundness(t *testing.T) {
 			continue
 		}
 		for seed := int64(0); seed < 2; seed++ {
-			cfg := sim.Config{Horizon: 50_000, Seed: seed}
+			cfg := sim.Config{Horizon: 50_000, Seed: seed, Mapping: mapping}
 			if seed > 0 {
 				cfg.Arrivals = sim.RandomSpacing
 				cfg.Execution = sim.RandomExec
 			}
-			res, err := sim.RunMapped(base, mapping, cfg)
+			res, err := sim.Run(base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,32 +133,6 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	}
 }
 
-// TestConfigMappingEqualsRunMapped pins the fold-in: setting
-// Config.Mapping through Run is the deprecated RunMapped wrapper,
-// byte for byte.
-func TestConfigMappingEqualsRunMapped(t *testing.T) {
-	b := model.NewBuilder("mapped")
-	b.Chain("pipe").Periodic(100).Deadline(200).
-		Task("a", 2, 10).Task("b", 1, 10)
-	b.Chain("other").Periodic(100).Deadline(200).Task("c", 3, 15)
-	sys := b.MustBuild()
-	mapping := map[string]string{"a": "r0", "b": "r1", "c": "r0"}
-
-	cfg := sim.Config{Horizon: 10_000}
-	cfg.Mapping = mapping
-	viaRun, err := sim.Run(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWrapper, err := sim.RunMapped(sys, mapping, sim.Config{Horizon: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaRun.Chains, viaWrapper.Chains) {
-		t.Error("Run with Config.Mapping and RunMapped disagree")
-	}
-}
-
 // TestMappedRejectsNonPreemptive pins the documented limitation: the
 // multi-resource engine is preemptive-only, and says so with the typed
 // sentinel.

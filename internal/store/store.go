@@ -16,18 +16,17 @@
 // ring for a rebuilt one under a versioned membership view, moving
 // only the joining or leaving peer's keys (the consistent-hashing
 // property the ring tests pin). The service layer drives those
-// mutations from its cluster admin surface and its heartbeat prober;
-// the store itself stays a pure data structure: LRU + flights + ring +
-// peer-health bookkeeping.
+// mutations from its cluster admin surface; its heartbeat prober is
+// the only writer of the down set. The store itself stays a pure data
+// structure with no clock: LRU + flights + ring + the down set.
 //
 // The store holds live Go values and never serializes them; the
 // transport between replicas is the service's own HTTP API (a
 // non-owner forwards the original request to the owner and relays the
 // response). Peer failures are strictly a performance event, never a
-// correctness one — a requester that cannot reach an owner marks it
-// down for a cooldown, re-hashes to the next arc on the ring, and in
-// the worst case computes locally, which is exactly the pre-fleet
-// behavior.
+// correctness one — a requester that cannot reach an owner reports it
+// down, re-hashes to the next arc on the ring, and in the worst case
+// computes locally, which is exactly the pre-fleet behavior.
 package store
 
 import (
@@ -39,7 +38,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/parallel"
@@ -81,9 +79,6 @@ type Config struct {
 	// Replicas is the virtual-node count per peer (≤ 0 selects the
 	// ring default).
 	Replicas int
-	// DownCooldown is how long a peer marked down stays routed-around
-	// before it is retried (default 5s).
-	DownCooldown time.Duration
 }
 
 // Store is one node's view of the artifact tier. All methods are safe
@@ -92,7 +87,6 @@ type Store struct {
 	base     context.Context
 	self     string
 	replicas int
-	cooldown time.Duration
 
 	mu      sync.Mutex
 	max     int
@@ -105,14 +99,10 @@ type Store struct {
 	ring    *Ring
 	members map[string]bool
 	version uint64
-	// down holds the peers currently routed around; each entry is
-	// cleared by a timer after the cooldown (no clock comparisons, so
-	// routing stays a pure function of the peer set and this set).
-	// downTimers tracks the pending expiries so Close and MarkUp can
-	// cancel them instead of leaking timers past the store's life.
-	down       map[string]bool
-	downTimers map[string]*time.Timer
-	closed     bool
+	// down holds the peers currently routed around. It has no expiry:
+	// a peer leaves it only by MarkUp or by leaving the membership, so
+	// routing is a pure function of the peer set and this set.
+	down map[string]bool
 
 	// Counters are atomics so the fleet layer can account outcomes
 	// without taking the LRU lock.
@@ -174,21 +164,16 @@ func New(cfg Config) *Store {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 128
 	}
-	if cfg.DownCooldown <= 0 {
-		cfg.DownCooldown = 5 * time.Second
-	}
 	s := &Store{
-		base:       cfg.Base,
-		self:       cfg.Self,
-		replicas:   cfg.Replicas,
-		cooldown:   cfg.DownCooldown,
-		max:        cfg.Capacity,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-		flights:    make(map[string]*flight),
-		members:    make(map[string]bool),
-		down:       make(map[string]bool),
-		downTimers: make(map[string]*time.Timer),
+		base:     cfg.Base,
+		self:     cfg.Self,
+		replicas: cfg.Replicas,
+		max:      cfg.Capacity,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+		flights:  make(map[string]*flight),
+		members:  make(map[string]bool),
+		down:     make(map[string]bool),
 	}
 	for _, p := range cfg.Peers {
 		if p != "" {
@@ -287,7 +272,7 @@ func (s *Store) RemovePeer(peer string) bool {
 	}
 	delete(s.members, peer)
 	s.version++
-	s.clearDownLocked(peer)
+	delete(s.down, peer)
 	s.rebuildRingLocked()
 	return true
 }
@@ -317,7 +302,7 @@ func (s *Store) Route(key string) (owner string, local bool) {
 // ring preference order, stopping at this node's own arc and skipping
 // downed peers. An empty slice means the key is served locally. The
 // first candidate is the owner; the rest are the arcs a resilient
-// relay walks on retry or hedges onto when the owner is slow.
+// relay walks on retry.
 func (s *Store) RemoteCandidates(key string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,51 +321,37 @@ func (s *Store) RemoteCandidates(key string) []string {
 	return out
 }
 
-// MarkDown routes requests around peer for the configured cooldown.
-// Call it when the peer refused or failed a relay, or when the health
-// prober sees consecutive probe failures; after the cooldown the peer
-// is automatically retried (a live peer proves itself by answering, or
-// MarkUp restores it early). Repeated marks while down extend nothing:
-// the first expiry retries the peer, and a failed retry marks it down
-// again. Non-members are ignored — a relay attempt or probe that was
-// already in flight when its peer left the membership must not
-// re-insert it into the down set (Membership.Down stays a subset of
-// Peers; RemovePeer already cleared any existing down state).
-func (s *Store) MarkDown(peer string) {
+// MarkDown routes requests around peer until MarkUp restores it, and
+// reports whether the down set changed. The service's heartbeat is its
+// only caller: it marks a peer down on a failed relay or on
+// consecutive failed probes. Non-members are ignored — a relay attempt
+// or probe that was already in flight when its peer left the
+// membership must not re-insert it into the down set (Membership.Down
+// stays a subset of Peers; RemovePeer already cleared any existing
+// down state).
+func (s *Store) MarkDown(peer string) bool {
 	if peer == "" || peer == s.self {
-		return
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.down[peer] || s.closed || !s.members[peer] {
-		return
+	if s.down[peer] || !s.members[peer] {
+		return false
 	}
 	s.down[peer] = true
-	s.downTimers[peer] = time.AfterFunc(s.cooldown, func() {
-		s.mu.Lock()
-		delete(s.down, peer)
-		delete(s.downTimers, peer)
-		s.mu.Unlock()
-	})
+	return true
 }
 
-// MarkUp restores peer to routing immediately, canceling the pending
-// cooldown expiry. The health prober calls it when a downed peer
-// answers probes again, so recovery does not wait out the cooldown.
-func (s *Store) MarkUp(peer string) {
+// MarkUp restores peer to routing and reports whether it was down. The
+// heartbeat calls it when a downed peer answers a probe again.
+func (s *Store) MarkUp(peer string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.clearDownLocked(peer)
-}
-
-// clearDownLocked drops peer's down state and stops its cooldown
-// timer. Caller holds s.mu.
-func (s *Store) clearDownLocked(peer string) {
-	if t, ok := s.downTimers[peer]; ok {
-		t.Stop()
-		delete(s.downTimers, peer)
+	if !s.down[peer] {
+		return false
 	}
 	delete(s.down, peer)
+	return true
 }
 
 // Down reports whether peer is currently routed around.
@@ -388,28 +359,6 @@ func (s *Store) Down(peer string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.down[peer]
-}
-
-// Close cancels the pending down-cooldown timers and stops accepting
-// new marks. Call it during node shutdown: without it every MarkDown
-// leaves a timer running to the end of its cooldown, which tests (and
-// any embedder cycling stores) observe as a leak. Idempotent. The LRU
-// and in-flight computations are unaffected — flights die with the
-// Base context.
-func (s *Store) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	pending := make([]string, 0, len(s.downTimers))
-	for p := range s.downTimers {
-		pending = append(pending, p)
-	}
-	sort.Strings(pending)
-	for _, p := range pending {
-		s.downTimers[p].Stop()
-	}
-	s.downTimers = make(map[string]*time.Timer)
-	s.down = make(map[string]bool)
 }
 
 // CountPeerHit accounts one request answered by relaying the owning

@@ -242,10 +242,11 @@ func TestRouteAgreement(t *testing.T) {
 }
 
 // TestRouteReHashOnDown: marking the owner down re-hashes the key to
-// the next arc on the ring, and the cooldown expiring restores it.
+// the next arc on the ring, and with every remote owner down the key
+// is served locally.
 func TestRouteReHashOnDown(t *testing.T) {
 	peers := []string{"http://a", "http://b", "http://c"}
-	s := New(Config{Self: "http://a", Peers: peers, DownCooldown: 50 * time.Millisecond})
+	s := New(Config{Self: "http://a", Peers: peers})
 
 	// Find a key owned by a remote peer.
 	key, owner := "", ""
@@ -272,18 +273,6 @@ func TestRouteReHashOnDown(t *testing.T) {
 	s.MarkDown(second)
 	if o, local := s.Route(key); !local || o != "http://a" {
 		t.Errorf("all-owners-down Route = (%q, %v), want local self", o, local)
-	}
-	// Cooldown expiry restores the primary owner (timer-driven; poll
-	// rather than assume scheduling latency).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if o, _ := s.Route(key); o == owner {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("owner %q not restored after cooldown", owner)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -433,10 +422,11 @@ func TestRemoveSelfDrains(t *testing.T) {
 	}
 }
 
-// TestMarkUpRestoresImmediately: MarkUp cancels the cooldown, so a
-// recovered peer rejoins routing without waiting the cooldown out.
+// TestMarkUpRestoresImmediately: a peer stays down until MarkUp, which
+// returns it to routing at once; both calls report whether they changed
+// the down set.
 func TestMarkUpRestoresImmediately(t *testing.T) {
-	s := New(Config{Self: "n1", Peers: []string{"n1", "n2", "n3"}, DownCooldown: time.Hour})
+	s := New(Config{Self: "n1", Peers: []string{"n1", "n2", "n3"}})
 	key, owner := "", ""
 	for i := 0; ; i++ {
 		key = fmt.Sprintf("k%d", i)
@@ -445,35 +435,32 @@ func TestMarkUpRestoresImmediately(t *testing.T) {
 			break
 		}
 	}
-	s.MarkDown(owner)
-	if !s.Down(owner) {
+	if !s.MarkDown(owner) || !s.Down(owner) {
 		t.Fatal("MarkDown did not take")
+	}
+	if s.MarkDown(owner) {
+		t.Error("repeat MarkDown reported a change")
 	}
 	if got := s.Membership().Down; len(got) != 1 || got[0] != owner {
 		t.Errorf("Membership().Down = %v, want [%s]", got, owner)
 	}
-	s.MarkUp(owner)
-	if s.Down(owner) {
+	if !s.MarkUp(owner) || s.Down(owner) {
 		t.Fatal("MarkUp left the peer down")
+	}
+	if s.MarkUp(owner) {
+		t.Error("MarkUp of an up peer reported a change")
 	}
 	if o, _ := s.Route(key); o != owner {
 		t.Errorf("Route(%q) = %q after MarkUp, want %q", key, o, owner)
-	}
-	s.mu.Lock()
-	timers := len(s.downTimers)
-	s.mu.Unlock()
-	if timers != 0 {
-		t.Errorf("%d cooldown timers still pending after MarkUp", timers)
 	}
 }
 
 // TestMarkDownIgnoresNonMembers: a relay attempt or heartbeat probe
 // that was already in flight when its peer left the membership must
 // not re-insert the peer into the down set -- Membership.Down stays a
-// subset of Peers, and no orphan cooldown timer is created.
+// subset of Peers.
 func TestMarkDownIgnoresNonMembers(t *testing.T) {
-	s := New(Config{Self: "n1", Peers: []string{"n1", "n2", "n3"}, DownCooldown: time.Hour})
-	t.Cleanup(s.Close)
+	s := New(Config{Self: "n1", Peers: []string{"n1", "n2", "n3"}})
 
 	s.MarkDown("n2")
 	if !s.Down("n2") {
@@ -485,11 +472,12 @@ func TestMarkDownIgnoresNonMembers(t *testing.T) {
 	}
 
 	// The late failure of a relay launched before the leave.
-	s.MarkDown("n2")
-	if s.Down("n2") {
+	if s.MarkDown("n2") || s.Down("n2") {
 		t.Error("MarkDown re-inserted a removed peer into the down set")
 	}
-	s.MarkDown("http://stranger") // never a member at all
+	if s.MarkDown("http://stranger") { // never a member at all
+		t.Error("MarkDown of a non-member reported a change")
+	}
 	m := s.Membership()
 	members := map[string]bool{}
 	for _, p := range m.Peers {
@@ -499,39 +487,5 @@ func TestMarkDownIgnoresNonMembers(t *testing.T) {
 		if !members[p] {
 			t.Errorf("Membership().Down contains non-member %q", p)
 		}
-	}
-	s.mu.Lock()
-	timers := len(s.downTimers)
-	s.mu.Unlock()
-	if timers != 0 {
-		t.Errorf("%d cooldown timers pending for non-members, want 0", timers)
-	}
-}
-
-// TestCloseCancelsDownTimers: Close stops every pending cooldown timer
-// (the satellite leak fix) and refuses later marks, so cycling stores
-// in tests or embedders leaks nothing.
-func TestCloseCancelsDownTimers(t *testing.T) {
-	s := New(Config{Self: "n1", Peers: []string{"n1", "n2", "n3"}, DownCooldown: time.Hour})
-	s.MarkDown("n2")
-	s.MarkDown("n3")
-	s.mu.Lock()
-	timers := len(s.downTimers)
-	s.mu.Unlock()
-	if timers != 2 {
-		t.Fatalf("%d cooldown timers pending, want 2", timers)
-	}
-	s.Close()
-	s.Close() // idempotent
-	s.mu.Lock()
-	timers = len(s.downTimers)
-	down := len(s.down)
-	s.mu.Unlock()
-	if timers != 0 || down != 0 {
-		t.Fatalf("after Close: %d timers, %d down entries, want 0/0", timers, down)
-	}
-	s.MarkDown("n2")
-	if s.Down("n2") {
-		t.Error("MarkDown after Close took effect")
 	}
 }

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -177,9 +178,10 @@ func TestFacadeSensitivity(t *testing.T) {
 	}
 
 	// The probe hook sees every analysis with a precomputed content hash.
-	var probes int
+	// Probes run on parallel workers, hence the atomic counter.
+	var probes atomic.Int64
 	_, err = req.SensitivityWith(ctx, sopts, func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
-		probes++
+		probes.Add(1)
 		if len(hash) != 64 {
 			t.Errorf("probe hash = %q, want 64 hex chars", hash)
 		}
@@ -191,8 +193,8 @@ func TestFacadeSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probes != int(res.Analyses) {
-		t.Errorf("probe hook saw %d analyses, result reports %d", probes, res.Analyses)
+	if got := probes.Load(); got != int64(res.Analyses) {
+		t.Errorf("probe hook saw %d analyses, result reports %d", got, res.Analyses)
 	}
 
 	// Bad sensitivity options and unknown tasks map to ErrInvalidOptions.
