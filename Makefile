@@ -94,8 +94,9 @@ chaos:
 # shared consistent-hash ring) under the race detector and checks the
 # sharded-store acceptance properties: a 50-system campaign computes
 # every artifact exactly once fleet-wide, a warm repeat is ≥10x faster,
-# concurrent identical queries coalesce to one computation, and killing
-# a replica mid-campaign completes the stream with byte-exact documents.
+# concurrent identical queries coalesce to one computation, a repeated
+# relayed read decodes its system on neither hop, and killing a replica
+# mid-campaign completes the stream with byte-exact documents.
 # It also runs the self-healing rounds: the admin join/leave surface
 # with fleet-wide propagation, relay retry and fallback under injected
 # faults, the one-source down-state oracle, and the membership-churn

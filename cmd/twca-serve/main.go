@@ -87,7 +87,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("twca-serve", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8443", "listen address")
-	cacheSize := fs.Int("cache", 128, "retained analysis artifacts (LRU)")
+	cacheSize := fs.Int("cache", 128, "retained analysis artifacts (LRU); also bounds the system-hash memo")
 	inflight := fs.Int("inflight", 0, "max concurrent analyses (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request analysis deadline")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown window for in-flight analyses")

@@ -161,7 +161,7 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 	if defaults != nil && item.Options == (reqOptions{}) {
 		item.Options = *defaults
 	}
-	sys, hash, err := item.system()
+	hash, sys, err := s.system(&item.analyzeRequest)
 	if err != nil {
 		return partialLine(line, err.Error(), "bad_request")
 	}
@@ -245,6 +245,9 @@ func remoteOutcome(line schema.CampaignLine, err error) (schema.CampaignLine, bo
 // unary endpoints report.
 func (s *Server) localFailure(line schema.CampaignLine, err error) schema.CampaignLine {
 	_, cause := classify(err)
+	if errors.As(err, new(badRequestError)) {
+		cause = "bad_request"
+	}
 	if cause == "worker_panic" {
 		s.met.workerPanic()
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
@@ -387,5 +388,72 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	}
 	if !c.svcs[0].store.Down(c.url(1)) {
 		t.Error("killed replica not marked down after the failed relay")
+	}
+}
+
+// TestClusterDecodeOnce: on a 3-replica fleet, a repeated relayed read
+// decodes the system on neither hop — the entry replica routes on the
+// memoized hash, and the owner resolves the relayed bytes from its own
+// memo before its store hit — and the relayed body is byte-identical to
+// a single-node server's answer to the same read.
+func TestClusterDecodeOnce(t *testing.T) {
+	c := newCluster(t, 3, Config{})
+	body := rawRequest(thalesJSON(t), `"chain": "sigma_c", "constraints": [{"m": 5, "k": 10}, {"m": 1, "k": 3}]`)
+	sys, err := (&analyzeRequest{System: thalesJSON(t)}).decodeSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := repro.CanonicalHash(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := -1
+	for i, svc := range c.svcs {
+		if _, local := svc.store.Route(routeKey(hash)); local {
+			owner = i
+		}
+	}
+	if owner < 0 {
+		t.Fatal("no replica owns the system")
+	}
+	entry := (owner + 1) % len(c.svcs)
+
+	status, cold := postBytes(t, c.url(entry)+"/v1/verify", body)
+	if status != http.StatusOK {
+		t.Fatalf("cold read = %d: %s", status, cold)
+	}
+	type counts struct{ memo, decoded int64 }
+	before := make([]counts, len(c.svcs))
+	for i, svc := range c.svcs {
+		before[i].memo, before[i].decoded = decodeCounts(svc)
+	}
+	misses := c.fleetStats().Misses
+
+	status, warm := postBytes(t, c.url(entry)+"/v1/verify", body)
+	if status != http.StatusOK {
+		t.Fatalf("repeat read = %d: %s", status, warm)
+	}
+	for i, svc := range c.svcs {
+		memo, decoded := decodeCounts(svc)
+		if decoded != before[i].decoded {
+			t.Errorf("replica %d decoded the repeat %d times, want 0", i, decoded-before[i].decoded)
+		}
+		want := int64(0)
+		if i == entry || i == owner {
+			want = 1
+		}
+		if got := memo - before[i].memo; got != want {
+			t.Errorf("replica %d resolved %d memo hits on the repeat, want %d", i, got, want)
+		}
+	}
+	if after := c.fleetStats(); after.Misses != misses || after.PeerHits == 0 {
+		t.Errorf("repeat read: %d new misses, %d peer hits — want a relayed store hit", after.Misses-misses, after.PeerHits)
+	}
+
+	_, single := newTestServer(t, Config{})
+	postBytes(t, single.URL+"/v1/verify", body)
+	status, want := postBytes(t, single.URL+"/v1/verify", body)
+	if status != http.StatusOK || !bytes.Equal(warm, want) {
+		t.Errorf("relayed repeat differs from the single-node answer:\n%s\nwant\n%s", warm, want)
 	}
 }

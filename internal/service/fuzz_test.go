@@ -23,6 +23,11 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"system": "not an object", "system_dsl": "also set"}`))
 	f.Add([]byte(`{"breakpoints_max_k": 1e308}`))
 
+	srv, err := New(Config{CacheSize: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req analyzeRequest
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -32,8 +37,18 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		// Decoded bodies flow on: materialization and option validation
 		// must reject garbage with errors, never panic.
-		if _, _, err := req.system(); err != nil {
+		hash, _, err := srv.system(&req)
+		if err != nil {
 			return
+		}
+		// A repeat of accepted bytes resolves from the memo to the same
+		// hash, and its deferred decode still succeeds.
+		again, lazy, err := srv.system(&req)
+		if err != nil || again != hash {
+			t.Fatalf("repeat resolved to (%q, %v), first %q", again, err, hash)
+		}
+		if _, err := lazy.get(); err != nil {
+			t.Fatalf("deferred decode of memoized bytes failed: %v", err)
 		}
 		_ = req.Options.twca().Validate()
 		_ = req.Options.latency().Validate()
@@ -65,6 +80,11 @@ func FuzzDecodeClusterRequest(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 
+	srv, err := New(Config{CacheSize: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req clusterRequest
 		if err := decodeStrict(data, &req); err != nil {

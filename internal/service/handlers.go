@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,33 +180,82 @@ func (rs reqSensitivity) options() repro.SensitivityOptions {
 // %+v is a stable, total rendering (pinned by TestFingerprintPinned).
 func (rs reqSensitivity) fingerprint() string { return fmt.Sprintf("%+v", rs) }
 
-// system materializes the request's system description and its
-// canonical content hash.
-func (req *analyzeRequest) system() (*repro.System, string, error) {
-	var sys *repro.System
-	switch {
-	case len(req.System) > 0 && req.SystemDSL != "":
-		return nil, "", fmt.Errorf("request has both system and system_dsl")
-	case len(req.System) > 0:
-		var s repro.System
-		if err := json.Unmarshal(req.System, &s); err != nil {
-			return nil, "", fmt.Errorf("bad system: %w", err)
-		}
-		sys = &s
-	case req.SystemDSL != "":
+// decodeSystem materializes the request's system description: parsed
+// from the DSL or decoded from JSON, and validated either way. Callers
+// go through Server.system, which has already checked that exactly one
+// of the two forms is set.
+func (req *analyzeRequest) decodeSystem() (*repro.System, error) {
+	if req.SystemDSL != "" {
 		s, err := repro.ParseDSL(req.SystemDSL)
 		if err != nil {
-			return nil, "", fmt.Errorf("bad system_dsl: %w", err)
+			return nil, fmt.Errorf("bad system_dsl: %w", err)
 		}
-		sys = s
+		return s, nil
+	}
+	var s repro.System
+	if err := json.Unmarshal(req.System, &s); err != nil {
+		return nil, fmt.Errorf("bad system: %w", err)
+	}
+	return &s, nil
+}
+
+// lazySystem is a request's system model, decoded on first use. The
+// request path needs only the canonical hash — to route and to build
+// store keys — so a request whose bytes the memo knows never decodes
+// unless a store miss runs an analysis on the model.
+type lazySystem struct {
+	req *analyzeRequest
+	met *metrics
+	sys *repro.System
+}
+
+// get returns the decoded system. A decode failure is the client's
+// fault wherever it surfaces, so it is a badRequestError even when it
+// is returned from inside a store closure.
+func (l *lazySystem) get() (*repro.System, error) {
+	if l.sys == nil {
+		sys, err := l.req.decodeSystem()
+		l.met.systemDecode(false)
+		if err != nil {
+			return nil, badRequestError{err}
+		}
+		l.sys = sys
+	}
+	return l.sys, nil
+}
+
+// system resolves the request's system to its canonical content hash
+// plus the lazily decoded model. Bytes seen before take the hash from
+// the memo and skip decoding, validation and hashing; new bytes are
+// decoded here, and memoized once they have hashed. Errors are the
+// client's fault (callers answer them 400).
+func (s *Server) system(req *analyzeRequest) (string, *lazySystem, error) {
+	var key memoKey
+	switch {
+	case len(req.System) > 0 && req.SystemDSL != "":
+		return "", nil, fmt.Errorf("request has both system and system_dsl")
+	case len(req.System) > 0:
+		key.digest = sha256.Sum256(req.System)
+	case req.SystemDSL != "":
+		key = memoKey{dsl: true, digest: sha256.Sum256([]byte(req.SystemDSL))}
 	default:
-		return nil, "", fmt.Errorf("request needs a system or system_dsl")
+		return "", nil, fmt.Errorf("request needs a system or system_dsl")
+	}
+	lazy := &lazySystem{req: req, met: s.met}
+	if hash, ok := s.memo.get(key); ok {
+		s.met.systemDecode(true)
+		return hash, lazy, nil
+	}
+	sys, err := lazy.get()
+	if err != nil {
+		return "", nil, err
 	}
 	hash, err := repro.CanonicalHash(sys)
 	if err != nil {
-		return nil, "", fmt.Errorf("system not hashable: %w", err)
+		return "", nil, fmt.Errorf("system not hashable: %w", err)
 	}
-	return sys, hash, nil
+	s.memo.add(key, hash)
+	return hash, lazy, nil
 }
 
 // errorResponse is the JSON error body.
@@ -347,7 +397,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *analyzeRequ
 // "|degraded" key — a degraded artifact can never be mistaken for, or
 // shadow, an exact one. Before going degraded, the exact key is peeked:
 // a cached exact artifact always wins over running a degraded analysis.
-func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *repro.System, hash string) (*repro.Analysis, string, string, error) {
+func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (*repro.Analysis, string, string, error) {
 	key := artifactKey("dmm", hash, req.Chain, req.Options.fingerprint())
 	opts := req.Options.twca()
 	if !req.Options.NoDegrade && s.breaker.open(hash) {
@@ -363,12 +413,16 @@ func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *repr
 		defer s.store.Forget(key + "|degraded")
 	}
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+		model, err := sys.get()
+		if err != nil {
+			return nil, err
+		}
 		if err := s.gate.Acquire(fctx); err != nil {
 			return nil, err
 		}
 		defer s.gate.Release()
 		t0 := time.Now()
-		an, err := repro.AnalysisRequest{System: sys, Chain: req.Chain, Options: opts}.DMM(fctx)
+		an, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: opts}.DMM(fctx)
 		s.met.observeAnalysis("dmm", time.Since(t0))
 		return an, err
 	})
@@ -402,7 +456,7 @@ func (req *analyzeRequest) dmmKs() []int64 {
 // artifact (cached/coalesced/fresh) plus the assembled dmm sweep — and
 // is the one path shared by /v1/analyze/dmm and campaign items, so a
 // campaign line is byte-identical to the unary document.
-func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *repro.System, hash string) (schema.Analysis, schema.Stats, string, error) {
+func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (schema.Analysis, schema.Stats, string, error) {
 	an, key, state, err := s.dmmArtifact(ctx, req, sys, hash)
 	if err != nil {
 		return schema.Analysis{}, schema.Stats{}, state, err
@@ -467,7 +521,7 @@ func (s *Server) handleDMM(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "dmm", err)
 		return
 	}
-	sys, hash, err := req.system()
+	hash, sys, err := s.system(&req)
 	if err != nil {
 		s.fail(w, "dmm", badRequestError{err})
 		return
@@ -504,16 +558,20 @@ type latencyResponse struct {
 // latencyResult returns the latency analysis for the request, from the
 // store or a fresh gate-admitted run — the path shared by
 // /v1/analyze/latency and campaign items.
-func (s *Server) latencyResult(ctx context.Context, req *analyzeRequest, sys *repro.System, hash string) (*repro.LatencyResult, string, error) {
+func (s *Server) latencyResult(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (*repro.LatencyResult, string, error) {
 	key := artifactKey("latency", hash, req.Chain, req.Options.fingerprint())
 	opts := req.Options.twca()
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+		model, err := sys.get()
+		if err != nil {
+			return nil, err
+		}
 		if err := s.gate.Acquire(fctx); err != nil {
 			return nil, err
 		}
 		defer s.gate.Release()
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: sys, Chain: req.Chain, Options: opts}.Latency(fctx)
+		res, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: opts}.Latency(fctx)
 		s.met.observeAnalysis("latency", time.Since(t0))
 		return res, err
 	})
@@ -532,7 +590,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "latency", err)
 		return
 	}
-	sys, hash, err := req.system()
+	hash, sys, err := s.system(&req)
 	if err != nil {
 		s.fail(w, "latency", badRequestError{err})
 		return
@@ -600,7 +658,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sys, hash, err := req.system()
+	hash, sys, err := s.system(&req)
 	if err != nil {
 		s.fail(w, "verify", badRequestError{err})
 		return
@@ -713,7 +771,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "sensitivity", badRequestError{fmt.Errorf("request needs a sensitivity block")})
 		return
 	}
-	sys, hash, err := req.system()
+	hash, sys, err := s.system(&req)
 	if err != nil {
 		s.fail(w, "sensitivity", badRequestError{err})
 		return
@@ -729,8 +787,12 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	optfp := req.Options.fingerprint()
 	key := artifactKey("sens", hash, req.Chain, optfp+"|"+req.Sensitivity.fingerprint())
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+		model, err := sys.get()
+		if err != nil {
+			return nil, err
+		}
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: sys, Chain: req.Chain, Options: req.Options.twca()}.
+		res, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: req.Options.twca()}.
 			SensitivityWarm(fctx, req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
 		s.met.observeAnalysis("sensitivity", time.Since(t0))
 		if err == nil {

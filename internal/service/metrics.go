@@ -30,6 +30,11 @@ type metrics struct {
 	// campaign item outcomes: ok lines versus campaign_partial lines
 	// across all /v1/campaign streams.
 	campaignOK, campaignFailed int64
+	// systemsFromMemo counts requests whose system hash came from the
+	// digest memo without a decode; systemsDecoded counts every decode of
+	// a request system, whether to learn its hash or to analyze it, and
+	// whether it succeeded or not.
+	systemsFromMemo, systemsDecoded int64
 	// ilpNodes accumulates branch-and-bound nodes across all DMM
 	// queries — the "how hard is the solver working" counter.
 	ilpNodes int64
@@ -161,6 +166,18 @@ func (m *metrics) observeAnalysis(kind string, d time.Duration) {
 		m.durations[kind] = h
 	}
 	h.observe(d.Seconds())
+}
+
+// systemDecode records how a request system was materialized: its hash
+// from the memo, or a full decode.
+func (m *metrics) systemDecode(fromMemo bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if fromMemo {
+		m.systemsFromMemo++
+	} else {
+		m.systemsDecoded++
+	}
 }
 
 func (m *metrics) addILPNodes(n int64) {
@@ -363,6 +380,11 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE twca_campaign_items_total counter\n")
 	fmt.Fprintf(w, "twca_campaign_items_total{result=\"ok\"} %d\n", m.campaignOK)
 	fmt.Fprintf(w, "twca_campaign_items_total{result=\"partial\"} %d\n", m.campaignFailed)
+
+	fmt.Fprintf(w, "# HELP twca_system_decodes_total Request systems by source: hashes answered from the digest memo, or full decodes.\n")
+	fmt.Fprintf(w, "# TYPE twca_system_decodes_total counter\n")
+	fmt.Fprintf(w, "twca_system_decodes_total{source=\"memo\"} %d\n", m.systemsFromMemo)
+	fmt.Fprintf(w, "twca_system_decodes_total{source=\"decoded\"} %d\n", m.systemsDecoded)
 
 	fmt.Fprintf(w, "# HELP twca_ilp_nodes_total Branch-and-bound nodes explored by DMM queries.\n")
 	fmt.Fprintf(w, "# TYPE twca_ilp_nodes_total counter\n")

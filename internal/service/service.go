@@ -61,7 +61,8 @@ import (
 type Config struct {
 	// CacheSize bounds the number of retained analysis artifacts
 	// (default 128). Each artifact is a completed analysis of one
-	// (system, chain, options) triple.
+	// (system, chain, options) triple. It also bounds the memo that maps
+	// the digest of a request's system bytes to their canonical hash.
 	CacheSize int
 	// RequestTimeout is the per-request analysis deadline (default
 	// 30s). Requests exceeding it fail with 504. Campaign requests
@@ -201,6 +202,7 @@ type Server struct {
 	gate     *parallel.Gate
 	met      *metrics
 	breaker  *breaker
+	memo     *systemMemo
 	warm     *repro.SensitivityWarmStore
 	client   *http.Client
 	mux      *http.ServeMux
@@ -240,6 +242,9 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.relaySeq.Store(splitmix64(hashSeed(cfg.Self)))
 	s.breaker = newBreaker(breakerThreshold, breakerCooldown)
+	// The system memo shares the artifact store's bound: a replica that
+	// keeps N artifacts keeps the hashes of at most N request bodies.
+	s.memo = newSystemMemo(cfg.CacheSize)
 	// One process-wide warm store: sensitivity queries across requests
 	// warm-start each other's probes (purely an optimization — responses
 	// are byte-identical whether the store is hot or cold).
