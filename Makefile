@@ -13,7 +13,7 @@ GO ?= go
 # reproduces CI's verdict. Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test lint lint-fix lint-sarif verify policy-matrix bench bench-check chaos cluster-smoke fuzz-smoke serve print-staticcheck-version
+.PHONY: build test lint lint-fix lint-sarif verify policy-matrix bench bench-check svcbench-smoke chaos cluster-smoke fuzz-smoke serve print-staticcheck-version
 
 # print-staticcheck-version lets CI install exactly the pinned release
 # without duplicating the version string in the workflow file.
@@ -80,6 +80,17 @@ bench:
 # so the gate is host-independent. CI runs this in the bench-smoke job.
 bench-check:
 	$(GO) run ./cmd/twca-sensitivity -chain sigma_c -bench-check BENCH_sensitivity.json >/dev/null
+
+# svcbench-smoke runs every service-benchmark workload for three
+# seconds (seed 1, untraced). svcbench exits 1 on any failed request or
+# oracle mismatch, and its oracle byte-compares every sensitivity
+# response, effort counters included, against a library query through
+# AnalysisRequest.SensitivityWarm. Latency and allocations are printed,
+# not gated. CI runs this in the svcbench-smoke job.
+svcbench-smoke:
+	for w in cold-sweep hot-fleet sensitivity-sweep; do \
+		bash svcbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 # chaos runs the fault-injection suites under the race detector: the
 # service chaos suite (hundreds of randomized requests with panics,

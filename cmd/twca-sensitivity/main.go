@@ -15,13 +15,12 @@
 //
 // -json emits the versioned schema.Sensitivity document (the same wire
 // format twca-serve speaks); -bench-out FILE additionally times a cold
-// run, a probe-cache-warm run and a warm-started run (hot
-// sensitivity.WarmStore) of the query and writes the numbers as JSON
-// (the make bench artifact). -bench-check FILE reruns those timings and
-// exits nonzero when the warm-start speedup fell below half the
-// committed one — the CI bench smoke gate. -no-warm-start disables the
-// incremental warm-start engine; the results are byte-identical either
-// way, only slower.
+// run and a warm-started run (hot sensitivity.WarmStore) of the query
+// and writes the numbers as JSON (the make bench artifact).
+// -bench-check FILE reruns those timings and exits nonzero when the
+// warm-start speedup fell below half the committed one — the CI bench
+// smoke gate. -no-warm-start disables the incremental warm-start
+// engine; the results are byte-identical either way, only slower.
 package main
 
 import (
@@ -70,7 +69,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the versioned JSON document (the twca-serve wire schema)")
 	par := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"probe worker pool size (results are identical for any value)")
-	benchOut := fs.String("bench-out", "", "also time cold, probe-cache-warm and warm-started runs and write the JSON to this file")
+	benchOut := fs.String("bench-out", "", "also time cold and warm-started runs and write the JSON to this file")
 	benchCheck := fs.String("bench-check", "", "rerun the benchmark and fail if the warm-start speedup fell below half the one committed in this JSON file")
 	noWarm := fs.Bool("no-warm-start", false, "disable warm-started probes (results are byte-identical either way)")
 	if err := fs.Parse(args); err != nil {
@@ -129,11 +128,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	sopts.NoWarmStart = *noWarm
 
-	// One shared probe memo plus one warm store: the query (and the
-	// optional benchmark reruns) reuse analyses of identical perturbed
-	// systems by content hash and warm-start fresh solves from stored
-	// neighbors.
-	eng := sensitivity.Engine{Analyze: sensitivity.Memoize(nil), Warm: sensitivity.NewWarmStore()}
+	eng := sensitivity.Engine{Warm: sensitivity.NewWarmStore()}
 	res, err := eng.Query(ctx, sys, *chain, aopts, sopts)
 	if err != nil {
 		return err
@@ -144,8 +139,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "bench: cold %.1fms, warm cache %.1fms (%.1fx), warm start %.1fms (%.1fx)\n",
-			doc.ColdMS, doc.WarmMS, doc.Speedup, doc.WarmStartMS, doc.WarmStartSpeedup)
+		fmt.Fprintf(stderr, "bench: cold %.1fms, warm start %.1fms (%.1fx)\n",
+			doc.ColdMS, doc.WarmStartMS, doc.WarmStartSpeedup)
 		if *benchOut != "" {
 			data, err := json.MarshalIndent(doc, "", "  ")
 			if err != nil {
@@ -227,12 +222,10 @@ func atLimit(b bool) string {
 }
 
 // benchDoc is the BENCH_sensitivity.json artifact written by -bench-out:
-// cold solves everything from scratch (warm starting disabled),
-// warm_ms repeats the query against the hot probe memo (content-hash
-// reuse only), warm_start_ms repeats it against a hot
-// sensitivity.WarmStore but a cold memo (exact-coordinate reuse — the
-// incremental engine's fast path). All three produce byte-identical
-// documents.
+// cold solves everything from scratch (warm starting disabled), and
+// warm_start_ms repeats the query against a hot sensitivity.WarmStore
+// (exact-coordinate reuse — the incremental engine's fast path). Both
+// produce byte-identical documents.
 type benchDoc struct {
 	System           string  `json:"system"`
 	Chain            string  `json:"chain"`
@@ -241,13 +234,11 @@ type benchDoc struct {
 	Probes           int64   `json:"probes"`
 	Analyses         int64   `json:"analyses"`
 	ColdMS           float64 `json:"cold_ms"`
-	WarmMS           float64 `json:"warm_ms"`
-	Speedup          float64 `json:"speedup"`
 	WarmStartMS      float64 `json:"warm_start_ms"`
 	WarmStartSpeedup float64 `json:"warm_start_speedup"`
 }
 
-// runBench times the three engine configurations on the same query,
+// runBench times the two engine configurations on the same query,
 // best of benchRounds each (the warm runs finish in well under a
 // millisecond, where a single sample is mostly scheduler noise).
 const benchRounds = 5
@@ -272,35 +263,22 @@ func runBench(ctx context.Context, sys *model.System, chain string, aopts twca.O
 	var res *sensitivity.Result
 	cold, err := best(func() error {
 		var err error
-		res, err = (sensitivity.Engine{Analyze: sensitivity.Memoize(nil)}).Query(ctx, sys, chain, aopts, coldOpts)
+		res, err = (sensitivity.Engine{}).Query(ctx, sys, chain, aopts, coldOpts)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Hot probe memo, warm starting still off: pure content-hash reuse.
-	engMemo := sensitivity.Engine{Analyze: sensitivity.Memoize(nil)}
-	if _, err := engMemo.Query(ctx, sys, chain, aopts, coldOpts); err != nil {
-		return nil, err
-	}
-	warm, err := best(func() error {
-		_, err := engMemo.Query(ctx, sys, chain, aopts, coldOpts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Hot warm store, fresh memo each round: exact-coordinate reuse.
+	// Hot warm store: exact-coordinate reuse.
 	warmOpts := sopts
 	warmOpts.NoWarmStart = false
-	store := sensitivity.NewWarmStore()
-	if _, err := (sensitivity.Engine{Analyze: sensitivity.Memoize(nil), Warm: store}).Query(ctx, sys, chain, aopts, warmOpts); err != nil {
+	eng := sensitivity.Engine{Warm: sensitivity.NewWarmStore()}
+	if _, err := eng.Query(ctx, sys, chain, aopts, warmOpts); err != nil {
 		return nil, err
 	}
 	warmStart, err := best(func() error {
-		_, err := (sensitivity.Engine{Analyze: sensitivity.Memoize(nil), Warm: store}).Query(ctx, sys, chain, aopts, warmOpts)
+		_, err := eng.Query(ctx, sys, chain, aopts, warmOpts)
 		return err
 	})
 	if err != nil {
@@ -311,8 +289,7 @@ func runBench(ctx context.Context, sys *model.System, chain string, aopts twca.O
 		System: sys.Name, Chain: chain,
 		M: res.Constraint.M, K: res.Constraint.K,
 		Probes: res.Probes, Analyses: res.Analyses,
-		ColdMS: ms(cold), WarmMS: ms(warm),
-		Speedup:          float64(cold) / float64(warm),
+		ColdMS:           ms(cold),
 		WarmStartMS:      ms(warmStart),
 		WarmStartSpeedup: float64(cold) / float64(warmStart),
 	}, nil

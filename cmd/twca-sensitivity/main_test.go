@@ -78,7 +78,7 @@ func TestBenchOut(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Chain != "sigma_c" || doc.Probes <= 0 || doc.ColdMS <= 0 || doc.Speedup <= 0 {
+	if doc.Chain != "sigma_c" || doc.Probes <= 0 || doc.ColdMS <= 0 || doc.WarmStartSpeedup <= 0 {
 		t.Errorf("bench doc = %+v", doc)
 	}
 }

@@ -112,7 +112,7 @@ func TestGoldenDegradedWireFormat(t *testing.T) {
 }
 
 // TestSensitivityWarmthInvisible pins the same property for the
-// sensitivity document: a query answered through a warm probe memo
+// sensitivity document: a query answered from a hot warm store
 // serializes byte-identically to a cold one — including the probe and
 // analysis counters, which count the query's own work, not the cache's.
 func TestSensitivityWarmthInvisible(t *testing.T) {
@@ -121,12 +121,12 @@ func TestSensitivityWarmthInvisible(t *testing.T) {
 		Constraint: weaklyhard.Constraint{M: 5, K: 10},
 		Tasks:      []string{"tau3c"},
 	}
-	memo := sensitivity.Memoize(nil)
-	cold, err := sensitivity.Engine{Analyze: memo}.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
+	eng := sensitivity.Engine{Warm: sensitivity.NewWarmStore()}
+	cold, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sensitivity.Engine{Analyze: memo}.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
+	warm, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

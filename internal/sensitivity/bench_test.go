@@ -10,7 +10,7 @@ import (
 
 // BenchmarkSensitivityQuery measures one full Thales sensitivity sweep
 // (uniform + per-task slack, both overload breakdowns, frontier to
-// k = 20) with a cold per-query memo. make bench records the companion
+// k = 20) against a fresh private warm store. make bench records the companion
 // cold/warm numbers via cmd/twca-sensitivity -bench-out.
 func BenchmarkSensitivityQuery(b *testing.B) {
 	sys := casestudy.New()
@@ -23,25 +23,6 @@ func BenchmarkSensitivityQuery(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Probes), "probes/query")
 		b.ReportMetric(float64(res.Analyses), "analyses/query")
-	}
-}
-
-// BenchmarkSensitivityQueryWarm is the same query against a process-wide
-// memo that has already served it once — the cache-reuse path the
-// analysis service exercises per request.
-func BenchmarkSensitivityQueryWarm(b *testing.B) {
-	sys := casestudy.New()
-	opts := thalesOptions()
-	eng := Engine{Analyze: Memoize(nil)}
-	if _, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -30,26 +30,21 @@ func TestCanceledProbeNotCached(t *testing.T) {
 		sys:    sys,
 		chain:  "sigma_c",
 		denom:  1000,
-		memo:   make(map[string]*memoEntry),
-		seen:   make(map[string]bool),
-		coords: make(map[coord]*memoEntry),
+		byHash: make(map[string]*memoEntry),
 	}
 	nominal := coord{kind: coordScale, subject: "", value: 1000}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := q.analysisAt(canceled, nominal); !errors.Is(err, context.Canceled) {
+	if _, err := q.resolve(canceled, nominal); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	q.mu.Lock()
-	left := len(q.memo)
+	left := len(q.byHash)
 	q.mu.Unlock()
-	q.cmu.Lock()
-	cleft := len(q.coords)
-	q.cmu.Unlock()
-	if left != 0 || cleft != 0 {
-		t.Fatalf("memos retain %d hash / %d coordinate entries after a canceled analysis", left, cleft)
+	if left != 0 {
+		t.Fatalf("memo retains %d entries after a canceled analysis", left)
 	}
-	an, err := q.analysisAt(context.Background(), nominal)
+	an, err := q.resolve(context.Background(), nominal)
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
@@ -60,10 +55,10 @@ func TestCanceledProbeNotCached(t *testing.T) {
 
 // TestMidBisectionCancellationLeavesMemoConsistent cancels a query in
 // the middle of its bisections and then re-runs it against the same
-// cross-query memo: the cancellation must surface as context.Canceled
-// and the retry must produce the exact undisturbed result. Run under
-// -race (make verify), this also exercises the memo's eviction path
-// concurrently with waiting followers.
+// shared warm store: the cancellation must surface as context.Canceled
+// and the retry must produce the exact undisturbed result, effort
+// counters included. Run under -race (make verify), this also exercises
+// the memo's eviction path concurrently with waiting followers.
 func TestMidBisectionCancellationLeavesMemoConsistent(t *testing.T) {
 	sys := casestudy.New()
 	opts := thalesOptions()
@@ -71,7 +66,7 @@ func TestMidBisectionCancellationLeavesMemoConsistent(t *testing.T) {
 	opts.Workers = 4
 
 	// Reference result from an undisturbed engine.
-	want, err := Engine{Analyze: Memoize(nil)}.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
+	want, err := Engine{}.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,29 +74,24 @@ func TestMidBisectionCancellationLeavesMemoConsistent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var analyses atomic.Int64
-	memo := Memoize(func(ctx context.Context, sys *model.System, _ string, chain string, aopts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	eng := Engine{Warm: NewWarmStore(), Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, aopts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
 		// Pull the rug after a few distinct analyses: every probe still
 		// in flight sees the canceled context mid-bisection.
 		if analyses.Add(1) == 3 {
 			cancel()
 		}
 		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), aopts, warm)
-	})
-	eng := Engine{Analyze: memo}
+	}}
 	if _, err := eng.Query(ctx, sys, "sigma_c", twca.Options{}, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query: err = %v, want context.Canceled", err)
 	}
 
-	// The shared memo must not have cached any canceled entry: the same
+	// The shared store must not have kept any canceled outcome: the same
 	// engine answers a fresh query completely and identically.
 	got, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
 	if err != nil {
 		t.Fatalf("retry after mid-bisection cancellation: %v", err)
 	}
-	// Probes/Analyses counters are per query and the cross-query memo is
-	// warm on the retry, so compare everything else.
-	got.Analyses = want.Analyses
-	got.Probes = want.Probes
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("retry differs from undisturbed result:\ngot  %+v\nwant %+v", got, want)
 	}

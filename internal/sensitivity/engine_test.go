@@ -161,14 +161,15 @@ func TestQueryCountsDistinctAnalyses(t *testing.T) {
 	}
 }
 
-func TestMemoizeSharesAcrossQueries(t *testing.T) {
+// TestWarmStoreSharesAcrossQueries: a shared WarmStore answers every
+// probe of a repeated query, so the repeat makes no analysis call.
+func TestWarmStoreSharesAcrossQueries(t *testing.T) {
 	sys := casestudy.New()
 	var calls atomic.Int64
-	memo := Memoize(func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	eng := Engine{Warm: NewWarmStore(), Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
 		calls.Add(1)
 		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
-	})
-	eng := Engine{Analyze: memo}
+	}}
 	opts := thalesOptions()
 	opts.Tasks = []string{"tau1c"}
 	if _, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts); err != nil {
@@ -179,7 +180,7 @@ func TestMemoizeSharesAcrossQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm := calls.Load() - cold; warm != 0 {
-		t.Errorf("repeat query recomputed %d analyses, want 0 (cross-query memo)", warm)
+		t.Errorf("repeat query recomputed %d analyses, want 0 (shared warm store)", warm)
 	}
 }
 

@@ -31,12 +31,15 @@
 // pins the cold path for benchmarks and equivalence tests).
 //
 // The driver fans independent metrics out across the internal/parallel
-// pool and memoizes probe analyses per query, keyed by the perturbed
-// system's canonical content hash (model.CanonicalHash) — the identity
-// perturbation therefore shares its artifact with the nominal analysis,
-// and the analysis service plugs its content-addressed LRU in through
-// the AnalyzeFunc hook so probes are reused across queries and across
-// endpoints.
+// pool. Each query keeps one probe memo keyed by the perturbed system's
+// canonical content hash (model.CanonicalHash), holding every analysis
+// the query solved or took from the warm store, so coordinates that
+// materialize the same system share one analysis. Result.Analyses is
+// charged exactly when a hash enters that memo, and once per analysis
+// of an unhashable system: it counts distinct systems, whatever the
+// probe order, worker count or store warmth. The analysis service plugs
+// its content-addressed LRU in through the AnalyzeFunc hook so probes
+// are reused across endpoints.
 package sensitivity
 
 import (
@@ -230,9 +233,9 @@ type Result struct {
 	// [1, FrontierMaxK]; nil when FrontierMaxK was 0.
 	Frontier []FrontierPoint
 	// Probes counts predicate evaluations (bracketing plus bisection
-	// steps) and Analyses the distinct perturbed systems analyzed to
-	// answer them — whether by a fresh solve or by a warm-store artifact
-	// (the rest were answered by the per-query memo). Both are
+	// steps) and Analyses the distinct perturbed systems, by content
+	// hash, behind them — solved afresh or taken from the warm store
+	// alike; an unhashable system counts once per analysis. Both are
 	// deterministic for a given query, independent of worker count,
 	// cache warmth and warm-store state.
 	Probes   int64
@@ -286,9 +289,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		c:       opts.Constraint,
 		denom:   opts.ScaleDenom,
 		bp:      batcher{width: batchWidth, workers: opts.Workers},
-		memo:    make(map[string]*memoEntry),
-		seen:    make(map[string]bool),
-		coords:  make(map[coord]*memoEntry),
+		byHash:  make(map[string]*memoEntry),
 	}
 	if q.analyze == nil {
 		q.analyze = func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
@@ -305,11 +306,11 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	}
 
 	// Nominal feasibility first: every bisection below brackets against
-	// the nominal system holding, and the coordinate memo retains this
-	// analysis for the identity probes of each search. The nominal
-	// coordinate is the identity scaling — the universal warm-start
-	// fallback, demand-dominated by every probe on every axis.
-	an, err := q.analysisAt(ctx, coord{kind: coordScale, subject: "", value: opts.ScaleDenom})
+	// the nominal system holding, and the frontier job reuses this
+	// analysis. The nominal coordinate is the identity scaling — the
+	// universal warm-start fallback, demand-dominated by every probe on
+	// every axis.
+	an, err := q.resolve(ctx, coord{kind: coordScale, subject: "", value: opts.ScaleDenom})
 	if err != nil {
 		return nil, err
 	}
@@ -361,10 +362,6 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	})
 	if opts.FrontierMaxK > 0 {
 		jobs = append(jobs, func(ctx context.Context) error {
-			an, err := q.analysisAt(ctx, coord{kind: coordScale, subject: "", value: opts.ScaleDenom}) // memo hit
-			if err != nil {
-				return err
-			}
 			res.Frontier = make([]FrontierPoint, 0, opts.FrontierMaxK)
 			for k := int64(1); k <= opts.FrontierMaxK; k++ {
 				r, err := an.DMMCtx(ctx, k)
@@ -441,7 +438,7 @@ func (q *query) breakdown(ctx context.Context, oc *model.Chain, opts Options) (B
 	return b, nil
 }
 
-// query is the shared state of one Query call: the probe memos, the
+// query is the shared state of one Query call: the probe memo, the
 // warm-store scope and the effort counters.
 type query struct {
 	analyze AnalyzeFunc
@@ -456,12 +453,8 @@ type query struct {
 	probes   atomic.Int64
 	analyses atomic.Int64
 
-	mu   sync.Mutex
-	memo map[string]*memoEntry
-	seen map[string]bool
-
-	cmu    sync.Mutex
-	coords map[coord]*memoEntry
+	mu     sync.Mutex
+	byHash map[string]*memoEntry
 
 	qmu   sync.Mutex
 	worst degrade.Info
@@ -498,118 +491,73 @@ type memoEntry struct {
 	err  error
 }
 
-// The Analyses counter charges one unit per analysis attempt of a
-// not-yet-solved system: chargeHash before a fresh solve, markSeen once
-// it succeeds (a successfully solved hash is retained by the memo and
-// never re-attempted), chargeStored when a warm-store outcome stands
-// in for the solve. Cold and warm runs charge identically: a stored
-// outcome (artifact or deterministic failure verdict) is exactly one
-// attempted solve, and the per-query memos retain deterministic
-// failures, so each failing hash is charged once per query either way.
-// Transient failures (cancellation, injected faults) are never stored
-// and replay the same way in both. Unhashable systems (empty hash) are
-// charged per analysis, as they cannot be deduplicated.
-
-func (q *query) chargeHash(hash string) {
-	if hash == "" {
-		q.analyses.Add(1)
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if !q.seen[hash] {
-		q.analyses.Add(1)
-	}
-}
-
-func (q *query) markSeen(hash string) {
-	if hash == "" {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.seen[hash] = true
-}
-
-func (q *query) chargeStored(hash string) {
-	if hash == "" {
-		q.analyses.Add(1)
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if !q.seen[hash] {
-		q.seen[hash] = true
-		q.analyses.Add(1)
-	}
-}
-
-// analysisAt returns the prepared DMM analysis of the system at
-// coordinate c, computing each coordinate at most once per query.
+// resolve returns the prepared DMM analysis of the system at coordinate
+// c. An exact warm-store hit skips materializing and hashing the
+// perturbed system; otherwise the system is built, hashed and solved at
+// most once per content hash, warm-started from the nearest solved
+// neighbor on the sound side of c's axis. Completed outcomes are stored
+// under c for future queries.
+//
 // Transient failures (cancellation, injected faults) are evicted before
 // followers wake, so a probe canceled mid-flight is not replayed to
 // probes arriving with a healthy context; deterministic failures are
 // retained like any other outcome.
-func (q *query) analysisAt(ctx context.Context, c coord) (*twca.Analysis, error) {
-	q.cmu.Lock()
-	if e, ok := q.coords[c]; ok {
-		q.cmu.Unlock()
-		select {
-		case <-e.done:
-			return e.an, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	q.coords[c] = e
-	q.cmu.Unlock()
-	e.an, e.err = q.resolve(ctx, c)
-	if e.err != nil && !deterministicErr(e.err) {
-		q.cmu.Lock()
-		delete(q.coords, c)
-		q.cmu.Unlock()
-	}
-	close(e.done)
-	return e.an, e.err
-}
-
-// resolve produces the analysis for coordinate c: an exact warm-store
-// hit skips materializing and hashing the perturbed system entirely;
-// otherwise the system is built, deduplicated by content hash, and
-// solved warm-started from the nearest solved neighbor on the sound
-// side of c's axis. Successful solves are stored for future queries.
 func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
-	if hash, an, serr, ok := q.warm.lookup(c); ok {
-		q.chargeStored(hash)
-		if serr != nil {
-			return nil, serr
+	if hash, an, err, ok := q.warm.lookup(c); ok {
+		if e, created := q.entry(hash); created {
+			e.an, e.err = an, err
+			close(e.done)
 		}
-		q.seedMemo(hash, an)
-		return an, nil
+		return an, err
 	}
 	sys, err := q.materialize(c)
 	if err != nil {
 		return nil, err
 	}
-	key, herr := model.CanonicalHash(sys)
-	if herr != nil {
-		// No content identity: analyze directly, uncached by hash, but
-		// still retained under the coordinate for exact re-probes.
-		q.chargeHash("")
-		an, err := q.analyze(ctx, sys, "", q.chain, q.aopts, q.warm.nearest(c))
-		if err == nil || deterministicErr(err) {
-			//twcalint:ignore errretain deliberate negative caching: deterministicErr gates retention to errors that recur identically on re-analysis
-			q.warm.put(c, "", an, err, q.denom)
+	hash, _ := model.CanonicalHash(sys) // "" when sys has no JSON form
+	e, created := q.entry(hash)
+	if created {
+		e.an, e.err = q.analyze(ctx, sys, hash, q.chain, q.aopts, q.warm.nearest(c))
+		if e.err != nil && !deterministicErr(e.err) {
+			q.mu.Lock()
+			delete(q.byHash, hash)
+			q.mu.Unlock()
 		}
-		return an, err
+		close(e.done)
+	} else {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	an, err := q.analysisByHash(ctx, sys, key, c)
-	if err == nil || deterministicErr(err) {
+	if e.err == nil || deterministicErr(e.err) {
 		//twcalint:ignore errretain deliberate negative caching: deterministicErr gates retention to errors that recur identically on re-analysis
-		q.warm.put(c, key, an, err, q.denom)
+		q.warm.put(c, hash, e.an, e.err, q.denom)
 	}
-	return an, err
+	return e.an, e.err
+}
+
+// entry returns the memo entry of the system with content hash hash,
+// creating it when the hash has none yet. Creating an entry is the one
+// place Analyses is charged, so the counter reads the number of
+// distinct systems the query analyzed or took from the warm store. An
+// unhashable system (empty hash) cannot be deduplicated: every call
+// creates a fresh, unshared entry and is charged.
+func (q *query) entry(hash string) (*memoEntry, bool) {
+	if hash != "" {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		if e, ok := q.byHash[hash]; ok {
+			return e, false
+		}
+	}
+	e := &memoEntry{done: make(chan struct{})}
+	if hash != "" {
+		q.byHash[hash] = e
+	}
+	q.analyses.Add(1)
+	return e, true
 }
 
 // materialize builds the perturbed system at coordinate c.
@@ -623,57 +571,6 @@ func (q *query) materialize(c coord) (*model.System, error) {
 		return WithDistance(q.sys, c.subject, curves.Time(c.value))
 	}
 	return nil, fmt.Errorf("sensitivity: unknown coordinate kind %d", c.kind)
-}
-
-// seedMemo pre-populates the hash memo with a completed artifact (from
-// a warm-store hit), so coordinates that materialize to the same system
-// still deduplicate against it.
-func (q *query) seedMemo(key string, an *twca.Analysis) {
-	if key == "" {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.memo[key]; ok {
-		return
-	}
-	done := make(chan struct{})
-	close(done)
-	q.memo[key] = &memoEntry{done: done, an: an}
-}
-
-// analysisByHash computes each distinct system (by canonical content
-// hash) at most once per query. c identifies the originating coordinate
-// so the solve can be warm-started from its nearest stored neighbor.
-func (q *query) analysisByHash(ctx context.Context, sys *model.System, key string, c coord) (*twca.Analysis, error) {
-	q.mu.Lock()
-	if e, ok := q.memo[key]; ok {
-		q.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.an, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	q.memo[key] = e
-	q.mu.Unlock()
-	q.chargeHash(key)
-	e.an, e.err = q.analyze(ctx, sys, key, q.chain, q.aopts, q.warm.nearest(c))
-	if e.err != nil && !deterministicErr(e.err) {
-		// Evict transient failures before waking followers: a canceled
-		// or injected-fault analysis must not be replayed to probes that
-		// arrive with a healthy context. Deterministic failures stay —
-		// the same system diverges identically on every retry.
-		q.mu.Lock()
-		delete(q.memo, key)
-		q.mu.Unlock()
-	} else if e.err == nil {
-		q.markSeen(key)
-	}
-	close(e.done)
-	return e.an, e.err
 }
 
 // holdsAt is the monotone predicate every metric bisects: does the
@@ -692,7 +589,7 @@ func (q *query) holdsAt(ctx context.Context, c coord) (bool, error) {
 			return false, fmt.Errorf("sensitivity: probe: %w", err)
 		}
 	}
-	an, err := q.analysisAt(ctx, c)
+	an, err := q.resolve(ctx, c)
 	if err != nil {
 		if errors.Is(err, latency.ErrDiverged) || errors.Is(err, latency.ErrKExceeded) {
 			return false, nil
@@ -892,56 +789,6 @@ func hasTask(sys *model.System, name string) bool {
 		}
 	}
 	return false
-}
-
-// Memoize wraps an AnalyzeFunc in a content-addressed memo that
-// persists across queries (the engine's own memo is per query).
-// cmd/twca-sensitivity uses it to make repeated queries in one process
-// cheap, mirroring what the analysis service's artifact cache does
-// across requests. Warm-start hints pass through to the inner function
-// on a miss and are irrelevant on a hit (they never change values), so
-// the memo keys on content alone. Unhashable systems bypass the memo.
-// A nil inner memoizes direct twca.NewWarmCtx analyses.
-func Memoize(inner AnalyzeFunc) AnalyzeFunc {
-	if inner == nil {
-		inner = func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
-			return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
-		}
-	}
-	var mu sync.Mutex
-	m := make(map[string]*memoEntry)
-	return func(ctx context.Context, sys *model.System, hash string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
-		if hash == "" {
-			return inner(ctx, sys, hash, chain, opts, warm)
-		}
-		key := hash + "|" + chain + "|" + fmt.Sprintf("%+v", opts)
-		mu.Lock()
-		if e, ok := m[key]; ok {
-			mu.Unlock()
-			select {
-			case <-e.done:
-				return e.an, e.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		m[key] = e
-		mu.Unlock()
-		e.an, e.err = inner(ctx, sys, hash, chain, opts, warm)
-		if e.err != nil && !deterministicErr(e.err) {
-			// Evict transient failures (cancellation, injected faults) so a
-			// later healthy query retries. Deterministic unschedulability
-			// stays cached: the same system diverges the same way every
-			// time, and speculative probe batches revisit such points
-			// across queries.
-			mu.Lock()
-			delete(m, key)
-			mu.Unlock()
-		}
-		close(e.done)
-		return e.an, e.err
-	}
 }
 
 // deterministicErr reports whether err is a pure function of the

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/casestudy"
 	"repro/internal/degrade"
 	"repro/internal/faultinject"
+	"repro/internal/latency"
+	"repro/internal/model"
 	"repro/internal/twca"
 	"repro/internal/weaklyhard"
 )
@@ -293,5 +296,121 @@ func TestWarmStoreFaultFallback(t *testing.T) {
 	}
 	if got := marshalResult(t, res); !bytes.Equal(got, coldJSON) {
 		t.Errorf("intermittent warm-store outage changed the answer:\ngot: %s\ncold: %s", got, coldJSON)
+	}
+}
+
+// TestStoredFailureChargedOnce pins the Analyses charging rule on a
+// system reached from two coordinates. With ScaleDenom 20, tau1c's
+// scales 21 and 23 both round its WCET up to 5, so they materialize the
+// same system; the hook makes that system diverge, and the warm store
+// already holds the failure verdict at scale 23. The warm query must
+// charge the shared system once, exactly like the cold query, for any
+// worker count.
+func TestStoredFailureChargedOnce(t *testing.T) {
+	sys := casestudy.New()
+	shared, err := model.CanonicalHash(ScaleWCET(sys, "tau1c", 23, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := model.CanonicalHash(ScaleWCET(sys, "tau1c", 21, 20)); h != shared {
+		t.Fatal("scales 21 and 23 of tau1c materialize different systems; test setup broken")
+	}
+	analyze := func(ctx context.Context, sys *model.System, hash string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+		if hash == shared {
+			return nil, latency.ErrDiverged
+		}
+		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := Options{Constraint: weaklyhard.Constraint{M: 5, K: 10}, ScaleDenom: 20, Tasks: []string{"tau1c"}, Workers: workers}
+			coldOpts := opts
+			coldOpts.NoWarmStart = true
+			cold, err := Engine{Analyze: analyze}.Query(context.Background(), sys, "sigma_c", twca.Options{}, coldOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			store := NewWarmStore()
+			base, _ := model.CanonicalHash(sys)
+			store.scope(base, "sigma_c", twca.Options{}, 20).
+				put(coord{kind: coordScale, subject: "tau1c", value: 23}, shared, nil, latency.ErrDiverged, 20)
+			warm, err := Engine{Analyze: analyze, Warm: store}.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := store.Stats(); st.Hits == 0 {
+				t.Fatalf("stored failure verdict never hit (stats %+v)", st)
+			}
+			if warm.Analyses != cold.Analyses {
+				t.Errorf("warm query charged %d analyses, cold %d", warm.Analyses, cold.Analyses)
+			}
+			if got, want := marshalResult(t, warm), marshalResult(t, cold); !bytes.Equal(got, want) {
+				t.Errorf("warm result differs from cold:\nwarm: %s\ncold: %s", got, want)
+			}
+		})
+	}
+}
+
+// TestWarmStoreScopesBounded: a store shared by more than maxScopes
+// distinct base systems keeps at most maxScopes scopes, a recently
+// queried system still gets warm hits, and answers stay byte-identical
+// to cold whether its scope survived or was dropped.
+func TestWarmStoreScopesBounded(t *testing.T) {
+	sys := casestudy.New()
+	opts := Options{Constraint: weaklyhard.Constraint{M: 5, K: 10}, Tasks: []string{"tau3c"}, Workers: 2}
+	ctx := context.Background()
+	coldOpts := opts
+	coldOpts.NoWarmStart = true
+	cold, err := Engine{}.Query(ctx, sys, "sigma_c", twca.Options{}, coldOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldJSON := marshalResult(t, cold)
+
+	store := NewWarmStore()
+	eng := Engine{Warm: store}
+	others := 0
+	touch := func(n int) {
+		for i := 0; i < n; i++ {
+			store.scope(fmt.Sprintf("other-%d", others), "sigma_c", twca.Options{}, 1000)
+			others++
+		}
+	}
+	scopes := func() int {
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		return len(store.cur) + len(store.old)
+	}
+	// query runs the Thales query and reports how many of its probes
+	// the store answered.
+	query := func(round string) int64 {
+		before := store.Stats().Hits
+		res, err := eng.Query(ctx, sys, "sigma_c", twca.Options{}, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", round, err)
+		}
+		if got := marshalResult(t, res); !bytes.Equal(got, coldJSON) {
+			t.Errorf("%s: warm answer differs from cold:\nwarm: %s\ncold: %s", round, got, coldJSON)
+		}
+		return store.Stats().Hits - before
+	}
+
+	query("first")
+	touch(2 * maxScopes)
+	if n := scopes(); n > maxScopes {
+		t.Fatalf("store holds %d scopes after %d distinct systems, cap is %d", n, others+1, maxScopes)
+	}
+	query("re-prime")
+	touch(maxScopes/2 - 1)
+	if hits := query("recently used"); hits == 0 {
+		t.Errorf("system queried %d systems ago got no warm hits", maxScopes/2-1)
+	}
+	touch(maxScopes)
+	if hits := query("long unused"); hits != 0 {
+		t.Errorf("system unused for %d systems still got %d warm hits; its scope should be dropped", maxScopes, hits)
+	}
+	if n := scopes(); n > maxScopes {
+		t.Errorf("store holds %d scopes, cap is %d", n, maxScopes)
 	}
 }

@@ -62,9 +62,11 @@ type warmEntry struct {
 
 // Store growth caps. The warm store retains whole analyses, so a
 // long-lived shared store (the analysis service's) must stay bounded:
-// past the caps new entries are simply not retained, which costs warm
-// hits but can never change a result.
+// past the entry caps new entries are simply not retained, and past the
+// scope cap the least recently used scopes are dropped. Either costs
+// warm hits but can never change a result.
 const (
+	maxScopes        = 64
 	maxScopeEntries  = 4096
 	maxFamilyEntries = 64
 )
@@ -85,9 +87,15 @@ const (
 // byte-identical with or without them. A WarmStore is safe for
 // concurrent use and may be shared across queries, engines and
 // goroutines; the analysis service holds one per process.
+//
+// Scopes rotate through two generations of maxScopes/2 each: a scope
+// is looked up in cur, then in old (and promoted to cur); when cur is
+// full it becomes old and the previous old is dropped. So the store
+// holds at most maxScopes scopes, and the maxScopes/2 most recently
+// used ones always survive.
 type WarmStore struct {
-	mu     sync.Mutex
-	scopes map[string]*scopeStore
+	mu       sync.Mutex
+	cur, old map[string]*scopeStore
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -96,7 +104,7 @@ type WarmStore struct {
 
 // NewWarmStore returns an empty warm store.
 func NewWarmStore() *WarmStore {
-	return &WarmStore{scopes: make(map[string]*scopeStore)}
+	return &WarmStore{cur: make(map[string]*scopeStore)}
 }
 
 // WarmStats is a point-in-time snapshot of store effectiveness.
@@ -130,11 +138,19 @@ func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int6
 	key := baseHash + "|" + chain + "|" + strconv.FormatInt(denom, 10) + "|" + fmt.Sprintf("%+v", aopts)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s, ok := w.scopes[key]
-	if !ok {
-		s = &scopeStore{owner: w, byCoord: make(map[coord]warmEntry), families: make(map[familyKey][]warmEntry)}
-		w.scopes[key] = s
+	if s, ok := w.cur[key]; ok {
+		return s
 	}
+	s, ok := w.old[key]
+	if ok {
+		delete(w.old, key)
+	} else {
+		s = &scopeStore{owner: w, byCoord: make(map[coord]warmEntry), families: make(map[familyKey][]warmEntry)}
+	}
+	if len(w.cur) >= maxScopes/2 {
+		w.old, w.cur = w.cur, make(map[string]*scopeStore)
+	}
+	w.cur[key] = s
 	return s
 }
 
