@@ -63,7 +63,10 @@ verify:
 # detector: for every analyzable scheduling policy (spp, np-spp, edf)
 # and every case-study chain, the analytic WCL and dmm(k) bounds must
 # dominate a simulator running the same policy, and an explicit
-# policy=spp must be byte-identical to the zero value.
+# policy=spp must be byte-identical to the zero value. The sim step also
+# runs the mapped tests: a mapped run on one resource equals the
+# unmapped run, same-seed mapped runs are identical, and a canceled
+# context stops a mapped run.
 policy-matrix:
 	$(GO) test -race -count=1 -run 'TestPolicy' .
 	$(GO) test -race -count=1 ./internal/policy/

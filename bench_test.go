@@ -261,10 +261,9 @@ func BenchmarkDSL(b *testing.B) {
 	}
 }
 
-// BenchmarkSimMapped measures the multi-resource engine on a 3-way
-// mapping of the case study.
-func BenchmarkSimMapped(b *testing.B) {
-	sys := repro.CaseStudy()
+// threeWayMapping spreads the tasks of sys round-robin over three
+// resources.
+func threeWayMapping(sys *repro.System) map[string]string {
 	mapping := map[string]string{}
 	i := 0
 	for _, c := range sys.Chains {
@@ -273,6 +272,14 @@ func BenchmarkSimMapped(b *testing.B) {
 			i++
 		}
 	}
+	return mapping
+}
+
+// BenchmarkSimMapped measures a mapped simulation: the case study's
+// tasks spread round-robin over three resources.
+func BenchmarkSimMapped(b *testing.B) {
+	sys := repro.CaseStudy()
+	mapping := threeWayMapping(sys)
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sys, sim.Config{Horizon: 100_000, Mapping: mapping}); err != nil {
 			b.Fatal(err)

@@ -40,7 +40,7 @@ func TestCleanPackagesStayClean(t *testing.T) {
 // silently descoping a rule.
 func TestDefaultConfigScopesTheContract(t *testing.T) {
 	cfg := analyzers.DefaultConfig()
-	for _, pkg := range []string{"twca", "latency", "segments", "schema", "report", "sensitivity", "ilp", "policy"} {
+	for _, pkg := range []string{"twca", "latency", "segments", "schema", "report", "sensitivity", "ilp", "policy", "sim"} {
 		found := false
 		for _, s := range cfg.DeterministicPkgs {
 			if s == "internal/"+pkg {

@@ -121,6 +121,11 @@ func DefaultConfig() Config {
 			// would split the fleet's brain. (Its down set has no clock:
 			// the service's heartbeat is its only writer.)
 			"internal/store",
+			// The simulator the analytic bounds are checked against: a
+			// seeded run must replay exactly, so it may draw only from
+			// its seeded engine RNG and must handle resources and chains
+			// in a fixed order, never in map order.
+			"internal/sim",
 		},
 		SaturatingTypes: []string{"repro/internal/curves.Time"},
 		SoundflowPkgs: []string{

@@ -195,7 +195,8 @@ func (p *Pass) isMapStore(rng *ast.RangeStmt) bool {
 
 // checkNondeterministicCall flags selectors into the time and
 // math/rand packages that smuggle wall-clock time or shared global
-// randomness into analysis results.
+// randomness into analysis results. Type names such as *rand.Rand only
+// describe a source, so they are never reported.
 func (p *Pass) checkNondeterministicCall(sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
@@ -203,6 +204,9 @@ func (p *Pass) checkNondeterministicCall(sel *ast.SelectorExpr) {
 	}
 	pkgName, ok := p.Info.Uses[id].(*types.PkgName)
 	if !ok {
+		return
+	}
+	if _, isType := p.Info.Uses[sel.Sel].(*types.TypeName); isType {
 		return
 	}
 	switch pkgName.Imported().Path() {

@@ -67,7 +67,8 @@ type reqOptions struct {
 	ExactCriterion  bool `json:"exact_criterion,omitempty"`
 	Flat            bool `json:"flat,omitempty"`
 	// Baseline requests the chain-agnostic baseline analysis of §VI
-	// (every task its own chain); equivalent to Flat.
+	// (every task its own chain); equivalent to Flat, and folded into it
+	// by canonicalize.
 	Baseline      bool  `json:"baseline,omitempty"`
 	NoCarryIn     bool  `json:"no_carry_in,omitempty"`
 	MaxQ          int64 `json:"max_q,omitempty"`
@@ -84,6 +85,15 @@ type reqOptions struct {
 	// fail analysis requests with 422 policy_unsupported; unknown names
 	// are 400 invalid_options.
 	Policy string `json:"policy,omitempty"`
+}
+
+// canonicalize folds the "baseline" spelling into "flat". Both select
+// the same analysis, so they must share one fingerprint and one cached
+// artifact.
+func (o *reqOptions) canonicalize() {
+	if o.Baseline {
+		o.Flat, o.Baseline = true, false
+	}
 }
 
 func (o reqOptions) latency() repro.LatencyOptions {
@@ -228,8 +238,11 @@ func (l *lazySystem) get() (*repro.System, error) {
 // plus the lazily decoded model. Bytes seen before take the hash from
 // the memo and skip decoding, validation and hashing; new bytes are
 // decoded here, and memoized once they have hashed. Errors are the
-// client's fault (callers answer them 400).
+// client's fault (callers answer them 400). Every analysis path passes
+// through here before it keys or runs anything, so this is also where
+// the request's options are canonicalized.
 func (s *Server) system(req *analyzeRequest) (string, *lazySystem, error) {
+	req.Options.canonicalize()
 	var key memoKey
 	switch {
 	case len(req.System) > 0 && req.SystemDSL != "":

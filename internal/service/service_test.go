@@ -534,6 +534,32 @@ func TestBaselineThroughDMM(t *testing.T) {
 	}
 }
 
+// TestBaselineFlatShareArtifact: "baseline" and "flat" are two wire
+// spellings of one analysis, so they share one cache entry — the second
+// request is a hit and its document equals the first apart from the
+// envelope.
+func TestBaselineFlatShareArtifact(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	thales := thalesJSON(t)
+	status, baseDoc := post(t, ts.URL+"/v1/analyze/dmm", analyzeRequest{System: thales, Chain: "sigma_d",
+		K: []int64{10}, Options: reqOptions{Baseline: true}})
+	if status != http.StatusOK || baseDoc["cache"] != "miss" {
+		t.Fatalf("baseline = (%d, cache %v), want (200, miss)", status, baseDoc["cache"])
+	}
+	status, flatDoc := post(t, ts.URL+"/v1/analyze/dmm", analyzeRequest{System: thales, Chain: "sigma_d",
+		K: []int64{10}, Options: reqOptions{Flat: true}})
+	if status != http.StatusOK || flatDoc["cache"] != "hit" {
+		t.Fatalf("flat after baseline = (%d, cache %v), want (200, hit)", status, flatDoc["cache"])
+	}
+	for _, doc := range []map[string]any{baseDoc, flatDoc} {
+		delete(doc, "cache")
+		delete(doc, "elapsed_ms")
+	}
+	if !reflect.DeepEqual(baseDoc, flatDoc) {
+		t.Errorf("flat document differs from baseline:\n%v\n%v", flatDoc, baseDoc)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -1,6 +1,6 @@
-// Package sim is a discrete-event simulator for uniprocessor Static
-// Priority Preemptive (SPP) systems with task chains, matching the
-// execution semantics of §II of the paper:
+// Package sim is a discrete-event simulator for Static Priority
+// Preemptive (SPP) systems with task chains, matching the execution
+// semantics of §II of the paper:
 //
 //   - the processor always runs the highest-priority ready job and
 //     preemption is immediate;
@@ -10,6 +10,12 @@
 //     finished — while asynchronous chains pipeline instances;
 //   - the scheduler is deadline-agnostic: instances always run to
 //     completion, whether or not their deadline has passed.
+//
+// Config.Policy selects other scheduling policies, and Config.Mapping
+// spreads the tasks over several resources that execute in parallel.
+// There is one event loop: it keeps a ready queue per resource, indexed
+// in sorted resource-name order, and handles the resources in that
+// fixed order at every step. An unmapped run is the one-resource case.
 //
 // The simulator serves two purposes: it validates the analyses (the
 // worst latency it observes must never exceed WCL, and the misses it

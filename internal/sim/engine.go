@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/curves"
 	"repro/internal/model"
@@ -50,12 +51,12 @@ type Config struct {
 	// ("spp", "np-spp", "edf", "jcl" — see internal/policy). The empty
 	// string selects "spp", the pre-policy engine byte-for-byte.
 	Policy string
-	// Mapping distributes tasks over several resources by task name
-	// (unmapped tasks share the default resource ""): tasks mapped to
-	// different resources execute in parallel, each resource scheduled
-	// independently. An empty map is the uniprocessor engine. The
-	// multi-resource engine supports preemptive policies only and
-	// rejects AbortOnMiss.
+	// Mapping distributes tasks over resources by task name (tasks it
+	// leaves out share the default resource ""): tasks on different
+	// resources execute in parallel, each resource scheduled
+	// independently, and each step handles the resources in sorted name
+	// order. An empty map is the one-resource run. A Mapping supports
+	// preemptive policies only and rejects AbortOnMiss.
 	Mapping map[string]string
 }
 
@@ -109,7 +110,9 @@ type instance struct {
 }
 
 type chainState struct {
-	chain    *model.Chain
+	chain *model.Chain
+	// resource maps each task index to its resource index.
+	resource []int
 	arrivals []curves.Time
 	nextArr  int
 	pending  []curves.Time // sync chains: queued activations
@@ -143,18 +146,19 @@ func (q *readyQueue) Pop() any {
 	return x
 }
 
-// engine is the simulation state.
+// engine is the simulation state. ready and running are indexed by
+// resource, in sorted resource-name order.
 type engine struct {
 	cfg    Config
 	rng    *rand.Rand
 	sched  policy.Scheduler
 	chains []*chainState
-	ready  readyQueue
-	// running is the committed job of a non-preemptive scheduler: once
-	// selected it leaves the heap and runs to completion (or abort).
-	// Always nil under preemptive policies, where the heap head re-read
-	// at every arrival is what implements preemption.
-	running    *job
+	ready  []readyQueue
+	// running holds each resource's committed job under a non-preemptive
+	// scheduler: once selected it leaves the heap and runs to completion
+	// (or abort). Always nil under preemptive policies, where the heap
+	// head re-read at every step is what implements preemption.
+	running    []*job
 	preemptive bool
 	seq        int64
 	trace      *Trace
@@ -183,19 +187,29 @@ func RunCtx(ctx context.Context, sys *model.System, cfg Config) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if len(cfg.Mapping) > 0 {
-		return runMapped(ctx, sys, cfg, pol)
+	resources, err := resourceIndex(sys, cfg.Mapping)
+	if err != nil {
+		return nil, err
+	}
+	if len(cfg.Mapping) > 0 && cfg.AbortOnMiss {
+		return nil, fmt.Errorf("sim: AbortOnMiss is not supported with a Mapping")
 	}
 	cfg = cfg.withDefaults()
 	e := &engine{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), ctx: ctx}
 	e.sched = pol.NewScheduler(sys, e.rng)
 	e.preemptive = e.sched.Preemptive()
+	if len(cfg.Mapping) > 0 && !e.preemptive {
+		return nil, fmt.Errorf("sim: policy %q: non-preemptive policies are not supported with a Mapping: %w",
+			pol.Name(), policy.ErrUnsupported)
+	}
 	if cfg.RecordTrace {
 		e.trace = &Trace{}
 	}
 	if cfg.RecordResponses {
 		e.responses = make(map[string]curves.Time)
 	}
+	e.ready = make([]readyQueue, len(resources))
+	e.running = make([]*job, len(resources))
 	res := &Result{Chains: make(map[string]*ChainStats)}
 	for _, c := range sys.Chains {
 		arrivals := GenerateArrivals(c.Activation, cfg.policyFor(c.Name), cfg.Horizon, e.rng)
@@ -208,8 +222,12 @@ func RunCtx(ctx context.Context, sys *model.System, cfg Config) (*Result, error)
 		}
 		st := &chainState{
 			chain:    c,
+			resource: make([]int, len(c.Tasks)),
 			arrivals: arrivals,
 			stats:    &ChainStats{Chain: c.Name},
+		}
+		for i, t := range c.Tasks {
+			st.resource[i] = resources[cfg.Mapping[t.Name]]
 		}
 		if cfg.RecordArrivals {
 			st.stats.Arrivals = append([]curves.Time(nil), arrivals...)
@@ -224,6 +242,40 @@ func RunCtx(ctx context.Context, sys *model.System, cfg Config) (*Result, error)
 	res.TaskResponses = e.responses
 	res.End = e.t
 	return res, nil
+}
+
+// resourceIndex numbers the resources the system's tasks run on in
+// sorted name order, and rejects a mapping that names an unknown task.
+// Tasks the mapping leaves out share the default resource "", so an
+// unmapped run has exactly one resource.
+func resourceIndex(sys *model.System, mapping map[string]string) (map[string]int, error) {
+	index := make(map[string]int)
+	known := make(map[string]bool)
+	for _, c := range sys.Chains {
+		for _, t := range c.Tasks {
+			index[mapping[t.Name]] = 0
+			known[t.Name] = true
+		}
+	}
+	for _, name := range sortedKeys(mapping) {
+		if !known[name] {
+			return nil, fmt.Errorf("sim: mapping names unknown task %q", name)
+		}
+	}
+	for i, name := range sortedKeys(index) {
+		index[name] = i
+	}
+	return index, nil
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // nextArrival returns the earliest pending activation time, or
@@ -265,8 +317,8 @@ func (e *engine) startInstance(st *chainState, at curves.Time) {
 	e.release(inst, 0)
 }
 
-// release pushes the job for task idx of inst into the ready queue,
-// ranked by the policy's scheduler.
+// release pushes the job for task idx of inst into its resource's
+// ready queue, ranked by the policy's scheduler.
 func (e *engine) release(inst *instance, idx int) {
 	task := inst.state.chain.Tasks[idx]
 	rank, tie := e.sched.Rank(policy.JobRef{
@@ -275,7 +327,7 @@ func (e *engine) release(inst *instance, idx int) {
 		Activation: inst.activation,
 	})
 	e.seq++
-	heap.Push(&e.ready, &job{
+	heap.Push(&e.ready[inst.state.resource[idx]], &job{
 		inst:      inst,
 		taskIdx:   idx,
 		remaining: execTime(task.BCET, task.WCET, e.cfg.Execution, e.rng),
@@ -302,15 +354,7 @@ func (e *engine) complete(j *job) {
 	// End-to-end completion.
 	lat := e.t - j.inst.activation
 	st.stats.record(lat, st.chain.Deadline)
-	e.sched.InstanceDone(st.chain, st.chain.Deadline <= 0 || lat <= st.chain.Deadline)
-	if st.chain.Kind == model.Synchronous {
-		st.inFlight = false
-		if len(st.pending) > 0 {
-			at := st.pending[0]
-			st.pending = st.pending[1:]
-			e.startInstance(st, at)
-		}
-	}
+	e.endInstance(st, st.chain.Deadline <= 0 || lat <= st.chain.Deadline)
 }
 
 // abort cancels the remaining execution of j's instance at the current
@@ -321,47 +365,67 @@ func (e *engine) abort(j *job) {
 	st.stats.Misses++
 	st.stats.Aborts++
 	st.stats.MissPattern = append(st.stats.MissPattern, true)
-	e.sched.InstanceDone(st.chain, false)
-	if st.chain.Kind == model.Synchronous {
-		st.inFlight = false
-		if len(st.pending) > 0 {
-			at := st.pending[0]
-			st.pending = st.pending[1:]
-			e.startInstance(st, at)
-		}
-	}
+	e.endInstance(st, false)
 }
 
-// detach removes j from scheduling: the committed slot for a
-// non-preemptive running job, the heap head otherwise.
-func (e *engine) detach(j *job) {
-	if e.running == j {
-		e.running = nil
+// endInstance closes st's current instance: the scheduler learns
+// whether it met its deadline and, for a synchronous chain, the next
+// pending activation starts.
+func (e *engine) endInstance(st *chainState, met bool) {
+	e.sched.InstanceDone(st.chain, met)
+	if st.chain.Kind != model.Synchronous {
 		return
 	}
-	heap.Pop(&e.ready)
+	st.inFlight = false
+	if len(st.pending) > 0 {
+		at := st.pending[0]
+		st.pending = st.pending[1:]
+		e.startInstance(st, at)
+	}
 }
 
-// pick selects the job to run now, or nil when nothing is ready. A
-// preemptive scheduler re-reads the heap head (arrivals between events
-// preempt implicitly); a non-preemptive one commits the head into
-// e.running and keeps it there until detach.
-func (e *engine) pick() *job {
+// expired reports whether j's instance has passed its AbortOnMiss
+// deadline at time t.
+func (j *job) expired(t curves.Time) bool {
+	return j.inst.deadline > 0 && t >= j.inst.deadline
+}
+
+// pick returns resource r's job for this step, or nil when it is
+// idle. A preemptive scheduler runs the heap head, re-read at every
+// call (arrivals between events preempt implicitly); a non-preemptive
+// one commits the head into running[r] and keeps it until detach. Until
+// something is released or detached, pick returns the same job.
+func (e *engine) pick(r int) *job {
+	q := &e.ready[r]
 	if e.preemptive {
-		if len(e.ready) == 0 {
+		if len(*q) == 0 {
 			return nil
 		}
-		return e.ready[0]
+		return (*q)[0]
 	}
-	if e.running == nil && len(e.ready) > 0 {
-		e.running = heap.Pop(&e.ready).(*job)
+	if e.running[r] == nil && len(*q) > 0 {
+		e.running[r] = heap.Pop(q).(*job)
 	}
-	return e.running
+	return e.running[r]
 }
 
-// loop is the main event loop: run the selected job until the next
-// arrival or its completion, whichever comes first.
+// detach takes resource r's job off scheduling: the heap head under a
+// preemptive scheduler, the committed slot otherwise.
+func (e *engine) detach(r int) {
+	if e.preemptive {
+		heap.Pop(&e.ready[r])
+		return
+	}
+	e.running[r] = nil
+}
+
+// loop is the event loop. Each step picks a job on every resource,
+// runs them all to the next event — the next arrival, or a picked
+// job's completion or AbortOnMiss deadline, whichever comes first —
+// and handles it. An unmapped run is the one-resource case.
 func (e *engine) loop() error {
+	var ended []*job
+step:
 	for {
 		if e.ctx != nil {
 			e.steps++
@@ -372,8 +436,25 @@ func (e *engine) loop() error {
 			}
 		}
 		next := e.nextArrival()
-		j := e.pick()
-		if j == nil {
+		end, busy := next, false
+		for r := range e.ready {
+			j := e.pick(r)
+			if j == nil {
+				continue
+			}
+			if j.expired(e.t) {
+				// The instance expired while queued (or exactly now).
+				e.detach(r)
+				e.abort(j)
+				continue step
+			}
+			busy = true
+			end = min(end, e.t+j.remaining)
+			if j.inst.deadline > 0 {
+				end = min(end, j.inst.deadline)
+			}
+		}
+		if !busy {
 			if next.IsInf() {
 				return nil
 			}
@@ -383,44 +464,32 @@ func (e *engine) loop() error {
 			e.processArrivals(e.t)
 			continue
 		}
-		if j.inst.deadline > 0 && e.t >= j.inst.deadline {
-			// The instance expired while queued (or exactly now).
-			e.detach(j)
-			e.abort(j)
-			continue
-		}
-		if j.inst.deadline > 0 && j.inst.deadline < e.t+j.remaining {
-			// The running instance will expire before it finishes: run
-			// to the deadline instant, then cancel.
-			if !next.IsInf() && next < j.inst.deadline {
-				e.record(j, e.t, next)
-				j.remaining -= next - e.t
-				e.t = next
-				e.processArrivals(e.t)
+		// Detach every finished or expired job before handling any:
+		// handling releases successors, which could displace a heap head
+		// a later detach pops.
+		ended = ended[:0]
+		for r := range e.ready {
+			j := e.pick(r)
+			if j == nil {
 				continue
 			}
-			e.record(j, e.t, j.inst.deadline)
-			j.remaining -= j.inst.deadline - e.t
-			e.t = j.inst.deadline
-			e.detach(j)
-			e.abort(j)
-			e.processArrivals(e.t)
-			continue
+			e.record(j, e.t, end)
+			j.remaining -= end - e.t
+			if j.remaining == 0 || j.expired(end) {
+				e.detach(r)
+				ended = append(ended, j)
+			}
 		}
-		if !next.IsInf() && next < e.t+j.remaining {
-			// Run until the arrival, then re-evaluate (preemption).
-			e.record(j, e.t, next)
-			j.remaining -= next - e.t
-			e.t = next
-			e.processArrivals(e.t)
-			continue
-		}
-		// The job finishes before anything else happens.
-		end := e.t + j.remaining
-		e.record(j, e.t, end)
 		e.t = end
-		e.detach(j)
-		e.complete(j)
+		// In resource order; a job that finishes exactly at its deadline
+		// completes.
+		for _, j := range ended {
+			if j.remaining == 0 {
+				e.complete(j)
+			} else {
+				e.abort(j)
+			}
+		}
 		e.processArrivals(e.t)
 	}
 }

@@ -1,17 +1,22 @@
 package sim_test
 
 import (
+	"context"
+	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/casestudy"
 	"repro/internal/holistic"
 	"repro/internal/latency"
 	"repro/internal/model"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
-// oneResource maps every task of sys to the same resource, which runs
-// the multi-resource engine on a uniprocessor.
+// oneResource maps every task of sys to the same resource: a mapped run
+// on a uniprocessor.
 func oneResource(sys *model.System) map[string]string {
 	mapping := map[string]string{}
 	for _, c := range sys.Chains {
@@ -22,32 +27,84 @@ func oneResource(sys *model.System) map[string]string {
 	return mapping
 }
 
-// TestRunMappedMatchesRun: with everything on one resource the
-// multi-resource engine must reproduce the uniprocessor engine exactly.
+// TestRunMappedMatchesRun: with everything on one named resource, a
+// mapped run must reproduce the unmapped run exactly — chain stats,
+// trace and task responses — under every preemptive policy.
 func TestRunMappedMatchesRun(t *testing.T) {
 	sys := casestudy.New()
-	for _, cfg := range []sim.Config{
-		{Horizon: 100_000},
-		{Horizon: 100_000, Seed: 3, Arrivals: sim.RandomSpacing, Execution: sim.RandomExec},
-	} {
-		uni, err := sim.Run(sys, cfg)
+	for _, name := range policy.Names() {
+		pol, err := policy.SimulatorFor(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mcfg := cfg
-		mcfg.Mapping = oneResource(sys)
-		multi, err := sim.Run(sys, mcfg)
-		if err != nil {
-			t.Fatal(err)
+		if !pol.NewScheduler(sys, rand.New(rand.NewSource(0))).Preemptive() {
+			continue
 		}
-		for name, u := range uni.Chains {
-			m := multi.Chains[name]
-			if u.Completions != m.Completions || u.MaxLatency != m.MaxLatency || u.Misses != m.Misses {
-				t.Errorf("cfg %+v %s: uni (%d,%d,%d) != multi (%d,%d,%d)",
-					cfg, name, u.Completions, u.MaxLatency, u.Misses,
-					m.Completions, m.MaxLatency, m.Misses)
+		for _, cfg := range []sim.Config{
+			{Horizon: 100_000},
+			{Horizon: 100_000, Seed: 3, Arrivals: sim.RandomSpacing, Execution: sim.RandomExec},
+		} {
+			cfg.Policy, cfg.RecordTrace, cfg.RecordResponses = name, true, true
+			uni, err := sim.Run(sys, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Mapping = oneResource(sys)
+			mapped, err := sim.Run(sys, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(uni, mapped) {
+				t.Errorf("policy %s seed %d: one-resource mapped run differs from the unmapped run", name, cfg.Seed)
 			}
 		}
+	}
+}
+
+// threeResources spreads the case study's tasks round-robin over three
+// resources.
+func threeResources(sys *model.System) map[string]string {
+	mapping := map[string]string{}
+	i := 0
+	for _, c := range sys.Chains {
+		for _, task := range c.Tasks {
+			mapping[task.Name] = []string{"cpu0", "cpu1", "cpu2"}[i%3]
+			i++
+		}
+	}
+	return mapping
+}
+
+// TestMappedDeterministic: a mapped run is a function of its
+// configuration. Resources are handled in sorted name order, so
+// repeated same-seed runs agree on everything, trace included.
+func TestMappedDeterministic(t *testing.T) {
+	sys := casestudy.New()
+	cfg := sim.Config{Horizon: 50_000, Seed: 7, Arrivals: sim.RandomSpacing, Execution: sim.RandomExec,
+		RecordTrace: true, Mapping: threeResources(sys)}
+	first, err := sim.Run(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		res, err := sim.Run(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, res) {
+			t.Fatalf("run %d differs from run 0 (%d vs %d trace slices)", i, len(res.Trace.Slices), len(first.Trace.Slices))
+		}
+	}
+}
+
+// TestMappedCancel: a mapped run polls its context like an unmapped one.
+func TestMappedCancel(t *testing.T) {
+	sys := casestudy.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := sim.RunCtx(ctx, sys, sim.Config{Horizon: 2_000_000, Mapping: threeResources(sys)})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled mapped run: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -64,10 +64,10 @@ func ExhaustivePhasings(sys *model.System, limit, step curves.Time, horizon curv
 			return nil, err
 		}
 		res.Runs++
-		for name, st := range r.Chains {
-			if st.MaxLatency > res.WorstLatency[name] {
-				res.WorstLatency[name] = st.MaxLatency
-				res.WorstOffsets[name] = offsets
+		for _, c := range sys.Chains {
+			if lat := r.Chains[c.Name].MaxLatency; lat > res.WorstLatency[c.Name] {
+				res.WorstLatency[c.Name] = lat
+				res.WorstOffsets[c.Name] = offsets
 			}
 		}
 		// Advance the mixed-radix counter over chains 1..n-1.

@@ -133,8 +133,8 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	}
 }
 
-// TestMappedRejectsNonPreemptive pins the documented limitation: the
-// multi-resource engine is preemptive-only, and says so with the typed
+// TestMappedRejectsNonPreemptive pins the documented limitation: a run
+// with a Mapping is preemptive-only, and says so with the typed
 // sentinel.
 func TestMappedRejectsNonPreemptive(t *testing.T) {
 	b := model.NewBuilder("mapped-np")
