@@ -102,7 +102,7 @@ svcbench-smoke:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosSuite|TestDrain|TestDegraded|TestBreaker' ./internal/service/
 	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/parallel/ ./internal/degrade/
-	$(GO) test -race -count=1 -run 'Degraded|Injection|Inject' ./internal/twca/ ./internal/latency/ ./internal/sensitivity/
+	$(GO) test -race -count=1 -run 'Degraded|Injection|Inject' ./internal/ilp/ ./internal/twca/ ./internal/latency/ ./internal/sensitivity/
 
 # cluster-smoke stands up a 3-replica in-process fleet (real listeners,
 # shared consistent-hash ring) under the race detector and checks the

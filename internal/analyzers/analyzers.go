@@ -148,9 +148,8 @@ func DefaultConfig() Config {
 			// one upper bound with a provably tighter-but-still-sound one.
 			// TestDegradedDominatesExact and the twca property tests pin
 			// the dominance direction for these.
-			"internal/twca.(*Analysis).DMMCtx",
+			"internal/twca.(*Analysis).boundsAt",
 			"internal/twca.(*Analysis).omegaSum",
-			"internal/twca.(*Analysis).dmmValue",
 		},
 		ConcurrencyPkgs: []string{
 			"internal/service",

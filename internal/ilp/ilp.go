@@ -17,14 +17,24 @@
 // (Exact reports which case occurred). The solver is deterministic and
 // verified against brute-force enumeration and an independent dynamic
 // program in the tests.
+//
+// TWCA asks the same program many times with only the row bounds
+// changed (one capacity vector per k), so the solver is split in two:
+// Compile does the bound-independent work once — validation, the
+// unboundedness check, the branching order and the sparse column view —
+// and returns an immutable Template; Template.Solve runs the search for
+// one bound vector in caller-owned Scratch buffers and allocates only
+// the returned assignment. Maximize is Compile followed by one Solve,
+// so there is a single branch-and-bound path.
 package ilp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/faultinject"
 )
@@ -134,42 +144,115 @@ func (p *Problem) cap(j int, rem []int64) int64 {
 	return bound
 }
 
-// incumbent validates IncumbentX against the problem and returns the
-// assignment with its objective value when it is feasible (right shape,
-// non-negative, within variable bounds and row capacities).
-func (p *Problem) incumbent() ([]int64, int64, bool) {
-	x := p.IncumbentX
-	if len(x) == 0 || len(x) != len(p.Objective) {
-		return nil, 0, false
-	}
-	var value int64
-	for j, v := range x {
-		if v < 0 {
-			return nil, 0, false
-		}
-		if p.VarBounds != nil && p.VarBounds[j] >= 0 && v > p.VarBounds[j] {
-			return nil, 0, false
-		}
-		value += p.Objective[j] * v
-	}
-	for _, r := range p.Rows {
-		var use int64
-		for j, v := range x {
-			use += r.Coeffs[j] * v
-		}
-		if use > r.Bound {
-			return nil, 0, false
-		}
-	}
-	return x, value, true
+// cancelCheckEvery is how many branch-and-bound nodes are expanded
+// between cooperative cancellation checks in Solve. Checking ctx.Err()
+// costs an atomic load plus a mutex-free branch, so at this granularity
+// the overhead is unmeasurable while cancellation latency stays in the
+// microsecond range for realistic node rates.
+const cancelCheckEvery = 4096
+
+// Template is the bound-independent half of a Problem, compiled once by
+// Compile: the validated objective, variable bounds and node cap, the
+// decreasing-weight branching order, and the sparse column view of the
+// coefficient matrix. Only the row bounds vary between solves — TWCA's
+// Theorem 3 asks the same knapsack for every k with a new capacity
+// vector — so Solve starts directly on the search. A Template is
+// immutable and safe for concurrent use; each concurrent solve needs
+// its own Scratch.
+type Template struct {
+	objective []int64
+	varBounds []int64 // nil, or -1 for an unbounded variable
+	rows      int
+	maxNodes  int64
+	order     []int     // branching order: decreasing objective weight
+	covered   []bool    // per variable: some row constrains it
+	varRows   [][]int32 // per variable: indices of rows with coeff > 0
+	varCoeffs [][]int64 // per variable: the matching coefficients
 }
 
-// cancelCheckEvery is how many branch-and-bound nodes are expanded
-// between cooperative cancellation checks in MaximizeCtx. Checking
-// ctx.Err() costs an atomic load plus a mutex-free branch, so at this
-// granularity the overhead is unmeasurable while cancellation latency
-// stays in the microsecond range for realistic node rates.
-const cancelCheckEvery = 4096
+// Scratch holds the work buffers of Template.Solve: the remaining row
+// budgets and the current assignment. Solve reinitializes both, so one
+// Scratch may serve any sequence of solves of any templates, but never
+// two solves at once. The zero value is ready to use.
+type Scratch struct {
+	rem []int64
+	x   []int64
+}
+
+// Compile validates p's shape and signs, rejects objectives that are
+// unbounded for every bound vector, and precomputes the branching order
+// and the sparse column view. The row bounds and IncumbentX of p are
+// not part of the template (Solve takes them); the row bounds are still
+// validated, so Maximize reports errors exactly as a one-shot solver
+// would. Objective and VarBounds are copied: later changes to p do not
+// reach the template.
+func Compile(p Problem) (*Template, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	n := len(p.Objective)
+	maxNodes := p.MaxNodes
+	if maxNodes <= 0 {
+		maxNodes = 100_000
+	}
+	t := &Template{
+		objective: append([]int64(nil), p.Objective...),
+		rows:      len(p.Rows),
+		maxNodes:  maxNodes,
+		order:     make([]int, n),
+		covered:   make([]bool, n),
+		varRows:   make([][]int32, n),
+		varCoeffs: make([][]int64, n),
+	}
+	if p.VarBounds != nil {
+		t.varBounds = append([]int64(nil), p.VarBounds...)
+	}
+	// The sparse column view: per variable, the rows that constrain it
+	// and their coefficients. TWCA's Theorem-3 matrices are 0/1 and
+	// sparse, so iterating only the covering rows makes the per-node cap
+	// and budget updates proportional to the column's support instead of
+	// the full row count, and lets branching mutate the budget vector in
+	// place (apply/undo) instead of copying it. All columns share one
+	// backing array per kind.
+	nnz := 0
+	for _, r := range p.Rows {
+		for _, a := range r.Coeffs {
+			if a > 0 {
+				nnz++
+			}
+		}
+	}
+	rowIdx, coeffs := make([]int32, 0, nnz), make([]int64, 0, nnz)
+	for j := 0; j < n; j++ {
+		lo := len(rowIdx)
+		for i, r := range p.Rows {
+			if r.Coeffs[j] > 0 {
+				rowIdx = append(rowIdx, int32(i))
+				coeffs = append(coeffs, r.Coeffs[j])
+			}
+		}
+		t.varRows[j] = rowIdx[lo:len(rowIdx):len(rowIdx)]
+		t.varCoeffs[j] = coeffs[lo:len(coeffs):len(coeffs)]
+		t.covered[j] = len(rowIdx) > lo
+	}
+	// Unboundedness check: a variable with positive weight that no row
+	// and no variable bound caps. Non-negative row bounds always cap a
+	// covered variable, so the verdict does not depend on the bounds.
+	for j, c := range t.objective {
+		if c > 0 && !t.covered[j] && (t.varBounds == nil || t.varBounds[j] < 0) {
+			return nil, fmt.Errorf("ilp: variable %d: %w", j, ErrUnbounded)
+		}
+	}
+	// Branch in decreasing objective-weight order: good solutions first,
+	// stronger pruning.
+	for j := range t.order {
+		t.order[j] = j
+	}
+	slices.SortStableFunc(t.order, func(a, b int) int {
+		return cmp.Compare(t.objective[b], t.objective[a])
+	})
+	return t, nil
+}
 
 // Maximize solves the program exactly. The zero-variable program is
 // trivially solved with value 0.
@@ -183,63 +266,55 @@ func Maximize(p Problem) (Solution, error) {
 // (matching errors.Is(err, context.Canceled) or context.
 // DeadlineExceeded). No partial solution is returned on cancellation —
 // a truncated search without its relaxation bound would be unsound for
-// the TWCA callers.
+// the TWCA callers. It is Compile followed by one Solve.
 func MaximizeCtx(ctx context.Context, p Problem) (Solution, error) {
-	if err := p.validate(); err != nil {
+	t, err := Compile(p)
+	if err != nil {
 		return Solution{}, err
 	}
-	n := len(p.Objective)
-	rem := make([]int64, len(p.Rows))
+	bounds := make([]int64, len(p.Rows))
 	for i, r := range p.Rows {
-		rem[i] = r.Bound
+		bounds[i] = r.Bound
 	}
-	// Unboundedness check: a variable with positive weight and no cap.
-	for j, c := range p.Objective {
-		if c > 0 && p.cap(j, rem) < 0 {
-			return Solution{}, fmt.Errorf("ilp: variable %d: %w", j, ErrUnbounded)
+	return t.Solve(ctx, nil, bounds, p.IncumbentX)
+}
+
+// Solve maximizes the template's objective under the row bounds, one
+// per row of the compiled problem, with the semantics of MaximizeCtx.
+// incumbent optionally warm-starts the search like Problem.IncumbentX:
+// a feasible assignment becomes the initial lower bound, an infeasible
+// or wrongly sized one is ignored, and the slice is only read. sc
+// supplies the work buffers (nil allocates fresh ones). Neither bounds
+// nor incumbent is retained; the returned Solution.X is freshly
+// allocated and owned by the caller.
+func (t *Template) Solve(ctx context.Context, sc *Scratch, bounds, incumbent []int64) (Solution, error) {
+	if len(bounds) != t.rows {
+		return Solution{}, fmt.Errorf("ilp: %d row bounds for %d rows", len(bounds), t.rows)
+	}
+	for i, b := range bounds {
+		if b < 0 {
+			return Solution{}, fmt.Errorf("ilp: row %d bound %d: %w", i, b, ErrInfeasible)
 		}
 	}
-	// Branch in decreasing objective-weight order: good solutions first,
-	// stronger pruning.
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
+	if sc == nil {
+		sc = &Scratch{}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.Objective[order[a]] > p.Objective[order[b]]
-	})
+	n := len(t.objective)
+	if cap(sc.x) < n {
+		sc.x = make([]int64, n)
+	}
+	rem, x := append(sc.rem[:0], bounds...), sc.x[:n]
+	clear(x)
+	sc.rem = rem
 
-	maxNodes := p.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 100_000
-	}
-	s := &solver{p: &p, order: order, best: -1, maxNodes: maxNodes, done: ctx.Done()}
+	s := solver{Template: *t, best: -1, done: ctx.Done()}
 	// Warm start: adopt a feasible incumbent as the initial lower bound.
 	// Feasibility is verified here, not trusted — the incumbent usually
 	// comes from a neighboring problem with different capacities.
-	if x, v, ok := p.incumbent(); ok {
+	if v, ok := t.feasible(incumbent, rem); ok {
 		s.best = v
-		s.bestX = append([]int64(nil), x...)
+		s.bestX = append([]int64(nil), incumbent...)
 	}
-	// Precompute the sparse column view: per variable, the rows that
-	// constrain it and their coefficients. TWCA's Theorem-3 matrices
-	// are 0/1 and sparse, so iterating only the covering rows makes the
-	// per-node cap and budget updates proportional to the column's
-	// support instead of the full row count, and lets branching mutate
-	// the budget vector in place (apply/undo) instead of copying it.
-	s.varRows = make([][]int32, n)
-	s.varCoeffs = make([][]int64, n)
-	s.covered = make([]bool, n)
-	for j := 0; j < n; j++ {
-		for i, r := range p.Rows {
-			if r.Coeffs[j] > 0 {
-				s.varRows[j] = append(s.varRows[j], int32(i))
-				s.varCoeffs[j] = append(s.varCoeffs[j], r.Coeffs[j])
-			}
-		}
-		s.covered[j] = len(s.varRows[j]) > 0
-	}
-	x := make([]int64, n)
 	s.branch(0, 0, rem, x)
 	if s.canceled {
 		if s.injected != nil {
@@ -256,6 +331,8 @@ func MaximizeCtx(ctx context.Context, p Problem) (Solution, error) {
 		sol.X = make([]int64, n)
 	}
 	if s.truncated {
+		// branch restores rem on the way out, so this is the root
+		// relaxation under bounds.
 		sol.Bound = s.optimistic(0, rem)
 		if sol.Bound < sol.Value {
 			sol.Bound = sol.Value
@@ -264,20 +341,51 @@ func MaximizeCtx(ctx context.Context, p Problem) (Solution, error) {
 	return sol, nil
 }
 
+// feasible reports whether x is a feasible assignment under the budgets
+// rem (right shape, non-negative, within the variable bounds and the row
+// capacities) and returns its objective value. rem is used as the work
+// vector and holds its original contents again on return.
+func (t *Template) feasible(x, rem []int64) (int64, bool) {
+	if len(x) == 0 || len(x) != len(t.objective) {
+		return 0, false
+	}
+	var value int64
+	for j, v := range x {
+		if v < 0 || (t.varBounds != nil && t.varBounds[j] >= 0 && v > t.varBounds[j]) {
+			return 0, false
+		}
+		value += t.objective[j] * v
+	}
+	for j, v := range x {
+		for k, i := range t.varRows[j] {
+			rem[i] -= t.varCoeffs[j][k] * v
+		}
+	}
+	ok := true
+	for _, r := range rem {
+		ok = ok && r >= 0
+	}
+	for j, v := range x {
+		for k, i := range t.varRows[j] {
+			rem[i] += t.varCoeffs[j][k] * v
+		}
+	}
+	return value, ok
+}
+
+// solver is the state of one branch-and-bound search over a Template.
+// It embeds a copy of the template's header fields (slice headers, not
+// their contents), so the per-node hot path reads them off the solver
+// without a pointer hop.
 type solver struct {
-	p         *Problem
-	order     []int
+	Template
 	best      int64
 	bestX     []int64
 	nodes     int64
-	maxNodes  int64
 	truncated bool
 	done      <-chan struct{} // ctx.Done(); nil for context.Background()
 	canceled  bool
 	injected  error // error-action fault from the injection seam
-	covered   []bool
-	varRows   [][]int32 // per variable: indices of rows with coeff > 0
-	varCoeffs [][]int64 // per variable: the matching coefficients
 }
 
 // capOf returns the largest feasible value of variable j given the
@@ -285,12 +393,12 @@ type solver struct {
 // the sparse column view.
 func (s *solver) capOf(j int, rem []int64) int64 {
 	bound := int64(-1)
-	if s.p.VarBounds != nil && s.p.VarBounds[j] >= 0 {
-		bound = s.p.VarBounds[j]
+	if s.varBounds != nil && s.varBounds[j] >= 0 {
+		bound = s.varBounds[j]
 	}
 	coeffs := s.varCoeffs[j]
-	for t, i := range s.varRows[j] {
-		c := rem[i] / coeffs[t]
+	for k, i := range s.varRows[j] {
+		c := rem[i] / coeffs[k]
 		if bound < 0 || c < bound {
 			bound = c
 		}
@@ -313,13 +421,13 @@ func (s *solver) optimistic(k int, rem []int64) int64 {
 	var uncovered int64 // value of variables no row constrains
 	var cmax int64
 	for _, j := range s.order[k:] {
-		c := s.p.Objective[j]
+		c := s.objective[j]
 		if c == 0 {
 			continue
 		}
 		cap := s.capOf(j, rem)
 		if cap < 0 {
-			return math.MaxInt64 // unreachable after the Maximize pre-check
+			return math.MaxInt64 // unreachable after Compile's check
 		}
 		perVar += c * cap
 		if s.covered[j] {
@@ -389,21 +497,22 @@ func (s *solver) branch(k int, value int64, rem []int64, x []int64) {
 	j := s.order[k]
 	cap := s.capOf(j, rem)
 	if cap < 0 {
-		// Unbounded variable with zero objective weight (the pre-check
-		// rejects positive weights): raising it can only consume budget,
-		// so pinning it to zero is optimal.
+		// Unbounded variable with zero objective weight (Compile rejects
+		// positive weights): raising it can only consume budget, so
+		// pinning it to zero is optimal.
 		cap = 0
 	}
 	// Every v ≤ cap is feasible by construction of capOf, so the budget
 	// vector is updated in place on the sparse column and restored after
 	// each child — no per-node allocation.
 	rows, coeffs := s.varRows[j], s.varCoeffs[j]
+	c := s.objective[j]
 	for v := cap; v >= 0; v-- {
 		for t, i := range rows {
 			rem[i] -= coeffs[t] * v
 		}
 		x[j] = v
-		s.branch(k+1, value+s.p.Objective[j]*v, rem, x)
+		s.branch(k+1, value+c*v, rem, x)
 		x[j] = 0
 		for t, i := range rows {
 			rem[i] += coeffs[t] * v

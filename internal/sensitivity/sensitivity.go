@@ -314,7 +314,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	if err != nil {
 		return nil, err
 	}
-	nominal, err := an.DMMCtx(ctx, opts.Constraint.K)
+	nominal, err := an.DMMValueCtx(ctx, opts.Constraint.K)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +364,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		jobs = append(jobs, func(ctx context.Context) error {
 			res.Frontier = make([]FrontierPoint, 0, opts.FrontierMaxK)
 			for k := int64(1); k <= opts.FrontierMaxK; k++ {
-				r, err := an.DMMCtx(ctx, k)
+				r, err := an.DMMValueCtx(ctx, k)
 				if err != nil {
 					return err
 				}
@@ -491,6 +491,15 @@ type memoEntry struct {
 	err  error
 }
 
+// closedDone is the done channel of every entry created complete (a
+// warm-store hit): closed once, shared, so such entries allocate no
+// channel of their own.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // resolve returns the prepared DMM analysis of the system at coordinate
 // c. An exact warm-store hit skips materializing and hashing the
 // perturbed system; otherwise the system is built, hashed and solved at
@@ -504,10 +513,7 @@ type memoEntry struct {
 // retained like any other outcome.
 func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 	if hash, an, err, ok := q.warm.lookup(c); ok {
-		if e, created := q.entry(hash); created {
-			e.an, e.err = an, err
-			close(e.done)
-		}
+		q.entry(hash, memoEntry{done: closedDone, an: an, err: err})
 		return an, err
 	}
 	sys, err := q.materialize(c)
@@ -515,7 +521,7 @@ func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 		return nil, err
 	}
 	hash, _ := model.CanonicalHash(sys) // "" when sys has no JSON form
-	e, created := q.entry(hash)
+	e, created := q.entry(hash, memoEntry{})
 	if created {
 		e.an, e.err = q.analyze(ctx, sys, hash, q.chain, q.aopts, q.warm.nearest(c))
 		if e.err != nil && !deterministicErr(e.err) {
@@ -539,12 +545,15 @@ func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 }
 
 // entry returns the memo entry of the system with content hash hash,
-// creating it when the hash has none yet. Creating an entry is the one
-// place Analyses is charged, so the counter reads the number of
-// distinct systems the query analyzed or took from the warm store. An
-// unhashable system (empty hash) cannot be deduplicated: every call
-// creates a fresh, unshared entry and is charged.
-func (q *query) entry(hash string) (*memoEntry, bool) {
+// creating it from init when the hash has none yet: an init without a
+// done channel creates an in-flight entry, which the caller fills and
+// then closes; an init with one (closedDone) is stored as complete.
+// Creating an entry is the one place Analyses is charged, so the
+// counter reads the number of distinct systems the query analyzed or
+// took from the warm store. An unhashable system (empty hash) cannot be
+// deduplicated: every call creates a fresh, unshared entry and is
+// charged.
+func (q *query) entry(hash string, init memoEntry) (*memoEntry, bool) {
 	if hash != "" {
 		q.mu.Lock()
 		defer q.mu.Unlock()
@@ -552,7 +561,11 @@ func (q *query) entry(hash string) (*memoEntry, bool) {
 			return e, false
 		}
 	}
-	e := &memoEntry{done: make(chan struct{})}
+	e := new(memoEntry)
+	*e = init
+	if e.done == nil {
+		e.done = make(chan struct{})
+	}
 	if hash != "" {
 		q.byHash[hash] = e
 	}
@@ -596,7 +609,7 @@ func (q *query) holdsAt(ctx context.Context, c coord) (bool, error) {
 		}
 		return false, err
 	}
-	r, err := an.DMMCtx(ctx, q.c.K)
+	r, err := an.DMMValueCtx(ctx, q.c.K)
 	if err != nil {
 		return false, err
 	}

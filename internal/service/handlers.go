@@ -693,7 +693,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	resp := verifyResponse{SchemaVersion: schema.Version, Chain: req.Chain, SystemHash: hash, Cache: state}
 	var degraded map[string]int64
 	for _, c := range req.Constraints {
-		r, err := an.DMMCtx(ctx, c.K)
+		r, err := an.DMMValueCtx(ctx, c.K)
 		if err != nil {
 			s.fail(w, "verify", err)
 			return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -185,14 +186,17 @@ type Analysis struct {
 	opts     Options
 	pol      policy.Analyzer
 
-	// rows is the Theorem-3 constraint matrix template, built once: one
-	// row per active segment of each overload chain (in that order),
-	// with 0/1 coefficients over Unschedulable. Only the capacity
-	// bounds vary with k, so DMM reuses these coefficient slices across
-	// every solve.
-	rows      []ilp.Row
-	rowChain  []*model.Chain // rows[i] belongs to this overload chain
-	objective []int64
+	// rows is the Theorem-3 constraint matrix, built once: one row per
+	// active segment of each overload chain (in that order), with 0/1
+	// coefficients over Unschedulable and no bounds. tmpl is the same
+	// knapsack compiled for the ILP (objective N_b per variable). Only
+	// the capacity vector varies with k, so every solve runs tmpl
+	// directly, and rows serves the per-row usage of cached optima.
+	// Both are immutable and shared with warm-started neighbors; nil
+	// when the ILP path is unreachable (see buildOrAdoptTemplate).
+	rows     []ilp.Row
+	rowChain []*model.Chain // rows[i] belongs to this overload chain
+	tmpl     *ilp.Template
 
 	// warmFrom is the warm-start neighbor whose constraint template this
 	// analysis adopted (see adoptTemplate); its solved knapsacks seed the
@@ -203,7 +207,12 @@ type Analysis struct {
 	mu     sync.Mutex
 	cache  []dmmCacheEntry
 	byKey  map[string]int
-	keyBuf []byte // scratch for boundsKey, guarded by mu
+	keyBuf []byte  // scratch for boundsKey, guarded by mu
+	bounds []int64 // scratch capacity vector, guarded by mu
+	// scratch holds the ILP work buffers of memoized solves, guarded by
+	// mu. It belongs to this Analysis alone — never to the shared tmpl —
+	// and the unlocked Options.NoCache path does not touch it.
+	scratch ilp.Scratch
 }
 
 // dmmCacheEntry memoizes one knapsack solve: the capacity vector it was
@@ -323,7 +332,9 @@ func newCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 		}
 		a.Unschedulable = append(a.Unschedulable, c)
 	}
-	a.buildOrAdoptTemplate(warm)
+	if err := a.buildOrAdoptTemplate(warm); err != nil {
+		return nil, fmt.Errorf("twca: chain %q: %w", b.Name, err)
+	}
 	return a, nil
 }
 
@@ -335,7 +346,7 @@ func newCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 func (a *Analysis) degradeConstruction(budget string) {
 	a.Degraded = degrade.Info{Quality: degrade.SafeUpperBound, Budget: budget, Rung: degrade.RungOmegaSum}
 	a.Unschedulable = nil
-	a.rows, a.rowChain, a.objective = nil, nil, nil
+	a.rows, a.rowChain, a.tmpl = nil, nil, nil
 }
 
 // degradableBudget classifies errors the ladder may absorb under
@@ -357,19 +368,16 @@ func (a *Analysis) degradableBudget(err error) (string, bool) {
 	return "", false
 }
 
-// buildProblemTemplate assembles the k-independent part of Theorem 3's
-// knapsack: one variable per unschedulable combination, one capacity
-// row per active segment of each overload chain, with the 0/1
+// buildProblemTemplate assembles and compiles the k-independent part of
+// Theorem 3's knapsack: one variable per unschedulable combination, one
+// capacity row per active segment of each overload chain, with the 0/1
 // coefficient matrix answered by the combinations' bitmasks. Only the
-// row bounds (the clamped Ω capacities) change with k, so DMM shares
-// these coefficient slices across every solve.
-func (a *Analysis) buildProblemTemplate() {
-	if len(a.Unschedulable) == 0 {
-		return
-	}
-	a.objective = make([]int64, len(a.Unschedulable))
-	for j := range a.objective {
-		a.objective[j] = a.Latency.MissesPerWindow
+// row bounds (the clamped Ω capacities) change with k, so every DMM
+// solve runs the one compiled template.
+func (a *Analysis) buildProblemTemplate() error {
+	objective := make([]int64, len(a.Unschedulable))
+	for j := range objective {
+		objective[j] = a.Latency.MissesPerWindow
 	}
 	for _, over := range a.overload {
 		for _, s := range a.info.ActiveSegments(over) {
@@ -383,7 +391,13 @@ func (a *Analysis) buildProblemTemplate() {
 			a.rowChain = append(a.rowChain, over)
 		}
 	}
+	tmpl, err := ilp.Compile(ilp.Problem{Objective: objective, Rows: a.rows})
+	if err != nil {
+		return fmt.Errorf("theorem-3 template: %w", err)
+	}
+	a.tmpl = tmpl
 	a.byKey = make(map[string]int)
+	return nil
 }
 
 // Omega returns Ω^a_b of Lemma 4 for overload chain a and a k-sequence
@@ -446,14 +460,33 @@ func (a *Analysis) DMM(k int64) (DMMResult, error) {
 // was abandoned. Canceled solves are never cached, so a later query for
 // the same k is answered fresh.
 func (a *Analysis) DMMCtx(ctx context.Context, k int64) (DMMResult, error) {
+	res, err := a.DMMValueCtx(ctx, k)
+	if err != nil {
+		return DMMResult{}, err
+	}
+	res.Omega = a.omegas(k)
+	return res, nil
+}
+
+// omegas returns Ω^a_b(k) keyed by overload chain name.
+func (a *Analysis) omegas(k int64) map[string]int64 {
+	m := make(map[string]int64, len(a.overload))
+	for _, over := range a.overload {
+		m[over.Name] = a.Omega(over, k)
+	}
+	return m
+}
+
+// DMMValueCtx is DMMCtx without the Omega map: the same K, Value,
+// ILPNodes, Exact, Trivial and Quality, for callers that only compare
+// the value against a bound m (weakly-hard verification, sensitivity
+// probes). A memoized query allocates nothing. It is the one dmm(k)
+// core: DMMCtx and Breakpoints add the Omega map to what it returns.
+func (a *Analysis) DMMValueCtx(ctx context.Context, k int64) (DMMResult, error) {
 	if k <= 0 {
 		return DMMResult{}, fmt.Errorf("twca: dmm(%d): k must be positive", k)
 	}
-	res := DMMResult{K: k, Omega: make(map[string]int64, len(a.overload)), Quality: degrade.ExactInfo()}
-	for _, over := range a.overload {
-		res.Omega[over.Name] = a.Omega(over, k)
-	}
-	res.Exact = true
+	res := DMMResult{K: k, Exact: true, Quality: degrade.ExactInfo()}
 	switch {
 	case !a.TypicalSchedulable:
 		// The deadline can be missed without any overload: the analysis
@@ -486,18 +519,7 @@ func (a *Analysis) DMMCtx(ctx context.Context, k int64) (DMMResult, error) {
 		res.Trivial = "no-unschedulable-combination"
 		return res, nil
 	}
-	// Theorem 3's knapsack differs between k's only in the capacity
-	// vector: Ω per row, clamped to k because a combination cannot hit
-	// more busy windows than there are activations in the k-sequence.
-	bounds := make([]int64, len(a.rows))
-	for i, over := range a.rowChain {
-		omega := res.Omega[over.Name]
-		if omega > k {
-			omega = k
-		}
-		bounds[i] = omega
-	}
-	sol, err := a.solveCached(ctx, bounds)
+	sol, err := a.solveCached(ctx, k)
 	if err != nil {
 		if budget, ok := a.degradableBudget(err); ok {
 			// Query-time descent: only this result degrades — the
@@ -524,6 +546,22 @@ func (a *Analysis) DMMCtx(ctx context.Context, k int64) (DMMResult, error) {
 		res.Quality = degrade.Info{Quality: degrade.SafeUpperBound, Budget: degrade.BudgetILPNodes, Rung: degrade.RungTheorem3}
 	}
 	return res, nil
+}
+
+// boundsAt appends Theorem 3's capacity vector for k to dst: Ω per row,
+// clamped to k because a combination cannot hit more busy windows than
+// there are activations in the k-sequence. This vector is the only
+// part of the knapsack that differs between k's.
+func (a *Analysis) boundsAt(dst []int64, k int64) []int64 {
+	var over *model.Chain
+	var omega int64
+	for _, c := range a.rowChain {
+		if c != over {
+			over, omega = c, min(a.Omega(c, k), k)
+		}
+		dst = append(dst, omega)
+	}
+	return dst
 }
 
 // omegaSum is the closed-form Lemma-4 rung of the degradation ladder:
@@ -556,8 +594,8 @@ func (a *Analysis) omegaSum(k int64) int64 {
 	return int64(v)
 }
 
-// solveCached returns the knapsack solution for the given capacity
-// vector, memoizing results per Analysis. Two shortcuts make DMM sweeps
+// solveCached returns the knapsack solution for k's capacity vector,
+// memoizing results per Analysis. Two shortcuts make DMM sweeps
 // (Curve, Breakpoints) cheap:
 //
 //   - Exact-key reuse: the capacity vector fully determines the
@@ -572,12 +610,19 @@ func (a *Analysis) omegaSum(k int64) int64 {
 //
 // Both paths return the identical Value/Bound/Exact a fresh solve
 // would; Options.NoCache forces fresh solves for the equivalence tests.
-func (a *Analysis) solveCached(ctx context.Context, bounds []int64) (ilp.Solution, error) {
+// Those run without the lock, on their own capacity vector and ILP
+// scratch; memoized solves use the Analysis's scratch under mu.
+func (a *Analysis) solveCached(ctx context.Context, k int64) (ilp.Solution, error) {
 	if a.opts.NoCache {
-		return a.solve(ctx, bounds)
+		return a.solve(ctx, nil, a.boundsAt(make([]int64, 0, len(a.rows)), k))
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.bounds == nil {
+		a.bounds = make([]int64, 0, len(a.rows))
+	}
+	a.bounds = a.boundsAt(a.bounds[:0], k)
+	bounds := a.bounds
 	a.keyBuf = boundsKey(a.keyBuf[:0], bounds)
 	// string(a.keyBuf) in the lookup does not allocate (the compiler's
 	// map-lookup special case); a durable string is built only on store.
@@ -599,7 +644,7 @@ func (a *Analysis) solveCached(ctx context.Context, bounds []int64) (ilp.Solutio
 			return e.sol, nil
 		}
 	}
-	sol, err := a.solve(ctx, bounds)
+	sol, err := a.solve(ctx, &a.scratch, bounds)
 	if err != nil {
 		return ilp.Solution{}, err
 	}
@@ -610,23 +655,16 @@ func (a *Analysis) solveCached(ctx context.Context, bounds []int64) (ilp.Solutio
 		}
 	}
 	a.byKey[string(a.keyBuf)] = len(a.cache)
-	a.cache = append(a.cache, dmmCacheEntry{bounds: bounds, sol: sol, usage: usage})
+	// bounds is the reused scratch vector: the entry keeps a copy.
+	a.cache = append(a.cache, dmmCacheEntry{bounds: slices.Clone(bounds), sol: sol, usage: usage})
 	return sol, nil
 }
 
-// solve runs one fresh knapsack solve under the given capacity vector,
-// seeding the branch-and-bound with the warm-start neighbor's best
-// feasible assignment when one exists.
-func (a *Analysis) solve(ctx context.Context, bounds []int64) (ilp.Solution, error) {
-	rows := make([]ilp.Row, len(a.rows))
-	for i, r := range a.rows {
-		rows[i] = ilp.Row{Coeffs: r.Coeffs, Bound: bounds[i]}
-	}
-	return ilp.MaximizeCtx(ctx, ilp.Problem{
-		Objective:  a.objective,
-		Rows:       rows,
-		IncumbentX: a.incumbentFor(bounds),
-	})
+// solve runs one fresh knapsack solve under the given capacity vector
+// in sc (nil: fresh buffers), seeding the branch-and-bound with the
+// warm-start neighbor's best feasible assignment when one exists.
+func (a *Analysis) solve(ctx context.Context, sc *ilp.Scratch, bounds []int64) (ilp.Solution, error) {
+	return a.tmpl.Solve(ctx, sc, bounds, a.incumbentFor(bounds))
 }
 
 // boundsKey appends the capacity vector's map-key encoding to buf.
@@ -651,42 +689,6 @@ func (a *Analysis) DMMWindow(dt curves.Time) (DMMResult, error) {
 		return DMMResult{K: 0, Omega: map[string]int64{}, Exact: true, Trivial: "no-activations", Quality: degrade.ExactInfo()}, nil
 	}
 	return a.DMM(k)
-}
-
-// dmmValue is DMM without result assembly: no Omega map, no DMMResult.
-// Breakpoints scans thousands of k with it and only materializes full
-// results (via DMM, which re-answers from the cache) at value changes.
-func (a *Analysis) dmmValue(ctx context.Context, k int64) (int64, error) {
-	switch {
-	case !a.TypicalSchedulable:
-		return k, nil
-	case a.Latency.MissesPerWindow == 0:
-		return 0, nil
-	case a.Degraded.Degraded():
-		return a.omegaSum(k), nil
-	case len(a.Unschedulable) == 0:
-		return 0, nil
-	}
-	bounds := make([]int64, len(a.rows))
-	for i, over := range a.rowChain {
-		omega := a.Omega(over, k)
-		if omega > k {
-			omega = k
-		}
-		bounds[i] = omega
-	}
-	sol, err := a.solveCached(ctx, bounds)
-	if err != nil {
-		if _, ok := a.degradableBudget(err); ok {
-			return a.omegaSum(k), nil
-		}
-		return 0, fmt.Errorf("twca: dmm(%d): %w", k, err)
-	}
-	v := sol.Bound
-	if v > k {
-		v = k
-	}
-	return v, nil
 }
 
 // Curve evaluates the DMM at each k in ks.
@@ -740,17 +742,14 @@ func (a *Analysis) BreakpointsCtx(ctx context.Context, maxK int64) ([]DMMResult,
 				return nil, fmt.Errorf("twca: breakpoints sweep canceled at k=%d: %w", k, err)
 			}
 		}
-		v, err := a.dmmValue(ctx, k)
+		r, err := a.DMMValueCtx(ctx, k)
 		if err != nil {
 			return nil, err
 		}
-		if v == last {
+		if r.Value == last {
 			continue
 		}
-		r, err := a.DMMCtx(ctx, k) // full result, answered from the cache
-		if err != nil {
-			return nil, err
-		}
+		r.Omega = a.omegas(k)
 		out = append(out, r)
 		last = r.Value
 	}

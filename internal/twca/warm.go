@@ -72,13 +72,14 @@ func NewWarmCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Opt
 // when it provably matches this analysis's: the same unschedulable
 // combinations (elementwise-equal masks over the same dense
 // active-segment ordinals per overload chain) and the same
-// MissesPerWindow objective weight. The coefficient matrix and
-// objective are immutable after construction, so sharing the slices is
-// safe; the neighbor is remembered in warmFrom so its solved knapsacks
-// can seed this analysis's ILP incumbents (values are comparable
-// exactly because objective and matrix are shared).
+// MissesPerWindow objective weight. The coefficient matrix and the
+// compiled ilp.Template are immutable after construction, so sharing
+// them is safe (each Analysis solves in its own scratch); the neighbor
+// is remembered in warmFrom so its solved knapsacks can seed this
+// analysis's ILP incumbents (values are comparable exactly because
+// objective and matrix are shared).
 func (a *Analysis) adoptTemplate(from *Analysis) bool {
-	if from == nil || from.Degraded.Degraded() || len(from.rows) == 0 {
+	if from == nil || from.Degraded.Degraded() || from.tmpl == nil {
 		return false
 	}
 	if from.Latency.MissesPerWindow != a.Latency.MissesPerWindow {
@@ -114,7 +115,7 @@ func (a *Analysis) adoptTemplate(from *Analysis) bool {
 		}
 	}
 	a.rows = from.rows
-	a.objective = from.objective
+	a.tmpl = from.tmpl
 	a.rowChain = make([]*model.Chain, 0, len(from.rowChain))
 	for _, over := range a.overload {
 		for range a.info.ActiveSegments(over) {
@@ -127,15 +128,18 @@ func (a *Analysis) adoptTemplate(from *Analysis) bool {
 }
 
 // buildOrAdoptTemplate assembles the Theorem-3 template, preferring to
-// adopt the warm-start neighbor's when it matches.
-func (a *Analysis) buildOrAdoptTemplate(warm *WarmStart) {
-	if len(a.Unschedulable) == 0 {
-		return
+// adopt the warm-start neighbor's when it matches. It builds nothing
+// when DMM can never reach the ILP: without unschedulable combinations,
+// without misses per window, or on a typically unschedulable system
+// (whose U also holds the empty combination, a column no row caps).
+func (a *Analysis) buildOrAdoptTemplate(warm *WarmStart) error {
+	if len(a.Unschedulable) == 0 || !a.TypicalSchedulable || a.Latency.MissesPerWindow == 0 {
+		return nil
 	}
 	if warm != nil && a.adoptTemplate(warm.From) {
-		return
+		return nil
 	}
-	a.buildProblemTemplate()
+	return a.buildProblemTemplate()
 }
 
 // incumbentFor scans the warm-start neighbor's solved knapsacks for the

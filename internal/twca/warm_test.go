@@ -124,8 +124,8 @@ func TestWarmTemplateAdoption(t *testing.T) {
 	if len(warm.rows) == 0 || &warm.rows[0].Coeffs[0] != &neighbor.rows[0].Coeffs[0] {
 		t.Error("adopted template does not share the neighbor's coefficient matrix")
 	}
-	if &warm.objective[0] != &neighbor.objective[0] {
-		t.Error("adopted template does not share the neighbor's objective")
+	if warm.tmpl == nil || warm.tmpl != neighbor.tmpl {
+		t.Error("adopted template does not share the neighbor's compiled ILP template")
 	}
 }
 
