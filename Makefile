@@ -100,7 +100,7 @@ svcbench-smoke:
 # errors and budget exhaustions armed at every seam) plus the seam
 # tests in the pipeline packages. See DESIGN.md §11.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosSuite|TestDrain|TestDegraded|TestBreaker' ./internal/service/
+	$(GO) test -race -count=1 -run 'TestChaosSuite|TestDrain|TestDegraded|TestBreaker|TestWarmNominalSeamFallback' ./internal/service/
 	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/parallel/ ./internal/degrade/
 	$(GO) test -race -count=1 -run 'Degraded|Injection|Inject' ./internal/ilp/ ./internal/twca/ ./internal/latency/ ./internal/sensitivity/
 

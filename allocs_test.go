@@ -10,6 +10,7 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/sim"
 	"repro/internal/twca"
+	"repro/internal/weaklyhard"
 )
 
 // TestAllocCeilings gates the pipeline's benchmarked entry points on
@@ -48,6 +49,30 @@ func TestAllocCeilings(t *testing.T) {
 	var scratch ilp.Scratch
 	capacities := [][]int64{{40, 25}, {12, 60}}
 	solves := 0
+	// The sensitivity-sweep query shape on σc, against a shared warm
+	// store warmed by one query, repeated on the store's retained nominal
+	// system as the service runs it. Workers is 2 because AllocsPerRun
+	// pins GOMAXPROCS to 1, which would hide the probe-batch fan-out.
+	sopts := repro.SensitivityOptions{
+		Constraint:   weaklyhard.Constraint{M: 24, K: 50},
+		ScaleDenom:   20,
+		MaxScale:     40,
+		FrontierMaxK: 20,
+		Tasks:        []string{"tau1d", "tau3d", "tau5d", "tau3c"},
+		Workers:      2,
+	}
+	store := repro.NewSensitivityWarmStore()
+	if _, err := (repro.AnalysisRequest{System: sys, Chain: "sigma_c"}).SensitivityWarm(context.Background(), sopts, nil, store); err != nil {
+		t.Fatal(err)
+	}
+	sysHash, err := repro.CanonicalHash(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmQuery := repro.AnalysisRequest{System: store.Nominal(sysHash), Chain: "sigma_c", SystemHash: sysHash}
+	if warmQuery.System == nil {
+		t.Fatal("warm store retains no nominal system after a query")
+	}
 	for _, c := range []struct {
 		name    string
 		runs    int
@@ -84,6 +109,14 @@ func TestAllocCeilings(t *testing.T) {
 		{"DMMQuery", 50, 4, func() error { _, err := warm.DMM(250); return err }},
 		// The same memo hit without the Ω map: 0.
 		{"DMMValueQuery", 50, 0, func() error { _, err := warm.DMMValueCtx(context.Background(), 250); return err }},
+		// A warm repeat of the sensitivity-sweep query: 105 (108).
+		// Allocating a memo entry per warm hit and candidate buffers per
+		// batch, fanning all-warm batches out and re-hashing the nominal
+		// system cost 446.
+		{"WarmSensitivityQuery", 10, 132, func() error {
+			_, err := warmQuery.SensitivityWarm(context.Background(), sopts, nil, store)
+			return err
+		}},
 		// BenchmarkSimMapped's run: 6,244. A mapped run that allocated
 		// its running set on every step cost 13,392.
 		{"SimMapped", 3, 8000, func() error {

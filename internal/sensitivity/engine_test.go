@@ -220,7 +220,7 @@ func TestBisectionDrivers(t *testing.T) {
 			{1000, 64000, 1000, 1000, false},
 			{0, 1 << 40, 123456, 123456, false},
 		} {
-			x, atLimit, err := bp.maxTrue(ctx, tc.lo, tc.hi, boundary(tc.b))
+			x, atLimit, err := bp.maxTrue(ctx, familyKey{}, tc.lo, tc.hi, boundary(tc.b))
 			if err != nil || x != tc.wantX || atLimit != tc.wantAtLimit {
 				t.Errorf("width %d: maxTrue(%d,%d,≤%d) = (%d,%v,%v), want (%d,%v)",
 					width, tc.lo, tc.hi, tc.b, x, atLimit, err, tc.wantX, tc.wantAtLimit)
@@ -237,7 +237,7 @@ func TestBisectionDrivers(t *testing.T) {
 			{5, 5, 2, 5, true},
 			{1, 1 << 40, 98765, 98765, false},
 		} {
-			x, atLimit, err := bp.minTrue(ctx, tc.lo, tc.hi, above(tc.b))
+			x, atLimit, err := bp.minTrue(ctx, familyKey{}, tc.lo, tc.hi, above(tc.b))
 			if err != nil || x != tc.wantX || atLimit != tc.wantAtLimit {
 				t.Errorf("width %d: minTrue(%d,%d,≥%d) = (%d,%v,%v), want (%d,%v)",
 					width, tc.lo, tc.hi, tc.b, x, atLimit, err, tc.wantX, tc.wantAtLimit)
@@ -255,7 +255,7 @@ func TestBisectionProbeCountIndependent(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		var probes atomic.Int64
 		bp := batcher{width: batchWidth, workers: workers}
-		x, _, err := bp.maxTrue(ctx, 0, 100000, func(_ context.Context, v int64) (bool, error) {
+		x, _, err := bp.maxTrue(ctx, familyKey{}, 0, 100000, func(_ context.Context, v int64) (bool, error) {
 			probes.Add(1)
 			return v <= 7777, nil
 		})

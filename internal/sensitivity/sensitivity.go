@@ -25,10 +25,15 @@
 // solved neighbor on the demand-dominated side of its axis
 // (twca.WarmStart seeds the busy-window fixed points and the Theorem-3
 // ILP incumbents). Each bisection evaluates a batch of speculative
-// candidate probes concurrently through internal/parallel. All of this
-// is effort-only machinery: results are byte-identical for any worker
-// count, any cache state and any store warmth (Options.NoWarmStart
-// pins the cold path for benchmarks and equivalence tests).
+// candidate probes through internal/parallel: concurrently when a
+// candidate needs solving, one at a time when the warm store already
+// answers every candidate (a stored answer is cheaper than the
+// fan-out). The store also retains each base system's nominal, so a
+// caller holding it (WarmStore.Nominal) skips decoding and, through
+// Engine.BaseHash, re-hashing it. All of this is effort-only
+// machinery: results are byte-identical for any worker count, any
+// cache state and any store warmth (Options.NoWarmStart pins the cold
+// path for benchmarks and equivalence tests).
 //
 // The driver fans independent metrics out across the internal/parallel
 // pool. Each query keeps one probe memo keyed by the perturbed system's
@@ -261,6 +266,12 @@ type Engine struct {
 	// store (NewWarmStore) to carry the warmth across queries, as the
 	// analysis service and cmd/twca-sensitivity do.
 	Warm *WarmStore
+	// BaseHash optionally names the canonical hash (model.CanonicalHash)
+	// of the system passed to Query, as a caller holding Warm.Nominal's
+	// system knows it. It is trusted only when Warm retains that very
+	// *System as the nominal of BaseHash; otherwise the engine hashes the
+	// system itself, so a wrong value costs time, never a result.
+	BaseHash string
 }
 
 // Query measures the sensitivity of chain's weakly-hard constraint in
@@ -301,8 +312,12 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		if store == nil {
 			store = NewWarmStore()
 		}
-		baseHash, _ := model.CanonicalHash(sys)
+		baseHash := e.BaseHash
+		if !store.retains(baseHash, sys) {
+			baseHash, _ = model.CanonicalHash(sys)
+		}
 		q.warm = store.scope(baseHash, chain, aopts, opts.ScaleDenom)
+		q.bp.warm = q.warm
 	}
 
 	// Nominal feasibility first: every bisection below brackets against
@@ -354,7 +369,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	// result slot, so the fan-out is invisible in the output.
 	var jobs []func(context.Context) error
 	jobs = append(jobs, func(ctx context.Context) error {
-		scale, atLimit, err := q.bp.maxTrue(ctx, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, s int64) (bool, error) {
+		scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, s int64) (bool, error) {
 			return q.holdsAt(ctx, coord{kind: coordScale, subject: "", value: s})
 		})
 		res.Uniform = Slack{Scale: scale, AtLimit: atLimit}
@@ -376,7 +391,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	for i, name := range tasks {
 		i, name := i, name
 		jobs = append(jobs, func(ctx context.Context) error {
-			scale, atLimit, err := q.bp.maxTrue(ctx, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, s int64) (bool, error) {
+			scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale, subject: name}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, s int64) (bool, error) {
 				return q.holdsAt(ctx, coord{kind: coordScale, subject: name, value: s})
 			})
 			res.Tasks[i] = TaskSlack{Task: name, Slack: Slack{Scale: scale, AtLimit: atLimit}}
@@ -417,7 +432,7 @@ func (q *query) breakdown(ctx context.Context, oc *model.Chain, opts Options) (B
 			maxJ = 1 << 40
 		}
 	}
-	j, atLimit, err := q.bp.maxTrue(ctx, 0, int64(maxJ), func(ctx context.Context, x int64) (bool, error) {
+	j, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordJitter, subject: oc.Name}, 0, int64(maxJ), func(ctx context.Context, x int64) (bool, error) {
 		return q.holdsAt(ctx, coord{kind: coordJitter, subject: oc.Name, value: x})
 	})
 	if err != nil {
@@ -427,7 +442,7 @@ func (q *query) breakdown(ctx context.Context, oc *model.Chain, opts Options) (B
 
 	if hasDistance {
 		b.NominalDistance = d0
-		d, atLimit, err := q.bp.minTrue(ctx, 1, int64(d0), func(ctx context.Context, x int64) (bool, error) {
+		d, atLimit, err := q.bp.minTrue(ctx, familyKey{kind: coordDistance, subject: oc.Name}, 1, int64(d0), func(ctx context.Context, x int64) (bool, error) {
 			return q.holdsAt(ctx, coord{kind: coordDistance, subject: oc.Name, value: x})
 		})
 		if err != nil {
@@ -491,9 +506,9 @@ type memoEntry struct {
 	err  error
 }
 
-// closedDone is the done channel of every entry created complete (a
-// warm-store hit): closed once, shared, so such entries allocate no
-// channel of their own.
+// closedDone is the done channel of every complete entry (the warm
+// store's): closed once, shared, so such entries allocate no channel of
+// their own.
 var closedDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -512,16 +527,16 @@ var closedDone = func() chan struct{} {
 // probes arriving with a healthy context; deterministic failures are
 // retained like any other outcome.
 func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
-	if hash, an, err, ok := q.warm.lookup(c); ok {
-		q.entry(hash, memoEntry{done: closedDone, an: an, err: err})
-		return an, err
+	if out, hash, ok := q.warm.lookup(c); ok {
+		q.entry(hash, out)
+		return out.an, out.err
 	}
 	sys, err := q.materialize(c)
 	if err != nil {
 		return nil, err
 	}
 	hash, _ := model.CanonicalHash(sys) // "" when sys has no JSON form
-	e, created := q.entry(hash, memoEntry{})
+	e, created := q.entry(hash, nil)
 	if created {
 		e.an, e.err = q.analyze(ctx, sys, hash, q.chain, q.aopts, q.warm.nearest(c))
 		if e.err != nil && !deterministicErr(e.err) {
@@ -545,15 +560,15 @@ func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 }
 
 // entry returns the memo entry of the system with content hash hash,
-// creating it from init when the hash has none yet: an init without a
-// done channel creates an in-flight entry, which the caller fills and
-// then closes; an init with one (closedDone) is stored as complete.
-// Creating an entry is the one place Analyses is charged, so the
-// counter reads the number of distinct systems the query analyzed or
-// took from the warm store. An unhashable system (empty hash) cannot be
-// deduplicated: every call creates a fresh, unshared entry and is
-// charged.
-func (q *query) entry(hash string, init memoEntry) (*memoEntry, bool) {
+// registering complete when the hash has none yet: a complete entry
+// (a warm-store hit, shared with the store and never written) is stored
+// as is; a nil one creates an in-flight entry, which the caller fills
+// and then closes. Registering an entry is the one place Analyses is
+// charged, so the counter reads the number of distinct systems the
+// query analyzed or took from the warm store. An unhashable system
+// (empty hash) cannot be deduplicated: every call registers a fresh,
+// unshared entry and is charged.
+func (q *query) entry(hash string, complete *memoEntry) (*memoEntry, bool) {
 	if hash != "" {
 		q.mu.Lock()
 		defer q.mu.Unlock()
@@ -561,10 +576,9 @@ func (q *query) entry(hash string, init memoEntry) (*memoEntry, bool) {
 			return e, false
 		}
 	}
-	e := new(memoEntry)
-	*e = init
-	if e.done == nil {
-		e.done = make(chan struct{})
+	e := complete
+	if e == nil {
+		e = &memoEntry{done: make(chan struct{})}
 	}
 	if hash != "" {
 		q.byHash[hash] = e
@@ -625,14 +639,27 @@ func (q *query) holdsAt(ctx context.Context, c coord) (bool, error) {
 type batcher struct {
 	width   int
 	workers int
+	// warm is the query's warm-store scope (nil: none). A batch whose
+	// candidates it answers exactly runs inline: a stored answer costs a
+	// map lookup, less than the fan-out it would ride on.
+	warm *scopeStore
 }
 
-// eval evaluates pred on every candidate concurrently and returns the
-// results in candidate order (first error wins, lowest index first, per
-// parallel.ForEach).
-func (b batcher) eval(ctx context.Context, cands []int64, pred func(context.Context, int64) (bool, error)) ([]bool, error) {
-	res := make([]bool, len(cands))
-	err := parallel.ForEach(b.workers, len(cands), func(i int) error {
+// eval evaluates pred on every candidate (coordinates of family fk)
+// and returns the index of the first candidate pred rejects, or
+// len(cands) when it accepts them all; res is caller-owned scratch of
+// at least len(cands) results. The first error wins, lowest index
+// first, per parallel.ForEach. Candidates run concurrently under the
+// worker bound unless the warm store already holds every one of them;
+// then the batch goes through the same pool one at a time. Only the
+// width differs, so the probes, their results and every counter are the
+// same either way.
+func (b batcher) eval(ctx context.Context, fk familyKey, cands []int64, res []bool, pred func(context.Context, int64) (bool, error)) (int, error) {
+	workers := b.workers
+	if b.warm.holds(fk, cands) {
+		workers = 1
+	}
+	err := parallel.ForEach(workers, len(cands), func(i int) error {
 		ok, err := pred(ctx, cands[i])
 		if err != nil {
 			return err
@@ -641,9 +668,14 @@ func (b batcher) eval(ctx context.Context, cands []int64, pred func(context.Cont
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return res, nil
+	for i := range cands {
+		if !res[i] {
+			return i, nil
+		}
+	}
+	return len(cands), nil
 }
 
 // maxTrue returns the largest x in [lo, hi] with pred(x) true, given
@@ -654,16 +686,19 @@ func (b batcher) eval(ctx context.Context, cands []int64, pred func(context.Cont
 // ¬pred(result+1) holds on return whenever atLimit is false — even if
 // pred is not perfectly monotone, the returned point sits on a genuine
 // boundary (results are scanned in candidate order and the first false
-// wins, exactly as a serial search would see them).
-func (b batcher) maxTrue(ctx context.Context, lo, hi int64, pred func(context.Context, int64) (bool, error)) (x int64, atLimit bool, err error) {
+// wins, exactly as a serial search would see them). fk names the
+// coordinate family pred probes, for eval's warm-store check.
+func (b batcher) maxTrue(ctx context.Context, fk familyKey, lo, hi int64, pred func(context.Context, int64) (bool, error)) (x int64, atLimit bool, err error) {
 	if hi <= lo {
 		return lo, true, nil
 	}
+	// One candidate and one result buffer serve every round.
+	cands, res := make([]int64, 0, b.width), make([]bool, b.width)
 	good, step, bad := lo, int64(1), int64(-1)
 	for good < hi && bad < 0 {
 		// One speculative bracketing batch: cumulative exponential steps
 		// from good, clamped at hi.
-		cands := make([]int64, 0, b.width)
+		cands = cands[:0]
 		c, s := good, step
 		for len(cands) < b.width {
 			if c > hi-s { // clamp, guard overflow
@@ -679,17 +714,11 @@ func (b batcher) maxTrue(ctx context.Context, lo, hi int64, pred func(context.Co
 			}
 		}
 		step = s
-		res, err := b.eval(ctx, cands, pred)
+		first, err := b.eval(ctx, fk, cands, res, pred)
 		if err != nil {
 			return 0, false, err
 		}
-		for i, ok := range res {
-			if !ok {
-				bad = cands[i]
-				break
-			}
-			good = cands[i]
-		}
+		good, bad = advance(cands, first, good, bad)
 	}
 	if bad < 0 {
 		return hi, true, nil
@@ -700,27 +729,19 @@ func (b batcher) maxTrue(ctx context.Context, lo, hi int64, pred func(context.Co
 		// midpoint.
 		gap := bad - good
 		unit := gap / int64(b.width+1)
-		var cands []int64
+		cands = cands[:0]
 		if unit > 0 {
 			for i := int64(1); i <= int64(b.width); i++ {
 				cands = append(cands, good+i*unit)
 			}
 		} else {
-			cands = []int64{good + gap/2}
+			cands = append(cands, good+gap/2)
 		}
-		res, err := b.eval(ctx, cands, pred)
+		first, err := b.eval(ctx, fk, cands, res, pred)
 		if err != nil {
 			return 0, false, err
 		}
-		newGood, newBad := good, bad
-		for i, ok := range res {
-			if !ok {
-				newBad = cands[i]
-				break
-			}
-			newGood = cands[i]
-		}
-		good, bad = newGood, newBad
+		good, bad = advance(cands, first, good, bad)
 	}
 	return good, false, nil
 }
@@ -728,13 +749,14 @@ func (b batcher) maxTrue(ctx context.Context, lo, hi int64, pred func(context.Co
 // minTrue is the mirror of maxTrue: the smallest x in [lo, hi] with
 // pred(x) true, given that pred(hi) is true; atLimit reports that pred
 // held all the way down at lo.
-func (b batcher) minTrue(ctx context.Context, lo, hi int64, pred func(context.Context, int64) (bool, error)) (x int64, atLimit bool, err error) {
+func (b batcher) minTrue(ctx context.Context, fk familyKey, lo, hi int64, pred func(context.Context, int64) (bool, error)) (x int64, atLimit bool, err error) {
 	if hi <= lo {
 		return hi, true, nil
 	}
+	cands, res := make([]int64, 0, b.width), make([]bool, b.width)
 	good, step, bad := hi, int64(1), int64(-1)
 	for good > lo && bad < 0 {
-		cands := make([]int64, 0, b.width)
+		cands = cands[:0]
 		c, s := good, step
 		for len(cands) < b.width {
 			if c < lo+s {
@@ -750,17 +772,11 @@ func (b batcher) minTrue(ctx context.Context, lo, hi int64, pred func(context.Co
 			}
 		}
 		step = s
-		res, err := b.eval(ctx, cands, pred)
+		first, err := b.eval(ctx, fk, cands, res, pred)
 		if err != nil {
 			return 0, false, err
 		}
-		for i, ok := range res {
-			if !ok {
-				bad = cands[i]
-				break
-			}
-			good = cands[i]
-		}
+		good, bad = advance(cands, first, good, bad)
 	}
 	if bad < 0 {
 		return lo, true, nil
@@ -768,29 +784,35 @@ func (b batcher) minTrue(ctx context.Context, lo, hi int64, pred func(context.Co
 	for good-bad > 1 {
 		gap := good - bad
 		unit := gap / int64(b.width+1)
-		var cands []int64
+		cands = cands[:0]
 		if unit > 0 {
 			for i := int64(1); i <= int64(b.width); i++ {
 				cands = append(cands, good-i*unit)
 			}
 		} else {
-			cands = []int64{good - gap/2}
+			cands = append(cands, good-gap/2)
 		}
-		res, err := b.eval(ctx, cands, pred)
+		first, err := b.eval(ctx, fk, cands, res, pred)
 		if err != nil {
 			return 0, false, err
 		}
-		newGood, newBad := good, bad
-		for i, ok := range res {
-			if !ok {
-				newBad = cands[i]
-				break
-			}
-			newGood = cands[i]
-		}
-		good, bad = newGood, newBad
+		good, bad = advance(cands, first, good, bad)
 	}
 	return good, false, nil
+}
+
+// advance moves a search's bracket past one evaluated batch: the
+// candidates before the first rejected one (index first) held, so the
+// last of them is the new good point, and the rejected one, if any, is
+// the new bad point.
+func advance(cands []int64, first int, good, bad int64) (int64, int64) {
+	if first > 0 {
+		good = cands[first-1]
+	}
+	if first < len(cands) {
+		bad = cands[first]
+	}
+	return good, bad
 }
 
 func hasTask(sys *model.System, name string) bool {

@@ -197,7 +197,7 @@ func TestWarmStoreDegradedExcluded(t *testing.T) {
 	s.put(coord{kind: coordScale, subject: "", value: 1000}, "h-exact", exact, nil, 1000)
 	s.put(coord{kind: coordScale, subject: "", value: 1050}, "h-degraded", degraded, nil, 1000)
 
-	if _, an, _, ok := s.lookup(coord{kind: coordScale, subject: "", value: 1050}); !ok || an != degraded {
+	if e, _, ok := s.lookup(coord{kind: coordScale, subject: "", value: 1050}); !ok || e.an != degraded {
 		t.Error("degraded entry not reusable at its exact coordinate")
 	}
 	ws := s.nearest(coord{kind: coordScale, subject: "", value: 1060})
@@ -412,5 +412,96 @@ func TestWarmStoreScopesBounded(t *testing.T) {
 	}
 	if n := scopes(); n > maxScopes {
 		t.Errorf("store holds %d scopes, cap is %d", n, maxScopes)
+	}
+}
+
+// TestWarmNominal: after a query the store hands out its retained
+// nominal system by base hash; a query on that system with BaseHash set
+// answers exactly as a cold one, while a BaseHash on any other system is
+// ignored rather than trusted, so it cannot borrow a foreign scope.
+func TestWarmNominal(t *testing.T) {
+	sys := casestudy.New()
+	opts := Options{Constraint: weaklyhard.Constraint{M: 9, K: 20}, ScaleDenom: 20, Tasks: []string{"tau3c"}, Workers: 2}
+	ctx := context.Background()
+	cold := func(sys *model.System) []byte {
+		coldOpts := opts
+		coldOpts.NoWarmStart = true
+		res, err := Engine{}.Query(ctx, sys, "sigma_c", twca.Options{}, coldOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshalResult(t, res)
+	}
+
+	store := NewWarmStore()
+	if _, err := (Engine{Warm: store}).Query(ctx, sys, "sigma_c", twca.Options{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	hash, _ := model.CanonicalHash(sys)
+	nominal := store.Nominal(hash)
+	if nominal == nil {
+		t.Fatal("no nominal system retained after a query")
+	}
+	if h, _ := model.CanonicalHash(nominal); h != hash {
+		t.Fatalf("retained nominal hashes to %s, want %s", h, hash)
+	}
+	if store.Nominal("unknown") != nil || store.Nominal("") != nil {
+		t.Error("Nominal answered an unknown hash")
+	}
+
+	hits := store.Stats().Hits
+	res, err := Engine{Warm: store, BaseHash: hash}.Query(ctx, nominal, "sigma_c", twca.Options{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshalResult(t, res), cold(sys); !bytes.Equal(got, want) {
+		t.Errorf("query on the retained nominal differs from cold:\ngot: %s\ncold: %s", got, want)
+	}
+	if store.Stats().Hits == hits {
+		t.Error("query on the retained nominal missed its scope")
+	}
+
+	other := ScaleWCET(sys, "", 19, 20)
+	res, err = Engine{Warm: store, BaseHash: hash}.Query(ctx, other, "sigma_c", twca.Options{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshalResult(t, res), cold(other); !bytes.Equal(got, want) {
+		t.Errorf("a foreign BaseHash changed the answer:\ngot: %s\ncold: %s", got, want)
+	}
+}
+
+// TestWarmHoldsIsSilent: the membership check that sizes probe batches
+// counts no hit or miss and never runs the fault seam.
+func TestWarmHoldsIsSilent(t *testing.T) {
+	defer faultinject.Disarm()
+	faultinject.Disarm()
+	sys := casestudy.New()
+	an, err := twca.New(sys, sys.ChainByName("sigma_c"), twca.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewWarmStore()
+	s := store.scope("base", "sigma_c", twca.Options{}, 20)
+	fk := familyKey{kind: coordJitter, subject: "sigma_b"}
+	for _, v := range []int64{10, 20} {
+		s.put(coord{kind: fk.kind, subject: fk.subject, value: v}, "h", an, nil, 20)
+	}
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointSensitivityWarmStore, Action: faultinject.ActionError},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.holds(fk, []int64{10, 20}) {
+		t.Error("holds missed stored coordinates")
+	}
+	if s.holds(fk, []int64{10, 30}) {
+		t.Error("holds reported an unstored coordinate")
+	}
+	if st := store.Stats(); st != (WarmStats{}) {
+		t.Errorf("holds moved the store counters: %+v", st)
+	}
+	if n := faultinject.FireCounts()[faultinject.PointSensitivityWarmStore]; n != 0 {
+		t.Errorf("holds ran the fault seam %d times", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/model"
 	"repro/internal/twca"
 )
 
@@ -53,11 +54,13 @@ type familyKey struct {
 // warmEntry is one completed probe outcome retained for reuse: either a
 // solved analysis or a deterministic failure verdict (diverged /
 // K-exceeded, a pure function of the coordinate — see deterministicErr).
+// The outcome is a complete memo entry, built once in put, so a query
+// that hits it inserts this very pointer into its probe memo instead of
+// allocating one per hit; complete entries are never written again.
 type warmEntry struct {
 	c    coord
 	hash string
-	an   *twca.Analysis
-	err  error
+	out  *memoEntry
 }
 
 // Store growth caps. The warm store retains whole analyses, so a
@@ -92,10 +95,14 @@ const (
 // is looked up in cur, then in old (and promoted to cur); when cur is
 // full it becomes old and the previous old is dropped. So the store
 // holds at most maxScopes scopes, and the maxScopes/2 most recently
-// used ones always survive.
+// used ones always survive. Each generation also indexes its scopes by
+// base-system hash (the most recently used scope of each base), which
+// is how Nominal finds a retained system in O(1); the index rotates
+// with its generation, so it never outlives the scopes it points to.
 type WarmStore struct {
-	mu       sync.Mutex
-	cur, old map[string]*scopeStore
+	mu               sync.Mutex
+	cur, old         map[string]*scopeStore
+	curBase, oldBase map[string]*scopeStore
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -104,7 +111,7 @@ type WarmStore struct {
 
 // NewWarmStore returns an empty warm store.
 func NewWarmStore() *WarmStore {
-	return &WarmStore{cur: make(map[string]*scopeStore)}
+	return &WarmStore{cur: make(map[string]*scopeStore), curBase: make(map[string]*scopeStore)}
 }
 
 // WarmStats is a point-in-time snapshot of store effectiveness.
@@ -149,9 +156,63 @@ func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int6
 	}
 	if len(w.cur) >= maxScopes/2 {
 		w.old, w.cur = w.cur, make(map[string]*scopeStore)
+		w.oldBase, w.curBase = w.curBase, make(map[string]*scopeStore)
 	}
 	w.cur[key] = s
+	w.curBase[baseHash] = s
 	return s
+}
+
+// baseScope returns the most recently used scope of the base system
+// with canonical hash hash, or nil.
+func (w *WarmStore) baseScope(hash string) *scopeStore {
+	if w == nil || hash == "" {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if s, ok := w.curBase[hash]; ok {
+		return s
+	}
+	return w.oldBase[hash]
+}
+
+// Nominal returns the unperturbed system the store retains for the base
+// system with canonical hash hash — the system of a scope's nominal
+// analysis — or nil when no live scope of that base holds a nominal
+// analysis. The lookup is one map probe per generation and runs the
+// sensitivity.warmstore fault seam: an armed seam reports a miss, so the
+// caller decodes its own copy. The returned system is shared with the
+// store and every analysis built on it: treat it as read-only
+// (perturbations clone before they modify).
+//
+// A query on the returned system whose Engine.BaseHash is hash skips
+// re-hashing it. Retaining the system pins nothing new: the scope's
+// nominal analysis already holds it.
+func (w *WarmStore) Nominal(hash string) *model.System {
+	s := w.baseScope(hash)
+	if s == nil || !s.available() {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.nominal == nil {
+		return nil
+	}
+	return s.nominal.out.an.Sys
+}
+
+// retains reports whether sys is the very system Nominal(hash) hands
+// out, which proves hash is its canonical hash without re-hashing it. It
+// is a pure membership check: no fault seam, no counters.
+func (w *WarmStore) retains(hash string, sys *model.System) bool {
+	s := w.baseScope(hash)
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nominal != nil && s.nominal.out.an.Sys == sys
 }
 
 // scopeStore holds the entries of one scope. families keeps per-axis
@@ -189,22 +250,41 @@ func (s *scopeStore) available() bool {
 	return true
 }
 
-// lookup returns the outcome stored for exactly c — the completed
-// analysis or the deterministic failure verdict — along with the
-// perturbed system's content hash captured when it was stored.
-func (s *scopeStore) lookup(c coord) (string, *twca.Analysis, error, bool) {
+// lookup returns the outcome stored for exactly c — a complete memo
+// entry holding the analysis or the deterministic failure verdict —
+// along with the perturbed system's content hash captured when it was
+// stored.
+func (s *scopeStore) lookup(c coord) (*memoEntry, string, bool) {
 	if s == nil || !s.available() {
-		return "", nil, nil, false
+		return nil, "", false
 	}
 	s.mu.Lock()
 	e, ok := s.byCoord[c]
 	s.mu.Unlock()
 	if !ok {
 		s.owner.misses.Add(1)
-		return "", nil, nil, false
+		return nil, "", false
 	}
 	s.owner.hits.Add(1)
-	return e.hash, e.an, e.err, true
+	return e.out, e.hash, true
+}
+
+// holds reports whether the store has an outcome for every coordinate
+// of family fk at the given values. It is a pure membership check — no
+// fault seam, no hit or miss counted — used only to decide how wide a
+// probe batch fans out, which never changes a result.
+func (s *scopeStore) holds(fk familyKey, values []int64) bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, v := range values {
+		if _, ok := s.byCoord[coord{kind: fk.kind, subject: fk.subject, value: v}]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // nearest returns warm-start hints from the closest solved neighbor on
@@ -241,7 +321,7 @@ func (s *scopeStore) nearest(c coord) *twca.WarmStart {
 	if best == nil {
 		return nil
 	}
-	return &twca.WarmStart{From: best.an}
+	return &twca.WarmStart{From: best.out.an}
 }
 
 // put retains a completed probe outcome under its coordinate: a solved
@@ -262,7 +342,7 @@ func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, den
 	if len(s.byCoord) >= maxScopeEntries {
 		return
 	}
-	e := warmEntry{c: c, hash: hash, an: an, err: err}
+	e := warmEntry{c: c, hash: hash, out: &memoEntry{done: closedDone, an: an, err: err}}
 	s.byCoord[c] = e
 	if an == nil || an.Degraded.Degraded() || an.Latency.Quality.Degraded() {
 		return

@@ -225,13 +225,26 @@ type lazySystem struct {
 func (l *lazySystem) get() (*repro.System, error) {
 	if l.sys == nil {
 		sys, err := l.req.decodeSystem()
-		l.met.systemDecode(false)
+		l.met.systemDecode(fromDecode)
 		if err != nil {
 			return nil, badRequestError{err}
 		}
 		l.sys = sys
 	}
 	return l.sys, nil
+}
+
+// getNominal is get for a sensitivity store miss: a system not decoded
+// yet is taken from the warm store's retained nominal for hash when it
+// has one (then it is shared and read-only), and decoded otherwise.
+func (l *lazySystem) getNominal(warm *repro.SensitivityWarmStore, hash string) (*repro.System, error) {
+	if l.sys == nil {
+		if sys := warm.Nominal(hash); sys != nil {
+			l.met.systemDecode(fromWarm)
+			return sys, nil
+		}
+	}
+	return l.get()
 }
 
 // system resolves the request's system to its canonical content hash
@@ -256,7 +269,7 @@ func (s *Server) system(req *analyzeRequest) (string, *lazySystem, error) {
 	}
 	lazy := &lazySystem{req: req, met: s.met}
 	if hash, ok := s.memo.get(key); ok {
-		s.met.systemDecode(true)
+		s.met.systemDecode(fromMemo)
 		return hash, lazy, nil
 	}
 	sys, err := lazy.get()
@@ -800,12 +813,22 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	optfp := req.Options.fingerprint()
 	key := artifactKey("sens", hash, req.Chain, optfp+"|"+req.Sensitivity.fingerprint())
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
-		model, err := sys.get()
+		// A warm query analyzes the system the warm store already holds
+		// for this hash, skipping the decode here and the re-hash in the
+		// engine; a no_warm_start query decodes, keeping the cold path
+		// cold.
+		var model *repro.System
+		var err error
+		if req.Sensitivity.NoWarmStart {
+			model, err = sys.get()
+		} else {
+			model, err = sys.getNominal(s.warm, hash)
+		}
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: req.Options.twca()}.
+		res, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: req.Options.twca(), SystemHash: hash}.
 			SensitivityWarm(fctx, req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
 		s.met.observeAnalysis("sensitivity", time.Since(t0))
 		if err == nil {

@@ -33,8 +33,10 @@ type metrics struct {
 	// systemsFromMemo counts requests whose system hash came from the
 	// digest memo without a decode; systemsDecoded counts every decode of
 	// a request system, whether to learn its hash or to analyze it, and
-	// whether it succeeded or not.
-	systemsFromMemo, systemsDecoded int64
+	// whether it succeeded or not; systemsFromWarm counts sensitivity
+	// store misses that analyzed the warm store's retained nominal
+	// system instead of decoding.
+	systemsFromMemo, systemsDecoded, systemsFromWarm int64
 	// ilpNodes accumulates branch-and-bound nodes across all DMM
 	// queries — the "how hard is the solver working" counter.
 	ilpNodes int64
@@ -168,15 +170,26 @@ func (m *metrics) observeAnalysis(kind string, d time.Duration) {
 	h.observe(d.Seconds())
 }
 
-// systemDecode records how a request system was materialized: its hash
-// from the memo, or a full decode.
-func (m *metrics) systemDecode(fromMemo bool) {
+// systemSource is how a request system was materialized.
+type systemSource int
+
+const (
+	fromMemo   systemSource = iota // hash from the digest memo, no decode
+	fromDecode                     // a full decode
+	fromWarm                       // the warm store's retained nominal system
+)
+
+// systemDecode records how a request system was materialized.
+func (m *metrics) systemDecode(src systemSource) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if fromMemo {
+	switch src {
+	case fromMemo:
 		m.systemsFromMemo++
-	} else {
+	case fromDecode:
 		m.systemsDecoded++
+	case fromWarm:
+		m.systemsFromWarm++
 	}
 }
 
@@ -381,10 +394,11 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "twca_campaign_items_total{result=\"ok\"} %d\n", m.campaignOK)
 	fmt.Fprintf(w, "twca_campaign_items_total{result=\"partial\"} %d\n", m.campaignFailed)
 
-	fmt.Fprintf(w, "# HELP twca_system_decodes_total Request systems by source: hashes answered from the digest memo, or full decodes.\n")
+	fmt.Fprintf(w, "# HELP twca_system_decodes_total Request systems by source: hashes answered from the digest memo, full decodes, or the warm store's retained nominal system.\n")
 	fmt.Fprintf(w, "# TYPE twca_system_decodes_total counter\n")
 	fmt.Fprintf(w, "twca_system_decodes_total{source=\"memo\"} %d\n", m.systemsFromMemo)
 	fmt.Fprintf(w, "twca_system_decodes_total{source=\"decoded\"} %d\n", m.systemsDecoded)
+	fmt.Fprintf(w, "twca_system_decodes_total{source=\"warm\"} %d\n", m.systemsFromWarm)
 
 	fmt.Fprintf(w, "# HELP twca_ilp_nodes_total Branch-and-bound nodes explored by DMM queries.\n")
 	fmt.Fprintf(w, "# TYPE twca_ilp_nodes_total counter\n")

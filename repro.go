@@ -346,6 +346,14 @@ type AnalysisRequest struct {
 	System  *System
 	Chain   string
 	Options Options
+	// SystemHash optionally carries CanonicalHash(System) when the caller
+	// already holds it, as a caller that took System from
+	// SensitivityWarmStore.Nominal does. Sensitivity queries then find
+	// their warm-store scope without re-hashing the system, but only when
+	// the store retains this very *System under that hash; any other
+	// value is ignored, so a wrong hash costs time, never a result. DMM
+	// and Latency ignore it.
+	SystemHash string
 }
 
 // Validate checks the request: a system must be present, the options
@@ -448,7 +456,7 @@ func (r AnalysisRequest) SensitivityWarm(ctx context.Context, sopts SensitivityO
 			return nil, fmt.Errorf("%w: no task named %q", ErrInvalidOptions, name)
 		}
 	}
-	res, err := sensitivity.Engine{Analyze: probe, Warm: warm}.Query(ctx, r.System, r.Chain, r.Options, sopts)
+	res, err := sensitivity.Engine{Analyze: probe, Warm: warm, BaseHash: r.SystemHash}.Query(ctx, r.System, r.Chain, r.Options, sopts)
 	return res, mapErr(err)
 }
 
