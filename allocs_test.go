@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -73,19 +74,35 @@ func TestAllocCeilings(t *testing.T) {
 	if warmQuery.System == nil {
 		t.Fatal("warm store retains no nominal system after a query")
 	}
+	// The same query shape under (k-1, k) for a k no stored analysis has
+	// answered yet, one new k per call. Every probe still hits the store
+	// (on σc each perturbed system either misses all k deadlines or
+	// holds k-1 for every k ≥ 200, so the probe sequence is the same for
+	// each k), and each stored analysis with a knapsack is asked dmm(k)
+	// for the first time.
+	firstK := sopts
+	firstK.Constraint = weaklyhard.Constraint{M: 199, K: 200}
+	firstStore := repro.NewSensitivityWarmStore()
+	if _, err := (repro.AnalysisRequest{System: sys, Chain: "sigma_c"}).SensitivityWarm(context.Background(), firstK, nil, firstStore); err != nil {
+		t.Fatal(err)
+	}
+	firstQuery := repro.AnalysisRequest{System: firstStore.Nominal(sysHash), Chain: "sigma_c", SystemHash: sysHash}
+	primedMisses := firstStore.Stats().Misses
 	for _, c := range []struct {
 		name    string
 		runs    int
 		ceiling float64
 		f       func() error
 	}{
-		// Table II's breakpoint scan up to k = 260: 1,109 (about 1,130). Rebuilding
-		// the ILP's branching order, column view and buffers on every
-		// solve cost 3,357 (3,377).
-		{"TableII", 3, 1390, func() error { _, _, err := experiments.TableII(260); return err }},
-		// A fresh σc analysis plus the cold-sweep curve: 542. Rebuilding
-		// the ILP per solve and a capacity vector per query cost 1,403.
-		{"ColdSweep", 3, 680, func() error {
+		// Table II's breakpoint scan up to k = 260: 954 (970). A
+		// string key per memoized solve cost 1,109; rebuilding the ILP's
+		// branching order, column view and buffers on every solve cost
+		// 3,357 (3,377).
+		{"TableII", 3, 1200, func() error { _, _, err := experiments.TableII(260); return err }},
+		// A fresh σc analysis plus the cold-sweep curve: 466. A string
+		// key per memoized solve cost 542; rebuilding the ILP per solve
+		// and a capacity vector per query cost 1,403.
+		{"ColdSweep", 3, 585, func() error {
 			an, err := twca.New(sys, sys.ChainByName("sigma_c"), twca.Options{})
 			if err != nil {
 				return err
@@ -101,21 +118,37 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := tmpl.Solve(context.Background(), &scratch, capacities[solves%2], nil)
 			return err
 		}},
-		// A 100-assignment slice of Figure 5, seed 1: 16,614 (17,444
-		// before the ILP template).
+		// A 100-assignment slice of Figure 5, seed 1: 16,457 (16,614
+		// with a string key per memoized solve, 17,444 before the ILP
+		// template).
 		{"Figure5", 3, 20800, func() error { _, err := experiments.Figure5(100, 1, twca.Options{}, 1); return err }},
 		// dmm(250) on a prepared analysis is a memo hit: 2, the Ω map
 		// (3 before the ILP template).
 		{"DMMQuery", 50, 4, func() error { _, err := warm.DMM(250); return err }},
 		// The same memo hit without the Ω map: 0.
 		{"DMMValueQuery", 50, 0, func() error { _, err := warm.DMMValueCtx(context.Background(), 250); return err }},
-		// A warm repeat of the sensitivity-sweep query: 105 (108).
-		// Allocating a memo entry per warm hit and candidate buffers per
-		// batch, fanning all-warm batches out and re-hashing the nominal
-		// system cost 446.
-		{"WarmSensitivityQuery", 10, 132, func() error {
+		// A warm repeat of the sensitivity-sweep query: 86 (89). A
+		// string-keyed dmm(k) memo, one warm-store lookup per probe and a
+		// growing probe memo cost 105; a memo entry per warm hit,
+		// candidate buffers per batch, fanning all-warm batches out and
+		// re-hashing the nominal system cost 446 before that.
+		{"WarmSensitivityQuery", 10, 108, func() error {
 			_, err := warmQuery.SensitivityWarm(context.Background(), sopts, nil, store)
 			return err
+		}},
+		// The warm query asking its stored analyses a first-time k: 360
+		// (362), most of it the knapsack solves a new k needs. The
+		// string-keyed dmm(k) memo cost 431.
+		{"WarmSensitivityFirstK", 10, 450, func() error {
+			firstK.Constraint.K++
+			firstK.Constraint.M++
+			if _, err := firstQuery.SensitivityWarm(context.Background(), firstK, nil, firstStore); err != nil {
+				return err
+			}
+			if misses := firstStore.Stats().Misses; misses != primedMisses {
+				return fmt.Errorf("k=%d: %d probes missed the warm store", firstK.Constraint.K, misses-primedMisses)
+			}
+			return nil
 		}},
 		// BenchmarkSimMapped's run: 6,244. A mapped run that allocated
 		// its running set on every step cost 13,392.

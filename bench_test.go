@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -353,5 +354,76 @@ func BenchmarkSyntheticCampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSensitivityWarmWalk measures the warm sensitivity query path
+// the sensitivity-sweep service workload exercises: a walk over eight
+// neighbouring case-study systems (each one WCET unit lighter on one
+// regular task), one slack-plus-frontier query per step under a fresh
+// (m,k) with k in [10, 100], all against one shared warm store that a
+// warm-up query per system primed. Each query runs on the store's
+// retained nominal system with its hash, as the service does, so a
+// probe costs the warm store's lookups and dmm(k) on stored analyses.
+func BenchmarkSensitivityWarmWalk(b *testing.B) {
+	ctx := context.Background()
+	store := repro.NewSensitivityWarmStore()
+	base := repro.CaseStudy()
+	var regular []*repro.Task
+	for _, c := range base.Chains {
+		if !c.Overload {
+			for i := range c.Tasks {
+				regular = append(regular, &c.Tasks[i])
+			}
+		}
+	}
+	sopts := func(m, k int64) repro.SensitivityOptions {
+		return repro.SensitivityOptions{
+			Constraint:   repro.Constraint{M: m, K: k},
+			FrontierMaxK: 20,
+			ScaleDenom:   20,
+			MaxScale:     40,
+			Tasks:        []string{"tau1d", "tau3d", "tau5d", "tau3c"},
+			Workers:      2,
+		}
+	}
+	var hashes []string
+	for i := 0; i < 8; i++ {
+		t := regular[(5*i)%len(regular)]
+		t.WCET--
+		sys := base.Clone()
+		t.WCET++
+		hash, err := repro.CanonicalHash(sys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := (repro.AnalysisRequest{System: sys, Chain: "sigma_c"}).SensitivityWarm(ctx, sopts(24, 50), nil, store); err != nil {
+			b.Fatal(err)
+		}
+		hashes = append(hashes, hash)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pos := 0
+	step := func() {
+		pos = (pos + len(hashes) + 2*rng.Intn(2) - 1) % len(hashes)
+		k := 10 + rng.Int63n(91)
+		m := min(k-1, 2*k/5+4+rng.Int63n(7))
+		req := repro.AnalysisRequest{System: store.Nominal(hashes[pos]), Chain: "sigma_c", SystemHash: hashes[pos]}
+		if req.System == nil {
+			b.Fatal("warm store lost a primed nominal system")
+		}
+		if _, err := req.SensitivityWarm(ctx, sopts(m, k), nil, store); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// A walk this long has probed nearly every coordinate the measured
+	// steps visit, so a step's cost does not depend on b.N.
+	for range 2000 {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		step()
 	}
 }

@@ -198,11 +198,11 @@ func TestQueryAnalyzeErrorPropagates(t *testing.T) {
 
 func TestBisectionDrivers(t *testing.T) {
 	ctx := context.Background()
-	boundary := func(b int64) func(context.Context, int64) (bool, error) {
-		return func(_ context.Context, x int64) (bool, error) { return x <= b, nil }
+	boundary := func(b int64) probeFunc {
+		return func(_ context.Context, c *candidate) (bool, error) { return c.x <= b, nil }
 	}
-	above := func(b int64) func(context.Context, int64) (bool, error) {
-		return func(_ context.Context, x int64) (bool, error) { return x >= b, nil }
+	above := func(b int64) probeFunc {
+		return func(_ context.Context, c *candidate) (bool, error) { return c.x >= b, nil }
 	}
 	// Every batch width must find the same boundary: the speculative
 	// batches change only how many candidates are probed per round.
@@ -255,9 +255,9 @@ func TestBisectionProbeCountIndependent(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		var probes atomic.Int64
 		bp := batcher{width: batchWidth, workers: workers}
-		x, _, err := bp.maxTrue(ctx, familyKey{}, 0, 100000, func(_ context.Context, v int64) (bool, error) {
+		x, _, err := bp.maxTrue(ctx, familyKey{}, 0, 100000, func(_ context.Context, c *candidate) (bool, error) {
 			probes.Add(1)
-			return v <= 7777, nil
+			return c.x <= 7777, nil
 		})
 		if err != nil || x != 7777 {
 			t.Fatalf("workers %d: maxTrue = (%d, %v)", workers, x, err)

@@ -25,32 +25,37 @@
 // solved neighbor on the demand-dominated side of its axis
 // (twca.WarmStart seeds the busy-window fixed points and the Theorem-3
 // ILP incumbents). Each bisection evaluates a batch of speculative
-// candidate probes through internal/parallel: concurrently when a
-// candidate needs solving, one at a time when the warm store already
-// answers every candidate (a stored answer is cheaper than the
-// fan-out). The store also retains each base system's nominal, so a
-// caller holding it (WarmStore.Nominal) skips decoding and, through
-// Engine.BaseHash, re-hashing it. All of this is effort-only
-// machinery: results are byte-identical for any worker count, any
-// cache state and any store warmth (Options.NoWarmStart pins the cold
-// path for benchmarks and equivalence tests).
+// candidate probes through internal/parallel. One read-locked pass over
+// the warm store fetches the stored outcomes of a whole batch first;
+// the batch then runs concurrently when a candidate needs solving, one
+// at a time when the store answered every candidate (a stored answer
+// is cheaper than the fan-out). The store also retains each base
+// system's nominal, so a caller holding it (WarmStore.Nominal) skips
+// decoding and, through Engine.BaseHash, re-hashing it. All of this is
+// effort-only machinery: results are byte-identical for any worker
+// count, any cache state and any store warmth (Options.NoWarmStart pins
+// the cold path for benchmarks and equivalence tests).
 //
 // The driver fans independent metrics out across the internal/parallel
-// pool. Each query keeps one probe memo keyed by the perturbed system's
-// canonical content hash (model.CanonicalHash), holding every analysis
-// the query solved or took from the warm store, so coordinates that
-// materialize the same system share one analysis. Result.Analyses is
-// charged exactly when a hash enters that memo, and once per analysis
-// of an unhashable system: it counts distinct systems, whatever the
-// probe order, worker count or store warmth. The analysis service plugs
-// its content-addressed LRU in through the AnalyzeFunc hook so probes
-// are reused across endpoints.
+// pool. Each query keeps one memo of its fresh analyses, keyed by the
+// perturbed system's canonical content hash (model.CanonicalHash), so
+// coordinates that materialize the same system share one analysis, and
+// a list of the outcomes it took from the warm store, which warm probes
+// append to without touching the memo. Result.Analyses is charged when
+// a hash enters the memo and, once every probe is done, for each taken
+// hash the memo and the earlier taken outcomes do not carry; an
+// unhashable system is charged once per analysis. So it counts distinct
+// systems, whatever the probe order, worker count or store warmth. The
+// analysis service plugs its content-addressed LRU in through the
+// AnalyzeFunc hook so probes are reused across endpoints.
 package sensitivity
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -294,14 +299,14 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	}
 	q := &query{
 		analyze: e.Analyze,
+		byHash:  make(map[string]*memoEntry),
 		sys:     sys,
 		chain:   chain,
 		aopts:   aopts,
 		c:       opts.Constraint,
 		denom:   opts.ScaleDenom,
-		bp:      batcher{width: batchWidth, workers: opts.Workers},
-		byHash:  make(map[string]*memoEntry),
 	}
+	q.bp = batcher{width: batchWidth, workers: opts.Workers, take: q.take}
 	if q.analyze == nil {
 		q.analyze = func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
 			return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
@@ -318,14 +323,24 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		}
 		q.warm = store.scope(baseHash, chain, aopts, opts.ScaleDenom)
 		q.bp.warm = q.warm
+		q.taken = make([]*memoEntry, 0, q.warm.takenHint.Load())
 	}
 
 	// Nominal feasibility first: every bisection below brackets against
 	// the nominal system holding, and the frontier job reuses this
 	// analysis. The nominal coordinate is the identity scaling — the
 	// universal warm-start fallback, demand-dominated by every probe on
-	// every axis.
-	an, err := q.resolve(ctx, coord{kind: coordScale, subject: "", value: opts.ScaleDenom})
+	// every axis. It is fetched like a probe batch of one.
+	nom := [1]candidate{{x: opts.ScaleDenom}}
+	var an *twca.Analysis
+	var err error
+	if q.warm.fetch(familyKey{kind: coordScale}, nom[:]) == 1 {
+		nom[0].taken = true
+		q.take(nom[:])
+		an, err = nom[0].stored.an, nom[0].stored.err
+	} else {
+		an, err = q.resolve(ctx, coord{kind: coordScale, subject: "", value: opts.ScaleDenom})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -369,8 +384,8 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	// result slot, so the fan-out is invisible in the output.
 	var jobs []func(context.Context) error
 	jobs = append(jobs, func(ctx context.Context) error {
-		scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, s int64) (bool, error) {
-			return q.holdsAt(ctx, coord{kind: coordScale, subject: "", value: s})
+		scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, c *candidate) (bool, error) {
+			return q.holdsAt(ctx, c, coord{kind: coordScale, subject: "", value: c.x})
 		})
 		res.Uniform = Slack{Scale: scale, AtLimit: atLimit}
 		return err
@@ -391,8 +406,8 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	for i, name := range tasks {
 		i, name := i, name
 		jobs = append(jobs, func(ctx context.Context) error {
-			scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale, subject: name}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, s int64) (bool, error) {
-				return q.holdsAt(ctx, coord{kind: coordScale, subject: name, value: s})
+			scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale, subject: name}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, c *candidate) (bool, error) {
+				return q.holdsAt(ctx, c, coord{kind: coordScale, subject: name, value: c.x})
 			})
 			res.Tasks[i] = TaskSlack{Task: name, Slack: Slack{Scale: scale, AtLimit: atLimit}}
 			return err
@@ -409,8 +424,12 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	if err := parallel.ForEach(opts.Workers, len(jobs), func(i int) error { return jobs[i](ctx) }); err != nil {
 		return nil, err
 	}
+	q.chargeTaken()
 	res.Probes = q.probes.Load()
 	res.Analyses = q.analyses.Load()
+	if q.warm != nil {
+		q.warm.takenHint.Store(int64(len(q.taken)))
+	}
 	q.qmu.Lock()
 	res.Quality = q.worst
 	q.qmu.Unlock()
@@ -432,8 +451,8 @@ func (q *query) breakdown(ctx context.Context, oc *model.Chain, opts Options) (B
 			maxJ = 1 << 40
 		}
 	}
-	j, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordJitter, subject: oc.Name}, 0, int64(maxJ), func(ctx context.Context, x int64) (bool, error) {
-		return q.holdsAt(ctx, coord{kind: coordJitter, subject: oc.Name, value: x})
+	j, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordJitter, subject: oc.Name}, 0, int64(maxJ), func(ctx context.Context, c *candidate) (bool, error) {
+		return q.holdsAt(ctx, c, coord{kind: coordJitter, subject: oc.Name, value: c.x})
 	})
 	if err != nil {
 		return b, err
@@ -442,8 +461,8 @@ func (q *query) breakdown(ctx context.Context, oc *model.Chain, opts Options) (B
 
 	if hasDistance {
 		b.NominalDistance = d0
-		d, atLimit, err := q.bp.minTrue(ctx, familyKey{kind: coordDistance, subject: oc.Name}, 1, int64(d0), func(ctx context.Context, x int64) (bool, error) {
-			return q.holdsAt(ctx, coord{kind: coordDistance, subject: oc.Name, value: x})
+		d, atLimit, err := q.bp.minTrue(ctx, familyKey{kind: coordDistance, subject: oc.Name}, 1, int64(d0), func(ctx context.Context, c *candidate) (bool, error) {
+			return q.holdsAt(ctx, c, coord{kind: coordDistance, subject: oc.Name, value: c.x})
 		})
 		if err != nil {
 			return b, err
@@ -469,7 +488,8 @@ type query struct {
 	analyses atomic.Int64
 
 	mu     sync.Mutex
-	byHash map[string]*memoEntry
+	byHash map[string]*memoEntry // fresh analyses, by content hash
+	taken  []*memoEntry          // warm-store outcomes the probes took
 
 	qmu   sync.Mutex
 	worst degrade.Info
@@ -498,45 +518,35 @@ func (q *query) noteQuality(i degrade.Info) {
 	}
 }
 
-// memoEntry is one in-flight or completed probe analysis; followers
-// wait on done instead of re-running the analysis.
+// memoEntry is one probe analysis of the system with content hash hash:
+// a query's in-flight one, whose followers wait on done instead of
+// re-running the analysis, or a warm-store outcome, complete when
+// stored and never written again (done is nil).
 type memoEntry struct {
 	done chan struct{}
+	hash string
 	an   *twca.Analysis
 	err  error
 }
 
-// closedDone is the done channel of every complete entry (the warm
-// store's): closed once, shared, so such entries allocate no channel of
-// their own.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
 // resolve returns the prepared DMM analysis of the system at coordinate
-// c. An exact warm-store hit skips materializing and hashing the
-// perturbed system; otherwise the system is built, hashed and solved at
-// most once per content hash, warm-started from the nearest solved
-// neighbor on the sound side of c's axis. Completed outcomes are stored
-// under c for future queries.
+// c, which the warm store does not hold (a stored outcome skips
+// materializing and hashing the perturbed system; see holdsAt). The
+// system is built, hashed and solved at most once per content hash,
+// warm-started from the nearest solved neighbor on the sound side of
+// c's axis. Completed outcomes are stored under c for future queries.
 //
 // Transient failures (cancellation, injected faults) are evicted before
 // followers wake, so a probe canceled mid-flight is not replayed to
 // probes arriving with a healthy context; deterministic failures are
 // retained like any other outcome.
 func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
-	if out, hash, ok := q.warm.lookup(c); ok {
-		q.entry(hash, out)
-		return out.an, out.err
-	}
 	sys, err := q.materialize(c)
 	if err != nil {
 		return nil, err
 	}
 	hash, _ := model.CanonicalHash(sys) // "" when sys has no JSON form
-	e, created := q.entry(hash, nil)
+	e, created := q.entry(hash)
 	if created {
 		e.an, e.err = q.analyze(ctx, sys, hash, q.chain, q.aopts, q.warm.nearest(c))
 		if e.err != nil && !deterministicErr(e.err) {
@@ -560,31 +570,53 @@ func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 }
 
 // entry returns the memo entry of the system with content hash hash,
-// registering complete when the hash has none yet: a complete entry
-// (a warm-store hit, shared with the store and never written) is stored
-// as is; a nil one creates an in-flight entry, which the caller fills
-// and then closes. Registering an entry is the one place Analyses is
-// charged, so the counter reads the number of distinct systems the
-// query analyzed or took from the warm store. An unhashable system
-// (empty hash) cannot be deduplicated: every call registers a fresh,
-// unshared entry and is charged.
-func (q *query) entry(hash string, complete *memoEntry) (*memoEntry, bool) {
-	if hash != "" {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if e, ok := q.byHash[hash]; ok {
-			return e, false
-		}
+// creating an in-flight one, which the caller fills and then closes,
+// when the hash has none yet. Creating an entry charges Analyses; an
+// unhashable system (empty hash) cannot be deduplicated, so every call
+// creates a fresh, unshared entry and is charged.
+func (q *query) entry(hash string) (*memoEntry, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if e, ok := q.byHash[hash]; ok && hash != "" {
+		return e, false
 	}
-	e := complete
-	if e == nil {
-		e = &memoEntry{done: make(chan struct{})}
-	}
+	e := &memoEntry{done: make(chan struct{}), hash: hash}
 	if hash != "" {
 		q.byHash[hash] = e
 	}
 	q.analyses.Add(1)
 	return e, true
+}
+
+// take records the warm-store outcomes a batch's probes took
+// (candidate.taken), under one lock for the whole batch. A probe path
+// that only appends pointers keeps string-keyed map work, and the lock
+// convoy it caused, off warm probes; chargeTaken charges them once the
+// query's probes are done.
+func (q *query) take(cands []candidate) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := range cands {
+		if cands[i].taken {
+			q.taken = append(q.taken, cands[i].stored)
+		}
+	}
+}
+
+// chargeTaken charges Analyses for the warm-store outcomes the query
+// took, after every probe is done: once per hash that no fresh analysis
+// of the query and no other taken outcome already carries, and once
+// per unhashable outcome. With entry's charges, Analyses is then the
+// number of distinct systems the query analyzed or took from the warm
+// store, whatever the probe order, worker count or store warmth.
+func (q *query) chargeTaken() {
+	slices.SortFunc(q.taken, func(a, b *memoEntry) int { return strings.Compare(a.hash, b.hash) })
+	for i, e := range q.taken {
+		if e.hash != "" && (i > 0 && q.taken[i-1].hash == e.hash || q.byHash[e.hash] != nil) {
+			continue
+		}
+		q.analyses.Add(1)
+	}
 }
 
 // materialize builds the perturbed system at coordinate c.
@@ -601,10 +633,12 @@ func (q *query) materialize(c coord) (*model.System, error) {
 }
 
 // holdsAt is the monotone predicate every metric bisects: does the
-// constraint still verify on the system at coordinate c? A perturbation
+// constraint still verify on the system at coordinate c, the probe of
+// candidate cand? A warm-store outcome fetched for cand answers without
+// resolve and is marked taken, for the batch to record. A perturbation
 // that breaks the busy-window analysis outright (diverged fixed point,
 // no closing window) is a definite "no", not an error.
-func (q *query) holdsAt(ctx context.Context, c coord) (bool, error) {
+func (q *query) holdsAt(ctx context.Context, cand *candidate, c coord) (bool, error) {
 	q.probes.Add(1)
 	if f := faultinject.At(faultinject.PointSensitivityProbe); f != nil {
 		if f.Budget() {
@@ -616,7 +650,14 @@ func (q *query) holdsAt(ctx context.Context, c coord) (bool, error) {
 			return false, fmt.Errorf("sensitivity: probe: %w", err)
 		}
 	}
-	an, err := q.resolve(ctx, c)
+	var an *twca.Analysis
+	var err error
+	if cand.stored != nil {
+		cand.taken = true
+		an, err = cand.stored.an, cand.stored.err
+	} else {
+		an, err = q.resolve(ctx, c)
+	}
 	if err != nil {
 		if errors.Is(err, latency.ErrDiverged) || errors.Is(err, latency.ErrKExceeded) {
 			return false, nil
@@ -641,37 +682,58 @@ type batcher struct {
 	workers int
 	// warm is the query's warm-store scope (nil: none). A batch whose
 	// candidates it answers exactly runs inline: a stored answer costs a
-	// map lookup, less than the fan-out it would ride on.
+	// pointer read, less than the fan-out it would ride on.
 	warm *scopeStore
+	// take receives each batch whose fetch found stored outcomes,
+	// after its probes ran (nil: none); see query.take.
+	take func([]candidate)
+}
+
+// probeFunc is the predicate a search bisects, evaluated at candidate
+// c.x.
+type probeFunc func(ctx context.Context, c *candidate) (bool, error)
+
+// candidate is one probe of a batch: its value, the warm store's
+// outcome for it (see scopeStore.fetch), whether the probe took that
+// outcome, and the predicate's verdict.
+type candidate struct {
+	x      int64
+	stored *memoEntry
+	taken  bool
+	ok     bool
 }
 
 // eval evaluates pred on every candidate (coordinates of family fk)
 // and returns the index of the first candidate pred rejects, or
-// len(cands) when it accepts them all; res is caller-owned scratch of
-// at least len(cands) results. The first error wins, lowest index
-// first, per parallel.ForEach. Candidates run concurrently under the
-// worker bound unless the warm store already holds every one of them;
-// then the batch goes through the same pool one at a time. Only the
-// width differs, so the probes, their results and every counter are the
-// same either way.
-func (b batcher) eval(ctx context.Context, fk familyKey, cands []int64, res []bool, pred func(context.Context, int64) (bool, error)) (int, error) {
+// len(cands) when it accepts them all. The first error wins, lowest
+// index first, per parallel.ForEach. One warm-store fetch first hands
+// every candidate its stored outcome. Candidates run concurrently under
+// the worker bound unless the store held every one of them; then the
+// batch goes through the same pool one at a time. Only the width
+// differs, so the probes, their results and every counter are the same
+// either way.
+func (b batcher) eval(ctx context.Context, fk familyKey, cands []candidate, pred probeFunc) (int, error) {
 	workers := b.workers
-	if b.warm.holds(fk, cands) {
+	found := b.warm.fetch(fk, cands)
+	if found == len(cands) {
 		workers = 1
 	}
 	err := parallel.ForEach(workers, len(cands), func(i int) error {
-		ok, err := pred(ctx, cands[i])
+		ok, err := pred(ctx, &cands[i])
 		if err != nil {
 			return err
 		}
-		res[i] = ok
+		cands[i].ok = ok
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
+	if found > 0 && b.take != nil {
+		b.take(cands)
+	}
 	for i := range cands {
-		if !res[i] {
+		if !cands[i].ok {
 			return i, nil
 		}
 	}
@@ -687,13 +749,13 @@ func (b batcher) eval(ctx context.Context, fk familyKey, cands []int64, res []bo
 // pred is not perfectly monotone, the returned point sits on a genuine
 // boundary (results are scanned in candidate order and the first false
 // wins, exactly as a serial search would see them). fk names the
-// coordinate family pred probes, for eval's warm-store check.
-func (b batcher) maxTrue(ctx context.Context, fk familyKey, lo, hi int64, pred func(context.Context, int64) (bool, error)) (x int64, atLimit bool, err error) {
+// coordinate family pred probes, for eval's warm-store fetch.
+func (b batcher) maxTrue(ctx context.Context, fk familyKey, lo, hi int64, pred probeFunc) (x int64, atLimit bool, err error) {
 	if hi <= lo {
 		return lo, true, nil
 	}
-	// One candidate and one result buffer serve every round.
-	cands, res := make([]int64, 0, b.width), make([]bool, b.width)
+	// One candidate buffer serves every round.
+	cands := make([]candidate, 0, b.width)
 	good, step, bad := lo, int64(1), int64(-1)
 	for good < hi && bad < 0 {
 		// One speculative bracketing batch: cumulative exponential steps
@@ -702,19 +764,19 @@ func (b batcher) maxTrue(ctx context.Context, fk familyKey, lo, hi int64, pred f
 		c, s := good, step
 		for len(cands) < b.width {
 			if c > hi-s { // clamp, guard overflow
-				if len(cands) == 0 || cands[len(cands)-1] != hi {
-					cands = append(cands, hi)
+				if len(cands) == 0 || cands[len(cands)-1].x != hi {
+					cands = append(cands, candidate{x: hi})
 				}
 				break
 			}
 			c += s
-			cands = append(cands, c)
+			cands = append(cands, candidate{x: c})
 			if s < 1<<61 {
 				s *= 2
 			}
 		}
 		step = s
-		first, err := b.eval(ctx, fk, cands, res, pred)
+		first, err := b.eval(ctx, fk, cands, pred)
 		if err != nil {
 			return 0, false, err
 		}
@@ -732,12 +794,12 @@ func (b batcher) maxTrue(ctx context.Context, fk familyKey, lo, hi int64, pred f
 		cands = cands[:0]
 		if unit > 0 {
 			for i := int64(1); i <= int64(b.width); i++ {
-				cands = append(cands, good+i*unit)
+				cands = append(cands, candidate{x: good + i*unit})
 			}
 		} else {
-			cands = append(cands, good+gap/2)
+			cands = append(cands, candidate{x: good + gap/2})
 		}
-		first, err := b.eval(ctx, fk, cands, res, pred)
+		first, err := b.eval(ctx, fk, cands, pred)
 		if err != nil {
 			return 0, false, err
 		}
@@ -749,30 +811,30 @@ func (b batcher) maxTrue(ctx context.Context, fk familyKey, lo, hi int64, pred f
 // minTrue is the mirror of maxTrue: the smallest x in [lo, hi] with
 // pred(x) true, given that pred(hi) is true; atLimit reports that pred
 // held all the way down at lo.
-func (b batcher) minTrue(ctx context.Context, fk familyKey, lo, hi int64, pred func(context.Context, int64) (bool, error)) (x int64, atLimit bool, err error) {
+func (b batcher) minTrue(ctx context.Context, fk familyKey, lo, hi int64, pred probeFunc) (x int64, atLimit bool, err error) {
 	if hi <= lo {
 		return hi, true, nil
 	}
-	cands, res := make([]int64, 0, b.width), make([]bool, b.width)
+	cands := make([]candidate, 0, b.width)
 	good, step, bad := hi, int64(1), int64(-1)
 	for good > lo && bad < 0 {
 		cands = cands[:0]
 		c, s := good, step
 		for len(cands) < b.width {
 			if c < lo+s {
-				if len(cands) == 0 || cands[len(cands)-1] != lo {
-					cands = append(cands, lo)
+				if len(cands) == 0 || cands[len(cands)-1].x != lo {
+					cands = append(cands, candidate{x: lo})
 				}
 				break
 			}
 			c -= s
-			cands = append(cands, c)
+			cands = append(cands, candidate{x: c})
 			if s < 1<<61 {
 				s *= 2
 			}
 		}
 		step = s
-		first, err := b.eval(ctx, fk, cands, res, pred)
+		first, err := b.eval(ctx, fk, cands, pred)
 		if err != nil {
 			return 0, false, err
 		}
@@ -787,12 +849,12 @@ func (b batcher) minTrue(ctx context.Context, fk familyKey, lo, hi int64, pred f
 		cands = cands[:0]
 		if unit > 0 {
 			for i := int64(1); i <= int64(b.width); i++ {
-				cands = append(cands, good-i*unit)
+				cands = append(cands, candidate{x: good - i*unit})
 			}
 		} else {
-			cands = append(cands, good-gap/2)
+			cands = append(cands, candidate{x: good - gap/2})
 		}
-		first, err := b.eval(ctx, fk, cands, res, pred)
+		first, err := b.eval(ctx, fk, cands, pred)
 		if err != nil {
 			return 0, false, err
 		}
@@ -805,12 +867,12 @@ func (b batcher) minTrue(ctx context.Context, fk familyKey, lo, hi int64, pred f
 // candidates before the first rejected one (index first) held, so the
 // last of them is the new good point, and the rejected one, if any, is
 // the new bad point.
-func advance(cands []int64, first int, good, bad int64) (int64, int64) {
+func advance(cands []candidate, first int, good, bad int64) (int64, int64) {
 	if first > 0 {
-		good = cands[first-1]
+		good = cands[first-1].x
 	}
 	if first < len(cands) {
-		bad = cands[first]
+		bad = cands[first].x
 	}
 	return good, bad
 }

@@ -197,7 +197,8 @@ func TestWarmStoreDegradedExcluded(t *testing.T) {
 	s.put(coord{kind: coordScale, subject: "", value: 1000}, "h-exact", exact, nil, 1000)
 	s.put(coord{kind: coordScale, subject: "", value: 1050}, "h-degraded", degraded, nil, 1000)
 
-	if e, _, ok := s.lookup(coord{kind: coordScale, subject: "", value: 1050}); !ok || e.an != degraded {
+	hit := []candidate{{x: 1050}}
+	if s.fetch(familyKey{kind: coordScale}, hit) != 1 || hit[0].stored.an != degraded {
 		t.Error("degraded entry not reusable at its exact coordinate")
 	}
 	ws := s.nearest(coord{kind: coordScale, subject: "", value: 1060})
@@ -471,9 +472,12 @@ func TestWarmNominal(t *testing.T) {
 	}
 }
 
-// TestWarmHoldsIsSilent: the membership check that sizes probe batches
-// counts no hit or miss and never runs the fault seam.
-func TestWarmHoldsIsSilent(t *testing.T) {
+// TestWarmFetchPerBatch: one fetch answers a whole probe batch. It
+// hands each candidate its stored outcome (nil where none is stored),
+// counts the batch's hits and misses, and runs the fault seam once; an
+// armed seam turns the whole batch into misses and counts one injected
+// consultation, not one per candidate.
+func TestWarmFetchPerBatch(t *testing.T) {
 	defer faultinject.Disarm()
 	faultinject.Disarm()
 	sys := casestudy.New()
@@ -485,23 +489,38 @@ func TestWarmHoldsIsSilent(t *testing.T) {
 	s := store.scope("base", "sigma_c", twca.Options{}, 20)
 	fk := familyKey{kind: coordJitter, subject: "sigma_b"}
 	for _, v := range []int64{10, 20} {
-		s.put(coord{kind: fk.kind, subject: fk.subject, value: v}, "h", an, nil, 20)
+		s.put(coord{kind: fk.kind, subject: fk.subject, value: v}, fmt.Sprintf("h%d", v), an, nil, 20)
 	}
+	batch := []candidate{{x: 10}, {x: 30}, {x: 20}, {x: 40}}
+	if n := s.fetch(fk, batch); n != 2 {
+		t.Fatalf("fetch found %d of the batch, want 2", n)
+	}
+	for i, want := range []string{"h10", "", "h20", ""} {
+		got := ""
+		if batch[i].stored != nil {
+			got = batch[i].stored.hash
+		}
+		if got != want {
+			t.Errorf("candidate %d (x=%d): stored hash %q, want %q", i, batch[i].x, got, want)
+		}
+	}
+	if st := store.Stats(); st != (WarmStats{Hits: 2, Misses: 2}) {
+		t.Errorf("after one batch: %+v, want 2 hits and 2 misses", st)
+	}
+
 	if err := faultinject.Configure([]faultinject.Rule{
 		{Point: faultinject.PointSensitivityWarmStore, Action: faultinject.ActionError},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.holds(fk, []int64{10, 20}) {
-		t.Error("holds missed stored coordinates")
+	fresh := []candidate{{x: 10}, {x: 20}}
+	if n := s.fetch(fk, fresh); n != 0 || fresh[0].stored != nil || fresh[1].stored != nil {
+		t.Errorf("armed seam: fetch found %d, want every candidate a miss", n)
 	}
-	if s.holds(fk, []int64{10, 30}) {
-		t.Error("holds reported an unstored coordinate")
+	if st := store.Stats(); st != (WarmStats{Hits: 2, Misses: 2, Injected: 1}) {
+		t.Errorf("armed seam: %+v, want one injected consultation and no new hit or miss", st)
 	}
-	if st := store.Stats(); st != (WarmStats{}) {
-		t.Errorf("holds moved the store counters: %+v", st)
-	}
-	if n := faultinject.FireCounts()[faultinject.PointSensitivityWarmStore]; n != 0 {
-		t.Errorf("holds ran the fault seam %d times", n)
+	if n := faultinject.FireCounts()[faultinject.PointSensitivityWarmStore]; n != 1 {
+		t.Errorf("one batch ran the fault seam %d times, want 1", n)
 	}
 }

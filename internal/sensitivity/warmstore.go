@@ -54,13 +54,13 @@ type familyKey struct {
 // warmEntry is one completed probe outcome retained for reuse: either a
 // solved analysis or a deterministic failure verdict (diverged /
 // K-exceeded, a pure function of the coordinate — see deterministicErr).
-// The outcome is a complete memo entry, built once in put, so a query
-// that hits it inserts this very pointer into its probe memo instead of
-// allocating one per hit; complete entries are never written again.
+// The outcome is a complete memo entry, built once in put and carrying
+// the perturbed system's content hash, so a query that hits it records
+// this very pointer instead of allocating per hit; complete entries are
+// never written again.
 type warmEntry struct {
-	c    coord
-	hash string
-	out  *memoEntry
+	c   coord
+	out *memoEntry
 }
 
 // Store growth caps. The warm store retains whole analyses, so a
@@ -120,8 +120,11 @@ type WarmStats struct {
 	// Misses the lookups that fell through to a fresh analysis.
 	Hits, Misses int64
 	// Injected counts store consultations suppressed by the
-	// sensitivity.warmstore fault-injection seam (each one degraded to
-	// a silent miss).
+	// sensitivity.warmstore fault-injection seam, each degraded to a
+	// silent (uncounted) miss. A probe batch's fetch is one
+	// consultation: a suppressed fetch turns every candidate of its
+	// batch into a miss and counts once, like a suppressed neighbor
+	// search or Nominal lookup.
 	Injected int64
 }
 
@@ -140,7 +143,7 @@ func (w *WarmStore) Stats() WarmStats {
 // fresh private scope (still useful within its query, never shared).
 func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int64) *scopeStore {
 	if baseHash == "" {
-		return &scopeStore{owner: w, byCoord: make(map[coord]warmEntry), families: make(map[familyKey][]warmEntry)}
+		return &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry), families: make(map[familyKey][]warmEntry)}
 	}
 	key := baseHash + "|" + chain + "|" + strconv.FormatInt(denom, 10) + "|" + fmt.Sprintf("%+v", aopts)
 	w.mu.Lock()
@@ -152,7 +155,7 @@ func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int6
 	if ok {
 		delete(w.old, key)
 	} else {
-		s = &scopeStore{owner: w, byCoord: make(map[coord]warmEntry), families: make(map[familyKey][]warmEntry)}
+		s = &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry), families: make(map[familyKey][]warmEntry)}
 	}
 	if len(w.cur) >= maxScopes/2 {
 		w.old, w.cur = w.cur, make(map[string]*scopeStore)
@@ -194,12 +197,12 @@ func (w *WarmStore) Nominal(hash string) *model.System {
 	if s == nil || !s.available() {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.nominal == nil {
 		return nil
 	}
-	return s.nominal.out.an.Sys
+	return s.nominal.an.Sys
 }
 
 // retains reports whether sys is the very system Nominal(hash) hands
@@ -210,24 +213,26 @@ func (w *WarmStore) retains(hash string, sys *model.System) bool {
 	if s == nil {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nominal != nil && s.nominal.out.an.Sys == sys
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.nominal != nil && s.nominal.an.Sys == sys
 }
 
 // scopeStore holds the entries of one scope. families keeps per-axis
 // slices sorted ascending by coordinate value (insertion keeps the
 // order; no map iteration is ever needed, so the store is trivially
-// deterministic). nominal is the unperturbed system's entry — the
+// deterministic). nominal is the unperturbed system's outcome — the
 // universal fallback seed, demand-dominated by every probe on every
-// axis.
+// axis. takenHint is how many stored outcomes the scope's latest query
+// took, which sizes the next query's list of them up front.
 type scopeStore struct {
 	owner *WarmStore
 
-	mu       sync.Mutex
-	byCoord  map[coord]warmEntry
-	families map[familyKey][]warmEntry
-	nominal  *warmEntry
+	mu        sync.RWMutex
+	byCoord   map[coord]*memoEntry
+	families  map[familyKey][]warmEntry
+	nominal   *memoEntry
+	takenHint atomic.Int64
 }
 
 // available runs the sensitivity.warmstore fault-injection seam: an
@@ -250,41 +255,32 @@ func (s *scopeStore) available() bool {
 	return true
 }
 
-// lookup returns the outcome stored for exactly c — a complete memo
-// entry holding the analysis or the deterministic failure verdict —
-// along with the perturbed system's content hash captured when it was
-// stored.
-func (s *scopeStore) lookup(c coord) (*memoEntry, string, bool) {
+// fetch sets the stored field of each fresh candidate of family fk to
+// the outcome stored for its coordinate, if any, and returns how many it
+// found. One call serves a whole probe batch: one read-locked pass, one
+// update of the hit and miss counters, and one run of the
+// sensitivity.warmstore fault seam, so an armed seam turns every
+// candidate of the batch into a miss.
+func (s *scopeStore) fetch(fk familyKey, cands []candidate) int {
 	if s == nil || !s.available() {
-		return nil, "", false
+		return 0
 	}
-	s.mu.Lock()
-	e, ok := s.byCoord[c]
-	s.mu.Unlock()
-	if !ok {
-		s.owner.misses.Add(1)
-		return nil, "", false
-	}
-	s.owner.hits.Add(1)
-	return e.out, e.hash, true
-}
-
-// holds reports whether the store has an outcome for every coordinate
-// of family fk at the given values. It is a pure membership check — no
-// fault seam, no hit or miss counted — used only to decide how wide a
-// probe batch fans out, which never changes a result.
-func (s *scopeStore) holds(fk familyKey, values []int64) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, v := range values {
-		if _, ok := s.byCoord[coord{kind: fk.kind, subject: fk.subject, value: v}]; !ok {
-			return false
+	found := 0
+	s.mu.RLock()
+	for i := range cands {
+		if e := s.byCoord[coord{kind: fk.kind, subject: fk.subject, value: cands[i].x}]; e != nil {
+			cands[i].stored = e
+			found++
 		}
 	}
-	return true
+	s.mu.RUnlock()
+	if found > 0 {
+		s.owner.hits.Add(int64(found))
+	}
+	if found < len(cands) {
+		s.owner.misses.Add(int64(len(cands) - found))
+	}
+	return found
 }
 
 // nearest returns warm-start hints from the closest solved neighbor on
@@ -297,22 +293,22 @@ func (s *scopeStore) nearest(c coord) *twca.WarmStart {
 	if s == nil || !s.available() {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	fam := s.families[familyKey{kind: c.kind, subject: c.subject}]
-	var best *warmEntry
+	var best *memoEntry
 	switch c.kind {
 	case coordScale, coordJitter:
 		// Rightmost entry with value ≤ c.value.
 		i := sort.Search(len(fam), func(i int) bool { return fam[i].c.value > c.value })
 		if i > 0 {
-			best = &fam[i-1]
+			best = fam[i-1].out
 		}
 	case coordDistance:
 		// Leftmost entry with value ≥ c.value.
 		i := sort.Search(len(fam), func(i int) bool { return fam[i].c.value >= c.value })
 		if i < len(fam) {
-			best = &fam[i]
+			best = fam[i].out
 		}
 	}
 	if best == nil {
@@ -321,7 +317,7 @@ func (s *scopeStore) nearest(c coord) *twca.WarmStart {
 	if best == nil {
 		return nil
 	}
-	return &twca.WarmStart{From: best.out.an}
+	return &twca.WarmStart{From: best.an}
 }
 
 // put retains a completed probe outcome under its coordinate: a solved
@@ -342,8 +338,8 @@ func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, den
 	if len(s.byCoord) >= maxScopeEntries {
 		return
 	}
-	e := warmEntry{c: c, hash: hash, out: &memoEntry{done: closedDone, an: an, err: err}}
-	s.byCoord[c] = e
+	out := &memoEntry{hash: hash, an: an, err: err}
+	s.byCoord[c] = out
 	if an == nil || an.Degraded.Degraded() || an.Latency.Quality.Degraded() {
 		return
 	}
@@ -355,9 +351,9 @@ func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, den
 	i := sort.Search(len(fam), func(i int) bool { return fam[i].c.value >= c.value })
 	fam = append(fam, warmEntry{})
 	copy(fam[i+1:], fam[i:])
-	fam[i] = e
+	fam[i] = warmEntry{c: c, out: out}
 	s.families[fk] = fam
 	if c.kind == coordScale && c.subject == "" && c.value == denom {
-		s.nominal = &e
+		s.nominal = out
 	}
 }

@@ -382,13 +382,29 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, err error) {
 // readBody slurps the request body under the configured size cap. The
 // raw bytes are kept because a fleet relay forwards them verbatim —
 // re-encoding the parsed struct could normalize the JSON and change
-// what the owner hashes.
+// what the owner hashes. A Content-Length within the cap sizes one
+// buffer exactly, where reading to EOF would grow one in steps; a body
+// that ends before its declared length or runs past it is rejected.
+// Without a usable length the body is read to EOF under the cap.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	n := r.ContentLength
+	if n <= 0 || n > s.cfg.MaxBodyBytes {
+		data, err := io.ReadAll(body)
+		if err != nil {
+			return nil, badRequestError{fmt.Errorf("bad request body: %w", err)}
+		}
+		return data, nil
+	}
+	// The spare byte of capacity catches a body longer than declared.
+	data := make([]byte, n, n+1)
+	if _, err := io.ReadFull(body, data); err != nil {
 		return nil, badRequestError{fmt.Errorf("bad request body: %w", err)}
 	}
-	return body, nil
+	if extra, _ := body.Read(data[n : n+1]); extra > 0 {
+		return nil, badRequestError{fmt.Errorf("bad request body: longer than its Content-Length %d", n)}
+	}
+	return data, nil
 }
 
 // decodeStrict parses data into v. Unknown fields are rejected:

@@ -276,9 +276,10 @@ func TestDeferredDecodeErrorIsBadRequest(t *testing.T) {
 }
 
 // hotReadAllocsCeiling bounds the allocations of one warmed repeat dmm
-// read through the handler. Measured at 84 on go1.24 linux/amd64, and 94
-// under -race; the ceiling leaves about 40% (25% under -race) headroom
-// for toolchain and stdlib drift. A request path that decodes and hashes
+// read through the handler. Measured at 82 on go1.24 linux/amd64, and 90
+// under -race (84 and 94 when the body was read to EOF in growing
+// buffers); the ceiling leaves about 45% (33% under -race) headroom for
+// toolchain and stdlib drift. A request path that decodes and hashes
 // the system on every read costs about 180 and fails it.
 const hotReadAllocsCeiling = 120
 

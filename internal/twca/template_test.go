@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/casestudy"
+	"repro/internal/degrade"
 	"repro/internal/faultinject"
+	"repro/internal/ilp"
 	"repro/internal/model"
 )
 
@@ -178,8 +180,36 @@ func TestInjectedILPFaultOnCompiledTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Value != w.Value || got.Exact != w.Exact || got.Quality != w.Quality || got.ILPNodes != w.ILPNodes {
+		if got.Value != w.Value || got.Exact != w.Exact || got.Quality != w.Quality {
 			t.Fatalf("post-fault dmm(%d) = %+v, fresh analysis %+v", k, got, w)
 		}
+		if again, err := an.DMMCtx(ctx, k); err != nil || again.ILPNodes != 0 {
+			t.Fatalf("repeated post-fault dmm(%d) = %+v (%v), want a memo hit with 0 nodes", k, again, err)
+		}
+	}
+}
+
+// TestMemoCappedEntryPrecedence pins the memo's lookup order once it
+// holds a node-capped entry: a k whose capacity vector the capped entry
+// was solved under gets that entry's answer, even when a recorded k-range
+// of an exact answer spans k. The state is staged directly. Cold solves never
+// produce it, but warm incumbents can: they let an exact search finish
+// under larger capacities where a truncated one at smaller capacities
+// could not.
+func TestMemoCappedEntryPrecedence(t *testing.T) {
+	a := sigmaC(t, casestudy.New(), Options{})
+	// k = 3 and k = 5 share σc's capacity vector [3 3].
+	a.cache = []dmmCacheEntry{
+		{bounds: a.boundsAt(nil, 3), sol: ilp.Solution{Value: 3, Bound: 4}, usage: []int64{3, 3}},
+		{bounds: a.boundsAt(nil, 40), sol: ilp.Solution{Value: 3, Bound: 3, Exact: true}, usage: []int64{3, 3}},
+	}
+	a.spans = []kSpan{{lo: 1, hi: 40, bound: 3}}
+	a.inexact = true
+	r, err := a.DMMValueCtx(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Value != 4 || r.Exact || r.Quality.Budget != degrade.BudgetILPNodes || r.ILPNodes != 0 {
+		t.Fatalf("dmm(5) = %+v, want the capped entry's bound 4, inexact, from the memo", r)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
+	"sort"
 	"sync"
 
 	"repro/internal/curves"
@@ -204,16 +204,19 @@ type Analysis struct {
 	// or when the template had to be rebuilt.
 	warmFrom *Analysis
 
-	mu     sync.Mutex
-	cache  []dmmCacheEntry
-	byKey  map[string]int
-	keyBuf []byte  // scratch for boundsKey, guarded by mu
-	bounds []int64 // scratch capacity vector, guarded by mu
+	mu      sync.RWMutex
+	cache   []dmmCacheEntry
+	spans   []kSpan // answered k's by optimum; see solveCached. Guarded by mu
+	inexact bool    // cache holds a node-capped solve (see solveCached), guarded by mu
+	bounds  []int64 // scratch capacity vector, guarded by mu
 	// scratch holds the ILP work buffers of memoized solves, guarded by
 	// mu. It belongs to this Analysis alone — never to the shared tmpl —
 	// and the unlocked Options.NoCache path does not touch it.
 	scratch ilp.Scratch
 }
+
+// kSpan is a range [lo, hi] of k whose knapsacks share the optimum bound.
+type kSpan struct{ lo, hi, bound int64 }
 
 // dmmCacheEntry memoizes one knapsack solve: the capacity vector it was
 // solved under, the solution, and the per-row capacity usage of the
@@ -396,7 +399,6 @@ func (a *Analysis) buildProblemTemplate() error {
 		return fmt.Errorf("theorem-3 template: %w", err)
 	}
 	a.tmpl = tmpl
-	a.byKey = make(map[string]int)
 	return nil
 }
 
@@ -493,54 +495,43 @@ func (a *Analysis) DMMValueCtx(ctx context.Context, k int64) (DMMResult, error) 
 		// can promise nothing better than "all k". When the construction
 		// itself is degraded (trivial latency fallback), "all k" is the
 		// ladder floor rather than a computed verdict — tag it so.
-		res.Value = k
-		res.Trivial = "typical-unschedulable"
+		res.Value, res.Trivial = k, "typical-unschedulable"
 		if a.Degraded.Degraded() {
-			res.Quality = a.Degraded
-			res.Exact = false
+			res.Quality, res.Exact = a.Degraded, false
 		}
 		return res, nil
 	case a.Latency.MissesPerWindow == 0:
 		// Exact even under a degraded construction: Lemma 3 with
 		// N_b = 0 means no busy window can miss at all, regardless of
 		// how the combination space would have looked.
-		res.Value = 0
 		res.Trivial = "schedulable"
 		return res, nil
 	case a.Degraded.Degraded():
 		// Omega-sum rung: the combination analysis was skipped or
 		// abandoned, so answer with the closed-form Lemma-4 impact sum.
-		res.Value = a.omegaSum(k)
-		res.Quality = a.Degraded
-		res.Exact = false
+		res.Value, res.Quality, res.Exact = a.omegaSum(k), a.Degraded, false
 		return res, nil
 	case len(a.Unschedulable) == 0:
-		res.Value = 0
 		res.Trivial = "no-unschedulable-combination"
 		return res, nil
 	}
-	sol, err := a.solveCached(ctx, k)
+	bound, exact, nodes, err := a.solveCached(ctx, k)
 	if err != nil {
 		if budget, ok := a.degradableBudget(err); ok {
 			// Query-time descent: only this result degrades — the
 			// analysis artifact stays exact and a later, less pressed
 			// query can still be answered at full quality.
-			res.Value = a.omegaSum(k)
+			res.Value, res.Exact = a.omegaSum(k), false
 			res.Quality = degrade.Info{Quality: degrade.SafeUpperBound, Budget: budget, Rung: degrade.RungOmegaSum}
-			res.Exact = false
 			return res, nil
 		}
 		return DMMResult{}, fmt.Errorf("twca: dmm(%d): %w", k, err)
 	}
-	res.ILPNodes = sol.Nodes
-	res.Exact = sol.Exact
+	res.ILPNodes, res.Exact = nodes, exact
 	// Bound, not Value: when the search was truncated the relaxation
 	// bound is the sound choice (Value would under-count misses).
-	res.Value = sol.Bound
-	if res.Value > k {
-		res.Value = k
-	}
-	if !sol.Exact {
+	res.Value = min(bound, k)
+	if !exact {
 		// Node-cap truncation: still the Theorem-3 program, answered by
 		// its root relaxation instead of the optimum.
 		res.Quality = degrade.Info{Quality: degrade.SafeUpperBound, Budget: degrade.BudgetILPNodes, Rung: degrade.RungTheorem3}
@@ -580,10 +571,7 @@ func (a *Analysis) boundsAt(dst []int64, k int64) []int64 {
 func (a *Analysis) omegaSum(k int64) int64 {
 	var windows curves.Time
 	for _, over := range a.overload {
-		omega := a.Omega(over, k)
-		if omega > k {
-			omega = k
-		}
+		omega := min(a.Omega(over, k), k)
 		segs := int64(len(a.info.ActiveSegments(over)))
 		windows = curves.AddSat(windows, curves.MulSat(curves.Time(omega), segs))
 	}
@@ -594,59 +582,42 @@ func (a *Analysis) omegaSum(k int64) int64 {
 	return int64(v)
 }
 
-// solveCached returns the knapsack solution for k's capacity vector,
-// memoizing results per Analysis. Two shortcuts make DMM sweeps
-// (Curve, Breakpoints) cheap:
-//
-//   - Exact-key reuse: the capacity vector fully determines the
-//     problem, and Ω changes only at activation-curve steps, so a sweep
-//     over k produces long runs of identical vectors.
-//   - Saturation dominance: capacities are monotone in k. If a cached
-//     exact solve under capacities b' ≥ b (elementwise) has an optimal
-//     assignment whose per-row usage fits under b, that assignment is
-//     feasible for b, and since value(b) ≤ value(b') it is optimal for
-//     b too. Once the sweep's optimum stops being capacity-limited,
-//     every further k is answered without solving.
-//
-// Both paths return the identical Value/Bound/Exact a fresh solve
-// would; Options.NoCache forces fresh solves for the equivalence tests.
-// Those run without the lock, on their own capacity vector and ILP
-// scratch; memoized solves use the Analysis's scratch under mu.
-func (a *Analysis) solveCached(ctx context.Context, k int64) (ilp.Solution, error) {
+// solveCached returns the sound bound on the optimum of k's knapsack,
+// whether it is exact, and the branch-and-bound nodes spent (0 when the
+// per-Analysis memo answered). Capacities are monotone in k, and Ω
+// changes only at activation-curve steps, so sweeps produce long runs
+// of identical vectors. Saturation dominance: if a cached exact solve
+// under capacities b' ≥ b (elementwise) has an optimal assignment whose
+// per-row usage fits under b, it is optimal for b too (feasible, and
+// value(b) ≤ value(b')). The optimum is monotone in k as well, so two
+// answered k's with one optimum pin every k between them: spans, sorted
+// disjoint k-ranges of one optimum each, answers a repeated k by a
+// binary search under the read lock, with no vector built. A
+// node-capped entry answers only its own vector; once the memo holds
+// one, spans is unused and lookup's order decides. NoCache solves run
+// fresh, without the lock; the equivalence tests pin them.
+func (a *Analysis) solveCached(ctx context.Context, k int64) (bound int64, exact bool, nodes int64, err error) {
 	if a.opts.NoCache {
-		return a.solve(ctx, nil, a.boundsAt(make([]int64, 0, len(a.rows)), k))
+		sol, err := a.solve(ctx, nil, a.boundsAt(make([]int64, 0, len(a.rows)), k))
+		return sol.Bound, sol.Exact, sol.Nodes, err
 	}
+	a.mu.RLock()
+	if p, ok := a.spanAt(k); ok {
+		bound = a.spans[p-1].bound
+		a.mu.RUnlock()
+		return bound, true, 0, nil
+	}
+	a.mu.RUnlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.bounds == nil {
-		a.bounds = make([]int64, 0, len(a.rows))
-	}
 	a.bounds = a.boundsAt(a.bounds[:0], k)
-	bounds := a.bounds
-	a.keyBuf = boundsKey(a.keyBuf[:0], bounds)
-	// string(a.keyBuf) in the lookup does not allocate (the compiler's
-	// map-lookup special case); a durable string is built only on store.
-	if i, ok := a.byKey[string(a.keyBuf)]; ok {
-		return a.cache[i].sol, nil
+	if i := a.lookup(a.bounds); i >= 0 {
+		a.answered(k, a.cache[i].sol.Bound)
+		return a.cache[i].sol.Bound, a.cache[i].sol.Exact, 0, nil
 	}
-	for _, e := range a.cache {
-		if !e.sol.Exact {
-			continue
-		}
-		dominates := true
-		for i := range bounds {
-			if e.bounds[i] < bounds[i] || e.usage[i] > bounds[i] {
-				dominates = false
-				break
-			}
-		}
-		if dominates {
-			return e.sol, nil
-		}
-	}
-	sol, err := a.solve(ctx, &a.scratch, bounds)
+	sol, err := a.solve(ctx, &a.scratch, a.bounds)
 	if err != nil {
-		return ilp.Solution{}, err
+		return 0, false, 0, err
 	}
 	usage := make([]int64, len(a.rows))
 	for i, r := range a.rows {
@@ -654,10 +625,66 @@ func (a *Analysis) solveCached(ctx context.Context, k int64) (ilp.Solution, erro
 			usage[i] += r.Coeffs[j] * x
 		}
 	}
-	a.byKey[string(a.keyBuf)] = len(a.cache)
-	// bounds is the reused scratch vector: the entry keeps a copy.
-	a.cache = append(a.cache, dmmCacheEntry{bounds: slices.Clone(bounds), sol: sol, usage: usage})
-	return sol, nil
+	// a.bounds is the reused scratch vector: the entry keeps a copy.
+	a.cache = append(a.cache, dmmCacheEntry{bounds: slices.Clone(a.bounds), sol: sol, usage: usage})
+	a.inexact = a.inexact || !sol.Exact
+	a.answered(k, sol.Bound)
+	return sol.Bound, sol.Exact, sol.Nodes, nil
+}
+
+// spanAt returns the index p of the first span starting above k, and
+// whether spans[p-1] holds k (never once the memo is inexact); hold mu.
+func (a *Analysis) spanAt(k int64) (p int, ok bool) {
+	p = sort.Search(len(a.spans), func(i int) bool { return a.spans[i].lo > k })
+	return p, !a.inexact && p > 0 && k <= a.spans[p-1].hi
+}
+
+// answered records that the exact memo answered k with optimum bound:
+// k widens a neighboring span of the same optimum across the gap
+// between them (no span lies in the gap, and by monotonicity every k in
+// it has that optimum), or else gets a span of its own. Callers hold mu.
+func (a *Analysis) answered(k, bound int64) {
+	switch p, ok := a.spanAt(k); {
+	case ok || a.inexact:
+	case p > 0 && a.spans[p-1].bound == bound:
+		a.spans[p-1].hi = k
+	case p < len(a.spans) && a.spans[p].bound == bound:
+		a.spans[p].lo = k
+	default:
+		a.spans = slices.Insert(a.spans, p, kSpan{lo: k, hi: k, bound: bound})
+	}
+}
+
+// lookup returns the index of the memo entry answering capacity vector
+// bounds, or -1: the entry solved under bounds, else the first exact
+// entry dominating it. While every entry is exact, any dominating one
+// answers the same optimum, so the newest (a sweep's likeliest) is
+// returned at once. Callers hold mu.
+func (a *Analysis) lookup(bounds []int64) int {
+	first := -1
+	for i := len(a.cache) - 1; i >= 0; i-- {
+		e := &a.cache[i]
+		if slices.Equal(e.bounds, bounds) {
+			return i
+		}
+		fits := e.sol.Exact && fitsUnder(bounds, e.bounds) && fitsUnder(e.usage, bounds)
+		if fits && !a.inexact {
+			return i
+		} else if fits {
+			first = i
+		}
+	}
+	return first
+}
+
+// fitsUnder reports x ≤ y elementwise (len(x) ≤ len(y)).
+func fitsUnder(x, y []int64) bool {
+	for i := range x {
+		if x[i] > y[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // solve runs one fresh knapsack solve under the given capacity vector
@@ -665,15 +692,6 @@ func (a *Analysis) solveCached(ctx context.Context, k int64) (ilp.Solution, erro
 // warm-start neighbor's best feasible assignment when one exists.
 func (a *Analysis) solve(ctx context.Context, sc *ilp.Scratch, bounds []int64) (ilp.Solution, error) {
 	return a.tmpl.Solve(ctx, sc, bounds, a.incumbentFor(bounds))
-}
-
-// boundsKey appends the capacity vector's map-key encoding to buf.
-func boundsKey(buf []byte, bounds []int64) []byte {
-	for _, b := range bounds {
-		buf = strconv.AppendInt(buf, b, 10)
-		buf = append(buf, ',')
-	}
-	return buf
 }
 
 // DMMWindow bounds the number of deadline misses of the target chain
@@ -791,12 +809,7 @@ func AnalyzeAllCtx(ctx context.Context, sys *model.System, opts Options, workers
 	analyses := make([]*Analysis, len(targets))
 	failures := make([]error, len(targets))
 	parallel.ForEach(workers, len(targets), func(i int) error {
-		an, err := NewCtx(ctx, sys, targets[i], opts)
-		if err != nil {
-			failures[i] = err
-			return nil
-		}
-		analyses[i] = an
+		analyses[i], failures[i] = NewCtx(ctx, sys, targets[i], opts)
 		return nil
 	})
 	results := make(map[string]*Analysis)

@@ -122,7 +122,6 @@ func (a *Analysis) adoptTemplate(from *Analysis) bool {
 			a.rowChain = append(a.rowChain, over)
 		}
 	}
-	a.byKey = make(map[string]int)
 	a.warmFrom = from
 	return true
 }
@@ -156,25 +155,13 @@ func (a *Analysis) incumbentFor(bounds []int64) []int64 {
 	if from == nil {
 		return nil
 	}
-	from.mu.Lock()
-	defer from.mu.Unlock()
+	from.mu.RLock()
+	defer from.mu.RUnlock()
 	var best []int64
 	bestVal := int64(-1)
-	for i := range from.cache {
-		e := &from.cache[i]
-		if len(e.usage) != len(bounds) {
-			continue
-		}
-		fits := true
-		for r := range bounds {
-			if e.usage[r] > bounds[r] {
-				fits = false
-				break
-			}
-		}
-		if fits && e.sol.Value > bestVal {
-			bestVal = e.sol.Value
-			best = e.sol.X
+	for _, e := range from.cache {
+		if len(e.usage) == len(bounds) && fitsUnder(e.usage, bounds) && e.sol.Value > bestVal {
+			best, bestVal = e.sol.X, e.sol.Value
 		}
 	}
 	return best
