@@ -88,11 +88,24 @@ bench-check:
 # seconds (seed 1, untraced). svcbench exits 1 on any failed request or
 # oracle mismatch, and its oracle byte-compares every sensitivity
 # response, effort counters included, against a library query through
-# AnalysisRequest.SensitivityWarm. Latency and allocations are printed,
-# not gated. CI runs this in the svcbench-smoke job.
+# AnalysisRequest.SensitivityWarm. Each workload's allocs_per_req, read
+# from the last (JSON) line svcbench prints, must also stay at or below
+# its ceiling in svcbench-ceilings.txt. Latency is printed, not gated.
+# CI runs this in the svcbench-smoke job.
 svcbench-smoke:
-	for w in cold-sweep hot-fleet sensitivity-sweep; do \
-		bash svcbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	@mkdir -p .bench_build
+	@for w in cold-sweep hot-fleet sensitivity-sweep; do \
+		bash svcbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 > .bench_build/smoke-$$w.out; \
+		s=$$?; cat .bench_build/smoke-$$w.out; [ $$s -eq 0 ] || exit 1; \
+		tail -n 1 .bench_build/smoke-$$w.out | awk -v w=$$w -v f=svcbench-ceilings.txt ' \
+			BEGIN { while ((getline line < f) > 0) if (split(line, a) >= 2 && a[1] == w) c = a[2] } \
+			match($$0, /"allocs_per_req":[{]"value":[^,}]+/) { v = substr($$0, RSTART + 26, RLENGTH - 26) + 0; found = 1 } \
+			END { \
+				if (c == "") { printf "%s: no allocs_per_req ceiling in %s\n", w, f; exit 1 } \
+				if (!found) { printf "%s: no allocs_per_req in the last line of svcbench output\n", w; exit 1 } \
+				printf "%s: allocs_per_req %.1f, ceiling %s\n", w, v, c; \
+				if (v > c + 0) { printf "%s: allocs_per_req exceeds its ceiling\n", w; exit 1 } \
+			}' || exit 1; \
 	done
 
 # chaos runs the fault-injection suites under the race detector: the

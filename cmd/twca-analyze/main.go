@@ -137,7 +137,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var flat map[string]*twca.Analysis
 	if *baseline {
 		flatOpts := opts
-		flatOpts.Baseline = true
+		flatOpts.Flat = true
 		flat, _ = twca.AnalyzeAll(sys, flatOpts, *par)
 	}
 	for _, c := range sys.RegularChains() {

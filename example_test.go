@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,13 +14,13 @@ import (
 func Example() {
 	sys := repro.CaseStudy()
 	for _, name := range []string{"sigma_c", "sigma_d"} {
-		lat, err := repro.AnalyzeLatency(sys, name, repro.LatencyOptions{})
+		lat, err := repro.AnalysisRequest{System: sys, Chain: name}.Latency(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: WCL=%d schedulable=%v\n", name, lat.WCL, lat.Schedulable)
 	}
-	an, err := repro.AnalyzeDMM(sys, "sigma_c", repro.Options{})
+	an, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c"}.DMM(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,11 +35,11 @@ func Example() {
 	// dmm_c(3)=3
 }
 
-// ExampleAnalyzeDMM shows the weakly-hard query pattern: verify an
-// (m, k) requirement against the analysis.
-func ExampleAnalyzeDMM() {
+// ExampleAnalysisRequest_DMM shows the weakly-hard query pattern:
+// verify an (m, k) requirement against the analysis.
+func ExampleAnalysisRequest_DMM() {
 	sys := repro.CaseStudy()
-	an, err := repro.AnalyzeDMM(sys, "sigma_c", repro.Options{})
+	an, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c"}.DMM(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func ExampleNewBuilder() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lat, err := repro.AnalyzeLatency(sys, "app", repro.LatencyOptions{})
+	lat, err := repro.AnalysisRequest{System: sys, Chain: "app"}.Latency(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

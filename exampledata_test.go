@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestExampleDataInSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := repro.AnalyzeLatency(fromJSON, "sigma_c", repro.LatencyOptions{})
+	lat, err := repro.AnalysisRequest{System: fromJSON, Chain: "sigma_c"}.Latency(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 
 	fmt.Println("== Analysis ==")
 	for _, name := range []string{"control", "can"} {
-		an, err := repro.AnalyzeDMM(sys, name, repro.Options{})
+		an, err := repro.AnalysisRequest{System: sys, Chain: name}.DMM(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func main() {
 
 	// The weakly-hard requirement: at most 1 late control period in any
 	// 20 — and the largest window m=1 still covers.
-	an, err := repro.AnalyzeDMM(sys, "control", repro.Options{})
+	an, err := repro.AnalysisRequest{System: sys, Chain: "control"}.DMM(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

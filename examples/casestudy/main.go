@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,7 @@ func main() {
 
 	fmt.Println("== Table I: worst-case latencies ==")
 	for _, name := range []string{"sigma_c", "sigma_d"} {
-		lat, err := repro.AnalyzeLatency(sys, name, repro.LatencyOptions{})
+		lat, err := repro.AnalysisRequest{System: sys, Chain: name}.Latency(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Table II: deadline miss model of σc ==")
-	an, err := repro.AnalyzeDMM(sys, "sigma_c", repro.Options{})
+	an, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c"}.DMM(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

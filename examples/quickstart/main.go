@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,8 +29,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// One request names the system and chain for every analysis kind.
+	ctx := context.Background()
+	req := repro.AnalysisRequest{System: sys, Chain: "video"}
+
 	// Worst-case end-to-end latency (Theorems 1-2 of the paper).
-	lat, err := repro.AnalyzeLatency(sys, "video", repro.LatencyOptions{})
+	lat, err := req.Latency(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +43,7 @@ func main() {
 
 	// Deadline miss model (Theorem 3): how many of k consecutive frames
 	// can be late?
-	an, err := repro.AnalyzeDMM(sys, "video", repro.Options{})
+	an, err := req.DMM(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

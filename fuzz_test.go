@@ -26,19 +26,18 @@ func fuzzSystem(t testing.TB) *repro.System {
 // AnalysisRequest is errors.Is-able as ErrInvalidOptions — a service
 // can turn any bad-options failure into a 400 without string matching.
 func FuzzOptionsValidate(f *testing.F) {
-	f.Add(0, int64(0), int64(0), 0, false, false, false, false)
-	f.Add(-1, int64(-1), int64(-1), -1, true, true, true, true)
-	f.Add(1, int64(math.MaxInt64), int64(math.MaxInt64), math.MaxInt32, false, true, false, true)
-	f.Add(math.MinInt32, int64(math.MinInt64), int64(math.MinInt64), math.MinInt32, true, false, true, false)
-	f.Add(1 << 20, int64(4096), int64(1)<<40, 1<<20, false, false, true, false)
+	f.Add(0, int64(0), int64(0), 0, false, false, false)
+	f.Add(-1, int64(-1), int64(-1), -1, true, true, true)
+	f.Add(1, int64(math.MaxInt64), int64(math.MaxInt64), math.MaxInt32, false, true, true)
+	f.Add(math.MinInt32, int64(math.MinInt64), int64(math.MinInt64), math.MinInt32, true, true, false)
+	f.Add(1<<20, int64(4096), int64(1)<<40, 1<<20, false, true, false)
 
 	sys := fuzzSystem(f)
-	f.Fuzz(func(t *testing.T, maxComb int, maxQ, horizon int64, maxIter int, exact, flat, baseline, noCarryIn bool) {
+	f.Fuzz(func(t *testing.T, maxComb int, maxQ, horizon int64, maxIter int, exact, flat, noCarryIn bool) {
 		opts := repro.Options{
 			MaxCombinations: maxComb,
 			ExactCriterion:  exact,
 			Flat:            flat,
-			Baseline:        baseline,
 			NoCarryIn:       noCarryIn,
 			Latency: repro.LatencyOptions{
 				MaxQ:          maxQ,

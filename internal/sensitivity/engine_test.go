@@ -1,13 +1,16 @@
 package sensitivity
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/casestudy"
+	"repro/internal/latency"
 	"repro/internal/model"
 	"repro/internal/twca"
 	"repro/internal/weaklyhard"
@@ -172,7 +175,8 @@ func TestWarmStoreSharesAcrossQueries(t *testing.T) {
 	}}
 	opts := thalesOptions()
 	opts.Tasks = []string{"tau1c"}
-	if _, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts); err != nil {
+	first, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cold := calls.Load()
@@ -181,6 +185,32 @@ func TestWarmStoreSharesAcrossQueries(t *testing.T) {
 	}
 	if warm := calls.Load() - cold; warm != 0 {
 		t.Errorf("repeat query recomputed %d analyses, want 0 (shared warm store)", warm)
+	}
+
+	// The scope is keyed on the effective policy: the other spellings of
+	// the default policy, each byte-identical on a cold store of its own,
+	// are answered from the scope the zero options filled.
+	want, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, aopts := range []twca.Options{{Policy: "spp"}, {Latency: latency.Options{Policy: "spp"}}} {
+		res, err := Engine{}.Query(context.Background(), sys, "sigma_c", aopts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
+			t.Fatalf("%+v: cold result differs from the zero options':\n%s\n%s", aopts, got, want)
+		}
+		before := eng.Warm.Stats()
+		if _, err := eng.Query(context.Background(), sys, "sigma_c", aopts, opts); err != nil {
+			t.Fatal(err)
+		}
+		after := eng.Warm.Stats()
+		if after.Misses != before.Misses || after.Hits == before.Hits || calls.Load() != cold {
+			t.Errorf("%+v after {}: %d warm hits, %d misses, %d analyses; want every probe a warm hit",
+				aopts, after.Hits-before.Hits, after.Misses-before.Misses, calls.Load()-cold)
+		}
 	}
 }
 

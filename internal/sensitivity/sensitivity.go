@@ -75,6 +75,11 @@ import (
 // constraints that are feasible.
 var ErrInfeasibleConstraint = errors.New("sensitivity: constraint is infeasible on the nominal system")
 
+// ErrInvalidOptions reports a query Engine.Query rejects before any
+// analysis runs: option values Options.Validate refuses, or a Tasks
+// entry that names no task of the system.
+var ErrInvalidOptions = errors.New("sensitivity: options")
+
 // AnalyzeFunc produces the prepared DMM analysis of one (possibly
 // perturbed) system. The engine calls it once per distinct perturbed
 // system; nil selects twca.NewWarmCtx directly. The analysis service
@@ -142,25 +147,25 @@ const batchWidth = 4
 // Validate rejects nonsensical option values with a descriptive error.
 func (o Options) Validate() error {
 	if !o.Constraint.Valid() {
-		return fmt.Errorf("sensitivity: options: invalid constraint %v: need 0 ≤ m < k", o.Constraint)
+		return fmt.Errorf("%w: invalid constraint %v: need 0 ≤ m < k", ErrInvalidOptions, o.Constraint)
 	}
 	if o.ScaleDenom < 0 {
-		return fmt.Errorf("sensitivity: options: ScaleDenom %d is negative (0 selects the default 1000)", o.ScaleDenom)
+		return fmt.Errorf("%w: ScaleDenom %d is negative (0 selects the default 1000)", ErrInvalidOptions, o.ScaleDenom)
 	}
 	if o.MaxScale < 0 {
-		return fmt.Errorf("sensitivity: options: MaxScale %d is negative (0 selects the default 64·ScaleDenom)", o.MaxScale)
+		return fmt.Errorf("%w: MaxScale %d is negative (0 selects the default 64·ScaleDenom)", ErrInvalidOptions, o.MaxScale)
 	}
 	if o.MaxJitter < 0 {
-		return fmt.Errorf("sensitivity: options: MaxJitter %d is negative (0 selects the default 64× nominal distance)", o.MaxJitter)
+		return fmt.Errorf("%w: MaxJitter %d is negative (0 selects the default 64× nominal distance)", ErrInvalidOptions, o.MaxJitter)
 	}
 	if o.FrontierMaxK < 0 {
-		return fmt.Errorf("sensitivity: options: FrontierMaxK %d is negative (0 skips the frontier)", o.FrontierMaxK)
+		return fmt.Errorf("%w: FrontierMaxK %d is negative (0 skips the frontier)", ErrInvalidOptions, o.FrontierMaxK)
 	}
 	if o.FrontierMaxK > frontierMaxKCap {
-		return fmt.Errorf("sensitivity: options: FrontierMaxK %d exceeds the limit %d", o.FrontierMaxK, frontierMaxKCap)
+		return fmt.Errorf("%w: FrontierMaxK %d exceeds the limit %d", ErrInvalidOptions, o.FrontierMaxK, frontierMaxKCap)
 	}
 	if o.MaxScale > 0 && o.ScaleDenom > 0 && o.MaxScale < o.ScaleDenom {
-		return fmt.Errorf("sensitivity: options: MaxScale %d is below ScaleDenom %d (scale 1.0)", o.MaxScale, o.ScaleDenom)
+		return fmt.Errorf("%w: MaxScale %d is below ScaleDenom %d (scale 1.0)", ErrInvalidOptions, o.MaxScale, o.ScaleDenom)
 	}
 	return nil
 }
@@ -297,6 +302,11 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	if target == nil {
 		return nil, fmt.Errorf("sensitivity: no chain named %q", chain)
 	}
+	for _, name := range opts.Tasks {
+		if !hasTask(sys, name) {
+			return nil, fmt.Errorf("%w: no task named %q", ErrInvalidOptions, name)
+		}
+	}
 	q := &query{
 		analyze: e.Analyze,
 		byHash:  make(map[string]*memoEntry),
@@ -366,12 +376,6 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		for _, c := range sys.Chains {
 			for _, t := range c.Tasks {
 				tasks = append(tasks, t.Name)
-			}
-		}
-	} else {
-		for _, name := range tasks {
-			if !hasTask(sys, name) {
-				return nil, fmt.Errorf("sensitivity: no task named %q", name)
 			}
 		}
 	}

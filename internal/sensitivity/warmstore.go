@@ -145,6 +145,10 @@ func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int6
 	if baseHash == "" {
 		return &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry), families: make(map[familyKey][]warmEntry)}
 	}
+	// The key names the effective policy, so every spelling of one
+	// policy ("" and "spp", or the name set through Latency.Policy)
+	// shares a scope: twca reads only the forwarded Latency.Policy.
+	aopts.Policy, aopts.Latency.Policy = aopts.PolicyName(), ""
 	key := baseHash + "|" + chain + "|" + strconv.FormatInt(denom, 10) + "|" + fmt.Sprintf("%+v", aopts)
 	w.mu.Lock()
 	defer w.mu.Unlock()

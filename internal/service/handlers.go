@@ -111,7 +111,6 @@ func (o reqOptions) twca() repro.Options {
 		MaxCombinations: o.MaxCombinations,
 		ExactCriterion:  o.ExactCriterion,
 		Flat:            o.Flat,
-		Baseline:        o.Baseline,
 		NoCarryIn:       o.NoCarryIn,
 		Latency:         o.latency(),
 		Degrade:         repro.DegradePolicy{Allow: !o.NoDegrade},

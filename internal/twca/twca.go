@@ -49,16 +49,16 @@ type Options struct {
 	// MaxCombinations bounds the enumerated combination space
 	// (default 1 << 16).
 	MaxCombinations int
-	// Flat switches to the structure-blind segment view of classic
-	// independent-task TWCA (see Baseline).
+	// Flat switches to the structure-blind abstraction of classic
+	// independent-task TWCA (ECRTS 2015), the paper's §VI baseline:
+	// every other chain is treated as arbitrarily interfering with the
+	// target — its whole execution time is charged per activation — and
+	// combinations degrade to sets of whole overload chains
+	// (segments.AnalyzeFlat). Chain-aware TWCA is never looser, and is
+	// tighter whenever the priority assignment defers part of a chain
+	// below the target; on the case study, Flat cannot establish the
+	// schedulability of σd.
 	Flat bool
-	// Baseline is the option-surface spelling of the structure-blind
-	// baseline abstraction: it implies Flat and exists so callers that
-	// carry options across an API boundary (the facade's
-	// AnalysisRequest, the analysis service's wire options) can request
-	// baseline mode without a second entry point. Setting either flag
-	// yields the identical analysis.
-	Baseline bool
 	// ExactCriterion uses the per-combination busy-window fixed point
 	// of Equation (3) to classify combinations instead of the cheaper
 	// sufficient slack criterion of Equation (5). The exact criterion
@@ -104,9 +104,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxCombinations <= 0 {
 		o.MaxCombinations = 1 << 16
 	}
-	if o.Baseline {
-		o.Flat = true
-	}
 	if o.Latency.Policy == "" {
 		o.Latency.Policy = o.Policy
 	}
@@ -130,8 +127,7 @@ func (o Options) PolicyName() string {
 
 // Validate rejects nonsensical option values with a descriptive error.
 // Zero values are fine (they select the documented defaults); the
-// nested latency options are validated too. Baseline and Flat may be
-// set together — they request the same abstraction and never conflict.
+// nested latency options are validated too.
 func (o Options) Validate() error {
 	if o.MaxCombinations < 0 {
 		return fmt.Errorf("twca: options: MaxCombinations %d is negative (0 selects the default 1<<16)", o.MaxCombinations)

@@ -264,7 +264,7 @@ func TestWeaklyHard(t *testing.T) {
 // chain-aware analysis proves dmm ≡ 0.
 func TestBaselineAblation(t *testing.T) {
 	sys := casestudy.New()
-	base, err := twca.Baseline(sys, "sigma_d", twca.Options{})
+	base, err := twca.New(sys, sys.ChainByName("sigma_d"), twca.Options{Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestBaselineAblation(t *testing.T) {
 	}
 	// On σc both views agree (all chains already interfere arbitrarily):
 	// same latency, same DMM.
-	baseC, err := twca.Baseline(sys, "sigma_c", twca.Options{})
+	baseC, err := twca.New(sys, sys.ChainByName("sigma_c"), twca.Options{Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestBaselineIsNeverTighter(t *testing.T) {
 			if err != nil {
 				continue // diverging assignments are fine to skip
 			}
-			base, err := twca.Baseline(sys, name, twca.Options{})
+			base, err := twca.New(sys, sys.ChainByName(name), twca.Options{Flat: true})
 			if err != nil {
 				continue
 			}
@@ -353,7 +353,8 @@ func TestBaselineIsNeverTighter(t *testing.T) {
 // inflates B_d(1) from 175 to 267.
 func TestBaselineLatencySigmaD(t *testing.T) {
 	sys := casestudy.New()
-	base, err := twca.Baseline(sys, "sigma_d", twca.Options{
+	base, err := twca.New(sys, sys.ChainByName("sigma_d"), twca.Options{
+		Flat:    true,
 		Latency: latency.Options{MaxQ: 64},
 	})
 	if err != nil {

@@ -37,8 +37,8 @@
 // the ILP branch-and-bound and the simulator event loop — returning an
 // error wrapping ErrCanceled (and the underlying context.Canceled or
 // context.DeadlineExceeded) when the context ends the work early. The
-// context-free convenience wrappers (Simulate, the deprecated
-// Analyze*) run over context.Background() and never fail this way.
+// context-free Simulate runs over context.Background() and never fails
+// this way.
 //
 // # Errors
 //
@@ -60,10 +60,8 @@
 // the inputs every analysis shares — system, target chain, options —
 // and carries methods for each analysis kind (DMM, Latency,
 // Sensitivity). It validates once and keeps call sites uniform across
-// the service, CLI and tests. The older per-kind Analyze* functions are
-// deprecated thin wrappers kept for source compatibility; they gain no
-// new capabilities (SimulateMapped, the first of them to be folded in,
-// is already gone — use SimConfig.Mapping with Simulate).
+// the service, CLI and tests. Each analysis kind has this one spelling;
+// DESIGN.md §9 maps the removed per-kind Analyze* functions onto it.
 //
 // # Options
 //
@@ -123,7 +121,8 @@ var (
 	ErrCanceled = errors.New("repro: analysis canceled")
 	// ErrInvalidOptions reports an Options/LatencyOptions/
 	// SensitivityOptions value rejected by Validate (e.g. a negative
-	// iteration budget), or an AnalysisRequest without a system.
+	// iteration budget), a SensitivityOptions.Tasks entry naming no task
+	// of the system, or an AnalysisRequest without a system.
 	ErrInvalidOptions = errors.New("repro: invalid options")
 	// ErrInfeasibleConstraint reports a sensitivity query whose
 	// weakly-hard constraint does not verify on the nominal system —
@@ -154,6 +153,8 @@ func mapErr(err error) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	case errors.Is(err, latency.ErrDiverged) || errors.Is(err, latency.ErrKExceeded):
 		return fmt.Errorf("%w: %w", ErrUnschedulable, err)
+	case errors.Is(err, sensitivity.ErrInvalidOptions):
+		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
 	}
 	return err
 }
@@ -181,9 +182,10 @@ type (
 type (
 	// LatencyOptions tunes the §IV busy-window analysis.
 	LatencyOptions = latency.Options
-	// LatencyResult is the outcome of AnalyzeLatency: K, B(q), WCL, N.
+	// LatencyResult is the outcome of AnalysisRequest.Latency: K,
+	// B(q), WCL, N.
 	LatencyResult = latency.Result
-	// Options tunes TWCA (AnalyzeDMM).
+	// Options tunes every analysis of an AnalysisRequest.
 	Options = twca.Options
 	// Analysis is a prepared TWCA of one target chain; query DMM(k),
 	// Curve, Breakpoints or WeaklyHard on it.
@@ -233,7 +235,7 @@ type (
 	// the (m, k) frontier of one query, plus its probe/analysis cost.
 	SensitivityResult = sensitivity.Result
 	// ProbeFunc intercepts the DMM analyses a sensitivity query issues
-	// for perturbed systems; see AnalysisRequest.SensitivityWith. The
+	// for perturbed systems; see AnalysisRequest.SensitivityWarm. The
 	// hash argument is the perturbed system's CanonicalHash ("" when
 	// the system has no JSON form), precomputed so caching layers can
 	// key on it directly. The final WarmStart argument carries the
@@ -340,8 +342,9 @@ func Burst(outer Time, size int64, inner Time) EventModel {
 // — instead of threading the same three values through per-kind
 // function signatures. The zero Options value selects the documented
 // defaults for every kind; Latency reads only the nested
-// Options.Latency, and Options.Baseline switches DMM (and sensitivity
-// probes) to the structure-blind baseline abstraction.
+// Options.Latency, and Options.Flat switches DMM (and sensitivity
+// probes) to the structure-blind baseline abstraction of the paper's
+// §VI comparison.
 type AnalysisRequest struct {
 	System  *System
 	Chain   string
@@ -423,23 +426,19 @@ func (r AnalysisRequest) Latency(ctx context.Context) (*LatencyResult, error) {
 // search brackets. The error matches ErrInfeasibleConstraint when the
 // constraint fails already on the nominal system.
 func (r AnalysisRequest) Sensitivity(ctx context.Context, sopts SensitivityOptions) (*SensitivityResult, error) {
-	return r.SensitivityWith(ctx, sopts, nil)
+	return r.SensitivityWarm(ctx, sopts, nil, nil)
 }
 
-// SensitivityWith is Sensitivity with a probe hook: every DMM analysis
-// of a perturbed system goes through probe, which receives the
-// perturbed system's CanonicalHash so caching layers can reuse
-// completed analyses by content (the analysis service routes probes
-// through its artifact cache this way). A nil probe analyzes directly.
-func (r AnalysisRequest) SensitivityWith(ctx context.Context, sopts SensitivityOptions, probe ProbeFunc) (*SensitivityResult, error) {
-	return r.SensitivityWarm(ctx, sopts, probe, nil)
-}
-
-// SensitivityWarm is SensitivityWith with a shared warm store: warm
-// carries completed probe analyses across queries, so repeated sweeps
-// over the same system (a parameter study, the service's sensitivity
-// endpoint) skip re-solving coordinates they have already probed and
-// warm-start the rest from their nearest solved neighbor. The store is
+// SensitivityWarm is Sensitivity with a probe hook and a shared warm
+// store. Every DMM analysis of a perturbed system goes through probe,
+// which receives the perturbed system's CanonicalHash so caching layers
+// can reuse completed analyses by content (the analysis service routes
+// probes through its artifact cache this way); a nil probe analyzes
+// directly. warm carries completed probe analyses across queries, so
+// repeated sweeps over the same system (a parameter study, the
+// service's sensitivity endpoint) skip re-solving coordinates they have
+// already probed and warm-start the rest from their nearest solved
+// neighbor. The store is
 // purely an optimization — results are byte-identical for any store
 // state, and sopts.NoWarmStart bypasses it entirely. A nil warm gives
 // the query a private store (probes still warm-start each other within
@@ -448,94 +447,8 @@ func (r AnalysisRequest) SensitivityWarm(ctx context.Context, sopts SensitivityO
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	if err := sopts.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
-	}
-	for _, name := range sopts.Tasks {
-		if !systemHasTask(r.System, name) {
-			return nil, fmt.Errorf("%w: no task named %q", ErrInvalidOptions, name)
-		}
-	}
 	res, err := sensitivity.Engine{Analyze: probe, Warm: warm, BaseHash: r.SystemHash}.Query(ctx, r.System, r.Chain, r.Options, sopts)
 	return res, mapErr(err)
-}
-
-func systemHasTask(sys *System, name string) bool {
-	for _, c := range sys.Chains {
-		for _, t := range c.Tasks {
-			if t.Name == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// AnalyzeLatency computes the worst-case end-to-end latency of the
-// named chain (Theorems 1 and 2 of the paper).
-//
-// Deprecated: use AnalysisRequest.Latency, which bundles the inputs
-// shared by every analysis kind. This wrapper remains for source
-// compatibility.
-func AnalyzeLatency(sys *System, chain string, opts LatencyOptions) (*LatencyResult, error) {
-	return AnalyzeLatencyCtx(context.Background(), sys, chain, opts)
-}
-
-// AnalyzeLatencyCtx is AnalyzeLatency with cooperative cancellation:
-// when ctx ends the analysis early the returned error matches
-// ErrCanceled (and the underlying context error) under errors.Is.
-//
-// Deprecated: use AnalysisRequest.Latency.
-func AnalyzeLatencyCtx(ctx context.Context, sys *System, chain string, opts LatencyOptions) (*LatencyResult, error) {
-	return AnalysisRequest{System: sys, Chain: chain, Options: Options{Latency: opts}}.Latency(ctx)
-}
-
-// AnalyzeDMM prepares the deadline-miss-model analysis of the named
-// chain (Theorem 3). Use the returned Analysis to evaluate dmm at any
-// k.
-//
-// Deprecated: use AnalysisRequest.DMM.
-func AnalyzeDMM(sys *System, chain string, opts Options) (*Analysis, error) {
-	return AnalyzeDMMCtx(context.Background(), sys, chain, opts)
-}
-
-// AnalyzeDMMCtx is AnalyzeDMM with cooperative cancellation; see
-// AnalysisRequest.DMM for the error contract.
-//
-// Deprecated: use AnalysisRequest.DMM.
-func AnalyzeDMMCtx(ctx context.Context, sys *System, chain string, opts Options) (*Analysis, error) {
-	return AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMM(ctx)
-}
-
-// AnalyzeDMMBaseline is AnalyzeDMM with the structure-blind abstraction
-// of classic independent-task TWCA, for comparison.
-//
-// Deprecated: set Options.Baseline and use AnalysisRequest.DMM; the
-// flag form travels through option surfaces (the analysis service's
-// wire options, stored fingerprints) where a separate entry point
-// cannot.
-func AnalyzeDMMBaseline(sys *System, chain string, opts Options) (*Analysis, error) {
-	opts.Baseline = true
-	return AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMM(context.Background())
-}
-
-// AnalyzeSensitivity measures the named chain's distance to violating a
-// weakly-hard constraint; see AnalysisRequest.Sensitivity for the full
-// contract.
-//
-// Deprecated: use AnalysisRequest.Sensitivity, which bundles the inputs
-// shared by every analysis kind. This wrapper remains for source
-// compatibility.
-func AnalyzeSensitivity(sys *System, chain string, opts Options, sopts SensitivityOptions) (*SensitivityResult, error) {
-	return AnalyzeSensitivityCtx(context.Background(), sys, chain, opts, sopts)
-}
-
-// AnalyzeSensitivityCtx is AnalyzeSensitivity with cooperative
-// cancellation; see AnalysisRequest.DMM for the error contract.
-//
-// Deprecated: use AnalysisRequest.Sensitivity.
-func AnalyzeSensitivityCtx(ctx context.Context, sys *System, chain string, opts Options, sopts SensitivityOptions) (*SensitivityResult, error) {
-	return AnalysisRequest{System: sys, Chain: chain, Options: opts}.Sensitivity(ctx, sopts)
 }
 
 // Simulate runs the discrete-event simulator.
@@ -544,7 +457,7 @@ func Simulate(sys *System, cfg SimConfig) (*SimResult, error) {
 }
 
 // SimulateCtx is Simulate with cooperative cancellation: the event loop
-// polls ctx every few thousand scheduling events; see AnalyzeLatencyCtx
+// polls ctx every few thousand scheduling events; see AnalysisRequest.DMM
 // for the error contract.
 func SimulateCtx(ctx context.Context, sys *System, cfg SimConfig) (*SimResult, error) {
 	r, err := sim.RunCtx(ctx, sys, cfg)

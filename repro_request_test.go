@@ -9,79 +9,41 @@ import (
 	"repro"
 )
 
-// TestAnalysisRequestMatchesWrappers pins the deprecated per-kind
-// functions to the request API they now delegate to.
-func TestAnalysisRequestMatchesWrappers(t *testing.T) {
-	sys := repro.CaseStudy()
-	ctx := context.Background()
-
-	req := repro.AnalysisRequest{System: sys, Chain: "sigma_c"}
-	an, err := req.DMM(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := repro.AnalyzeDMM(sys, "sigma_c", repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := an.DMM(10)
-	r2, _ := old.DMM(10)
-	if r1.Value != r2.Value {
-		t.Errorf("request DMM %d != wrapper DMM %d", r1.Value, r2.Value)
-	}
-
-	lat, err := req.Latency(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldLat, err := repro.AnalyzeLatency(sys, "sigma_c", repro.LatencyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat.WCL != oldLat.WCL {
-		t.Errorf("request WCL %d != wrapper WCL %d", lat.WCL, oldLat.WCL)
-	}
-}
-
-// TestOptionsBaseline pins the Options.Baseline flag to the deprecated
-// AnalyzeDMMBaseline entry point and the Flat spelling.
+// TestOptionsBaseline pins Options.Flat, the one spelling of the
+// paper's §VI structure-blind baseline, on every analysis that reads
+// it: DMM and the sensitivity probes.
 func TestOptionsBaseline(t *testing.T) {
 	sys := repro.CaseStudy()
 	ctx := context.Background()
+	flat := repro.Options{Flat: true}
 
-	viaFlag, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c", Options: repro.Options{Baseline: true}}.DMM(ctx)
+	// On σc every chain already interferes arbitrarily, so the two views
+	// coincide.
+	baseC, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c", Options: flat}.DMM(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFunc, err := repro.AnalyzeDMMBaseline(sys, "sigma_c", repro.Options{})
+	if r, _ := baseC.DMM(10); baseC.Latency.WCL != 331 || r.Value != 5 {
+		t.Errorf("flat σc: WCL %d, dmm(10) %d; want 331, 5", baseC.Latency.WCL, r.Value)
+	}
+	// On σd the chain structure defers interference: the baseline cannot
+	// prove schedulability and bounds dmm(10) by 4 where the chain-aware
+	// analysis proves 0.
+	baseD, err := repro.AnalysisRequest{System: sys, Chain: "sigma_d", Options: flat}.DMM(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFlat, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c", Options: repro.Options{Flat: true}}.DMM(ctx)
+	if r, _ := baseD.DMM(10); baseD.Latency.Schedulable || r.Value != 4 {
+		t.Errorf("flat σd: schedulable %v, dmm(10) %d; want false, 4", baseD.Latency.Schedulable, r.Value)
+	}
+	// The option reaches the sensitivity probes, nominal included.
+	sopts := repro.SensitivityOptions{Constraint: repro.Constraint{M: 4, K: 10}, Tasks: []string{}}
+	res, err := repro.AnalysisRequest{System: sys, Chain: "sigma_d", Options: flat}.Sensitivity(ctx, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaFlag.Latency.WCL != viaFunc.Latency.WCL || viaFlag.Latency.WCL != viaFlat.Latency.WCL {
-		t.Errorf("baseline spellings disagree: flag %d, func %d, flat %d",
-			viaFlag.Latency.WCL, viaFunc.Latency.WCL, viaFlat.Latency.WCL)
-	}
-	f1, _ := viaFlag.DMM(10)
-	f2, _ := viaFunc.DMM(10)
-	if f1.Value != f2.Value {
-		t.Errorf("baseline flag dmm %d != baseline func dmm %d", f1.Value, f2.Value)
-	}
-	// Baseline is coarser than chain-aware where chain structure defers
-	// interference (σd in the case study; σc happens to coincide).
-	baseD, err := repro.AnalysisRequest{System: sys, Chain: "sigma_d", Options: repro.Options{Baseline: true}}.DMM(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	awareD, err := repro.AnalysisRequest{System: sys, Chain: "sigma_d"}.DMM(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseD.Latency.WCL <= awareD.Latency.WCL {
-		t.Errorf("baseline WCL %d should exceed chain-aware %d on σd", baseD.Latency.WCL, awareD.Latency.WCL)
+	if res.NominalDMM != 4 {
+		t.Errorf("flat σd sensitivity: nominal dmm(10) = %d, want 4", res.NominalDMM)
 	}
 }
 
@@ -147,6 +109,12 @@ func TestSentinelRoundTrips(t *testing.T) {
 		t.Errorf("canceled ctx: err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
 
+	// ErrPolicyUnsupported — analysis under a simulation-only policy.
+	_, err = repro.AnalysisRequest{System: sys, Chain: "sigma_c", Options: repro.Options{Policy: repro.PolicyJCL}}.DMM(ctx)
+	if !errors.Is(err, repro.ErrPolicyUnsupported) {
+		t.Errorf("jcl policy: err = %v, want ErrPolicyUnsupported", err)
+	}
+
 	// ErrInfeasibleConstraint — sensitivity of a constraint below the
 	// nominal dmm.
 	_, err = repro.AnalysisRequest{System: sys, Chain: "sigma_c"}.Sensitivity(ctx,
@@ -180,7 +148,7 @@ func TestFacadeSensitivity(t *testing.T) {
 	// The probe hook sees every analysis with a precomputed content hash.
 	// Probes run on parallel workers, hence the atomic counter.
 	var probes atomic.Int64
-	_, err = req.SensitivityWith(ctx, sopts, func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
+	_, err = req.SensitivityWarm(ctx, sopts, func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
 		probes.Add(1)
 		if len(hash) != 64 {
 			t.Errorf("probe hash = %q, want 64 hex chars", hash)
@@ -189,23 +157,11 @@ func TestFacadeSensitivity(t *testing.T) {
 			t.Errorf("probe chain = %q", chain)
 		}
 		return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMMWarm(ctx, warm)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := probes.Load(); got != int64(res.Analyses) {
 		t.Errorf("probe hook saw %d analyses, result reports %d", got, res.Analyses)
-	}
-
-	// Bad sensitivity options and unknown tasks map to ErrInvalidOptions.
-	_, err = req.Sensitivity(ctx, repro.SensitivityOptions{})
-	if !errors.Is(err, repro.ErrInvalidOptions) {
-		t.Errorf("zero sensitivity options: err = %v, want ErrInvalidOptions", err)
-	}
-	bad := sopts
-	bad.Tasks = []string{"no_such_task"}
-	_, err = req.Sensitivity(ctx, bad)
-	if !errors.Is(err, repro.ErrInvalidOptions) {
-		t.Errorf("unknown task: err = %v, want ErrInvalidOptions", err)
 	}
 }

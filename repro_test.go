@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lat, err := repro.AnalyzeLatency(sys, "work", repro.LatencyOptions{})
+	lat, err := repro.AnalysisRequest{System: sys, Chain: "work"}.Latency(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("WCL = %d, want 45", lat.WCL)
 	}
 
-	an, err := repro.AnalyzeDMM(sys, "work", repro.Options{})
+	an, err := repro.AnalysisRequest{System: sys, Chain: "work"}.DMM(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeCaseStudy(t *testing.T) {
 	sys := repro.CaseStudy()
-	lat, err := repro.AnalyzeLatency(sys, "sigma_c", repro.LatencyOptions{})
+	lat, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c"}.Latency(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +92,17 @@ func TestFacadeEventModels(t *testing.T) {
 }
 
 func TestFacadeUnknownChainErrors(t *testing.T) {
-	sys := repro.CaseStudy()
-	if _, err := repro.AnalyzeLatency(sys, "nope", repro.LatencyOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "nope") {
-		t.Errorf("AnalyzeLatency unknown chain: err = %v", err)
+	ctx := context.Background()
+	req := repro.AnalysisRequest{System: repro.CaseStudy(), Chain: "nope"}
+	if _, err := req.Latency(ctx); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("Latency unknown chain: err = %v", err)
 	}
-	if _, err := repro.AnalyzeDMM(sys, "nope", repro.Options{}); err == nil {
-		t.Error("AnalyzeDMM unknown chain accepted")
+	if _, err := req.DMM(ctx); err == nil {
+		t.Error("DMM unknown chain accepted")
 	}
-	if _, err := repro.AnalyzeDMMBaseline(sys, "nope", repro.Options{}); err == nil {
-		t.Error("AnalyzeDMMBaseline unknown chain accepted")
+	req.Options.Flat = true
+	if _, err := req.DMM(ctx); err == nil {
+		t.Error("flat DMM unknown chain accepted")
 	}
 }
 
@@ -123,7 +125,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("Lint = %v, want clean", warns)
 	}
 	// Weakly-hard via facade.
-	an, err := repro.AnalyzeDMM(sys, "sigma_c", repro.Options{})
+	an, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c"}.DMM(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +150,11 @@ func TestFacadeExtensions(t *testing.T) {
 
 func TestFacadeBaseline(t *testing.T) {
 	sys := repro.CaseStudy()
-	base, err := repro.AnalyzeDMMBaseline(sys, "sigma_d", repro.Options{})
+	base, err := repro.AnalysisRequest{System: sys, Chain: "sigma_d", Options: repro.Options{Flat: true}}.DMM(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := repro.AnalyzeDMM(sys, "sigma_d", repro.Options{})
+	aware, err := repro.AnalysisRequest{System: sys, Chain: "sigma_d"}.DMM(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
