@@ -110,3 +110,42 @@ func TestExpiredDeadlineDegradesButCancellationPropagates(t *testing.T) {
 		t.Fatalf("cancellation was absorbed by the ladder: %v", err)
 	}
 }
+
+// TestInjectedSeamSkippedByOverloadCertificate is the host-independent
+// gate of the ladder's overload certificate: with an error armed at
+// every busy-window seam arrival, σc with tau3c's WCET doubled (long-run
+// load about 1.11) still degrades on the fixed-point budget, because the
+// certificate answers before any fixed point starts. Without it the
+// first B(1) hits the seam and the budget reads "injected".
+func TestInjectedSeamSkippedByOverloadCertificate(t *testing.T) {
+	sys := casestudy.New()
+	c := sys.ChainByName("sigma_c")
+	for i := range c.Tasks {
+		if c.Tasks[i].Name == "tau3c" {
+			c.Tasks[i].WCET *= 2
+		}
+	}
+	info := segments.Analyze(sys, c)
+
+	defer faultinject.Disarm()
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionError},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := latency.AnalyzeInfo(info, latency.Options{Degrade: degrade.Policy{Allow: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Quality.Quality != degrade.Trivial || r.Quality.Budget != degrade.BudgetFixedPoint {
+		t.Errorf("quality = %+v, want trivial on the fixed-point budget", r.Quality)
+	}
+	if n := faultinject.FireCounts()[faultinject.PointBusyWindow]; n != 0 {
+		t.Errorf("busy-window seam reached %d times, want 0", n)
+	}
+
+	// Fail-hard callers keep the search, so they still reach the seam.
+	if _, err := latency.AnalyzeInfo(info, latency.Options{}); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("fail-hard err = %v, want the injected fault", err)
+	}
+}

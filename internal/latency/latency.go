@@ -36,7 +36,10 @@ var ErrKExceeded = errors.New("busy-window event bound exceeded MaxQ")
 
 // Options tunes the analysis. The zero value picks sensible defaults.
 type Options struct {
-	// MaxQ bounds the K_b search of Theorem 2 (default 4096).
+	// MaxQ bounds the K_b search of Theorem 2 (default 4096). A target
+	// whose long-run load provably exceeds 1 never finds K_b and fails
+	// at this cap or at Horizon; under Degrade.Allow such a target skips
+	// the search (see AnalyzeInfoWarmCtx), so MaxQ then costs nothing.
 	MaxQ int64
 	// Horizon bounds busy-window lengths; a fixed point exceeding it
 	// reports ErrDiverged (default 1<<40).
@@ -54,7 +57,8 @@ type Options struct {
 	// Degrade enables the graceful-degradation ladder: with Allow set,
 	// a diverging or budget-exceeded busy-window analysis (ErrDiverged,
 	// ErrKExceeded, an expired deadline) returns the sound TrivialResult
-	// instead of an error. SkipExact has no effect here — the busy
+	// instead of an error, and a provably overloaded target returns it
+	// without searching at all. SkipExact has no effect here — the busy
 	// window is the cheap part of the pipeline; only package twca skips
 	// work under it.
 	Degrade degrade.Policy
@@ -329,24 +333,57 @@ func AnalyzeInfoCtx(ctx context.Context, info *segments.Info, opts Options) (*Re
 // empty) seeds make this exactly AnalyzeInfoCtx; every Result field
 // except the Iterations effort counter is identical either way
 // (TestWarmSeedsPreserveFixedPoints pins this).
+//
+// Under Degrade.Allow the busy-window search is preceded by the
+// long-run-load certificate of policy.Overloaded: when the target and
+// its arbitrarily interfering chains provably load the processor above
+// 1, no q can satisfy Theorem 2's termination test, so the search could
+// only fail with ErrKExceeded or ErrDiverged, which the ladder maps to
+// the fixed-point budget. The certificate returns that TrivialResult at
+// once, identical to the one the search would have ended in, instead of
+// walking up to MaxQ busy windows to learn it. Fail-hard callers keep
+// the search, whose error tells the two failures apart.
 func AnalyzeInfoWarmCtx(ctx context.Context, info *segments.Info, opts Options, seeds []curves.Time) (*Result, error) {
 	opts = opts.withDefaults()
 	pol, perr := analyzerFor(opts)
 	if perr != nil {
 		return nil, perr
 	}
+	if opts.Degrade.Allow && ctx.Err() == nil && neverCloses(info, opts) {
+		return policyTrivial(info, degrade.BudgetFixedPoint, pol), nil
+	}
 	res, err := analyzeExact(ctx, info, opts, seeds)
 	if err != nil && opts.Degrade.Allow {
 		if budget, ok := degradableBudget(err); ok {
-			triv := TrivialResult(info, budget)
-			triv.Policy = pol.Name()
-			return triv, nil
+			return policyTrivial(info, budget, pol), nil
 		}
 	}
 	if res != nil {
 		res.Policy = pol.Name()
 	}
 	return res, err
+}
+
+// policyTrivial is TrivialResult tagged with the analysis policy, the
+// ladder's Lemma-3 floor as AnalyzeInfoWarmCtx returns it.
+func policyTrivial(info *segments.Info, budget string, pol policy.Analyzer) *Result {
+	triv := TrivialResult(info, budget)
+	triv.Policy = pol.Name()
+	return triv
+}
+
+// neverCloses is the long-run-load certificate of the ladder: it reports
+// whether policy.Overloaded proves that no busy window of info.B closes,
+// so the Theorem-2 search could only end in ErrKExceeded or ErrDiverged —
+// both the fixed-point budget. The check is O(chains) and allocation-free
+// where the search it replaces walks up to MaxQ fixed points.
+func neverCloses(info *segments.Info, opts Options) bool {
+	load, over := policy.Overloaded(info, opts.ExcludeOverload)
+	if over && opts.Trace != nil {
+		fmt.Fprintf(opts.Trace, "latency: %s: long-run load ≥ %.6f > 1: busy window never closes\n",
+			info.B.Name, float64(load)/policy.LoadOne)
+	}
+	return over
 }
 
 // analyzeExact is the historical fail-hard analysis: the Theorem 1/2

@@ -1,6 +1,9 @@
 package policy
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/curves"
 	"repro/internal/model"
 	"repro/internal/segments"
@@ -68,6 +71,74 @@ func sppDemand(info *segments.Info, q int64, w curves.Time, excludeOverload bool
 		}
 	}
 	return d
+}
+
+// LoadOne is the fixed-point unit of Overloaded's load bound: a bound of
+// LoadOne is a long-run load of exactly 1.
+const LoadOne = 1 << 32
+
+// Overloaded reports whether the long-run load of target chain info.B
+// plus its arbitrarily interfering chains provably exceeds 1, so that no
+// busy window of B ever closes under any analyzable policy: the Theorem-2
+// search for K_b can only diverge or run into its MaxQ cap. load is the
+// lower bound on that long-run load it compared, in units of 1/LoadOne.
+//
+// With C = TotalWCET and s = curves.Slope (δ-(n) ≤ (n−1)·s, η+(w) ≥ w/s),
+// lines 1 and 3 of sppDemand bound every analyzable policy's Demand from
+// below (edf is sppDemand on the flat structure, np-spp adds a blocking
+// term ≥ 0):
+//
+//	Demand(q, w) ≥ q·C_b + Σ_{i∈IC(b)} C_i·η+_i(w) ≥ q·C_b + U_I·w,
+//
+// where U_I = Σ_{i∈IC(b)} C_i/s_i, skipping overload chains under
+// excludeOverload (an interferer of unknown slope adds 0, still a lower
+// bound). A window closes at q only at a fixed point w = Demand(q, w)
+// with w ≤ δ-_b(q+1) ≤ q·s_b. A finite Demand saturated nowhere, so the
+// inequality holds exactly there and gives w·(1 − U_I) ≥ q·C_b > 0, hence
+// q·s_b ≥ w ≥ q·C_b/(1 − U_I), i.e. C_b/s_b + U_I ≤ 1. Contrapositively,
+// C_b > 0 and C_b/s_b + U_I > 1 leave no q at which a window closes.
+//
+// The sum is exact integer arithmetic: each term is ⌊C·LoadOne/s⌋ and
+// every saturation rounds down, so load never exceeds the true load
+// times LoadOne and a load of at most 1 is never reported overloaded.
+// An unknown target slope, or C_b ≤ 0 (which Validate rules out), never
+// reports overload. Overloaded allocates nothing.
+func Overloaded(info *segments.Info, excludeOverload bool) (load uint64, overloaded bool) {
+	b := info.B
+	sb, ok := curves.Slope(b.Activation)
+	cb := b.TotalWCET()
+	if !ok || cb <= 0 {
+		return 0, false
+	}
+	load = loadTerm(cb, sb)
+	for _, a := range info.Interfering {
+		if excludeOverload && a.Overload {
+			continue
+		}
+		c := a.TotalWCET()
+		if c < 0 {
+			return 0, false // malformed: C·η+ would lower the demand
+		}
+		if s, ok := curves.Slope(a.Activation); ok {
+			sum, carry := bits.Add64(load, loadTerm(c, s), 0)
+			if carry != 0 {
+				sum = math.MaxUint64
+			}
+			load = sum
+		}
+	}
+	return load, load > LoadOne
+}
+
+// loadTerm returns ⌊c·LoadOne/s⌋ for c ≥ 0 and s > 0, saturating at
+// math.MaxUint64 (a load of about 2³²) instead of overflowing.
+func loadTerm(c, s curves.Time) uint64 {
+	hi, lo := bits.Mul64(uint64(c), LoadOne)
+	if hi >= uint64(s) {
+		return math.MaxUint64
+	}
+	q, _ := bits.Div64(hi, lo, uint64(s))
+	return q
 }
 
 // blockingTerm is the non-preemptive safety margin: the largest single

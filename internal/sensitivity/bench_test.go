@@ -2,9 +2,12 @@ package sensitivity
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/casestudy"
+	"repro/internal/degrade"
+	"repro/internal/model"
 	"repro/internal/twca"
 )
 
@@ -39,6 +42,34 @@ func BenchmarkSensitivitySweepCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSensitivitySweepColdDegrade is the cold sweep under the
+// analysis service's default options: the degradation ladder is on, so
+// an overloaded probe ends on its Lemma-3 floor instead of failing. The
+// busy-window overload certificate answers such probes without a search
+// (all 7 per query on this sweep). It reports the degraded probe
+// analyses per query.
+func BenchmarkSensitivitySweepColdDegrade(b *testing.B) {
+	sys := casestudy.New()
+	opts := thalesOptions()
+	opts.NoWarmStart = true
+	aopts := twca.Options{Degrade: degrade.Policy{Allow: true}}
+	var degraded atomic.Int64
+	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, o twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+		a, err := twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), o, warm)
+		if err == nil && a.Degraded.Degraded() {
+			degraded.Add(1)
+		}
+		return a, err
+	}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(context.Background(), sys, "sigma_c", aopts, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(degraded.Load())/float64(b.N), "degraded/query")
 }
 
 // BenchmarkSensitivitySweepWarm measures the warm-started sweep: the
