@@ -1,5 +1,5 @@
 # Build and verification entry points. `make verify` is the gate every
-# change must pass (ROADMAP.md): compile, vet, staticcheck (when
+# change must pass (ROADMAP.md): gofmt, compile, vet, staticcheck (when
 # installed), the twca-lint analyzer suite, the full test suite under
 # the race detector, and vet + tests of the svcbench benchmark module.
 # svcbench is a nested module, so the root `go build ./...` never
@@ -27,15 +27,15 @@ test:
 	$(GO) test ./...
 
 # lint runs the repository's own analyzer suite (internal/analyzers,
-# cmd/twca-lint): determinism, ctxflow, sentinels, saturation, plus the
-# CFG/dataflow families soundflow, concurrency and errretain. It needs
-# only the Go toolchain — no module dependencies. Exit 1 means
-# findings, 3 means a package failed to load (and was not checked).
+# cmd/twca-lint): determinism, saturation and soundflow, plus the
+# suppression check on //twcalint:ignore waivers. It needs only the Go
+# toolchain — no module dependencies. Exit 1 means findings, 3 means a
+# package failed to load (and was not checked).
 lint:
 	$(GO) run ./cmd/twca-lint ./...
 
 # lint-fix applies the machine-applicable suggested fixes (saturating
-# helper rewrites, %w wrapping, collect-then-sort) in place, then
+# helper rewrites, collect-then-sort) in place, then
 # reports what remains. A no-op on a clean tree.
 lint-fix:
 	$(GO) run ./cmd/twca-lint -fix ./...
@@ -47,6 +47,7 @@ lint-sarif:
 	$(GO) run ./cmd/twca-lint -format=sarif ./... > twca-lint.sarif || [ $$? -eq 1 ]
 
 verify:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	$(GO) build ./...
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -4,15 +4,11 @@
 //
 //	determinism  map iteration / wall clock / global rand reaching
 //	             deterministic analysis output
-//	ctxflow      context.Context parameters that drop cancellation
-//	sentinels    Err* sentinels wrapped without %w or compared with ==
 //	saturation   raw + or * on math.MaxInt64-sentinel values
 //	soundflow    upper-bound-tainted values flowing through tightening
 //	             operations (min, minuend subtraction, clamp-down)
-//	concurrency  goroutines with no termination path; mutexes held
-//	             across blocking operations
-//	errretain    error values reaching store/warm-store retain sinks
-//	suppression  //twcalint:ignore directives without a reason
+//	suppression  //twcalint:ignore directives without a reason, or
+//	             naming a rule the suite does not have
 //
 // Usage:
 //
@@ -29,7 +25,7 @@
 // (schema_version 1, golden-pinned); -json is kept as an alias.
 // -format=sarif emits SARIF 2.1.0 for GitHub code scanning.
 // -fix applies the machine-applicable suggested fixes (saturating
-// helper rewrites, %w wrapping, collect-then-sort) in place and then
+// helper rewrites, collect-then-sort) in place and then
 // reports what remains; on a clean tree it is a no-op.
 package main
 

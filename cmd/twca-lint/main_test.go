@@ -10,15 +10,14 @@ import (
 
 // TestCleanPackagesStayClean drives the exact pipeline main uses over
 // real packages that must be finding-free: the saturating-helper home
-// (internal/curves, deliberately outside the saturation scope), a
-// deterministic-scope package (internal/report), and one package in
-// each new dataflow family's scope (internal/store for concurrency
-// and errretain, internal/parallel for concurrency). A finding here
-// means either the tree regressed or a rule grew a false positive.
+// (internal/curves, deliberately outside the saturation scope) and
+// three deterministic-scope packages (internal/report, internal/store,
+// internal/sim). A finding here means either the tree regressed or a
+// rule grew a false positive.
 func TestCleanPackagesStayClean(t *testing.T) {
 	passes, loadErrs, err := analyzers.LoadPackages(analyzers.DefaultConfig(),
 		"repro/internal/curves", "repro/internal/report",
-		"repro/internal/store", "repro/internal/parallel")
+		"repro/internal/store", "repro/internal/sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +63,8 @@ func TestDefaultConfigScopesTheContract(t *testing.T) {
 		list []string
 	}{
 		{"SoundflowPkgs", cfg.SoundflowPkgs},
-		{"ConcurrencyPkgs", cfg.ConcurrencyPkgs},
-		{"RetainPkgs", cfg.RetainPkgs},
-		{"RetainSinks", cfg.RetainSinks},
 		{"UpperSources", cfg.UpperSources},
+		{"SoundflowAllow", cfg.SoundflowAllow},
 	} {
 		if len(want.list) == 0 {
 			t.Errorf("%s empty; the rule family is silently descoped", want.name)

@@ -2,9 +2,9 @@
 // static-analysis suite. It mechanically enforces the correctness
 // contract that the analysis pipeline otherwise documents only in
 // prose (CHANGES.md, DESIGN.md): deterministic output from the
-// analysis packages, cooperative cancellation threaded through every
-// context-taking function, errors.Is-able sentinel wrapping, and
-// saturating arithmetic on Infinity/Ω-sentinel values.
+// analysis packages, saturating arithmetic on Infinity/Ω-sentinel
+// values, and upper bounds that are never tightened on the way to a
+// reported result.
 //
 // The suite is built on the standard library only (go/ast, go/parser,
 // go/types): packages are enumerated with `go list -json`, parsed, and
@@ -19,7 +19,8 @@
 // on the offending line or the line above it. The reason is mandatory:
 // a bare //twcalint:ignore still suppresses, but is itself reported
 // under the "suppression" rule so that undocumented exceptions cannot
-// accumulate.
+// accumulate. So is a directive naming a rule the suite does not have
+// (a typo, or a rule that was retired): it suppresses nothing.
 package analyzers
 
 import (
@@ -33,16 +34,12 @@ import (
 
 // Rule names. Each analyzer reports findings under exactly one rule;
 // RuleSuppression is reserved for the driver's own check that every
-// //twcalint:ignore directive carries a reason.
+// //twcalint:ignore directive carries a reason and names known rules.
 const (
 	RuleDeterminism = "determinism"
-	RuleCtxFlow     = "ctxflow"
-	RuleSentinels   = "sentinels"
 	RuleSaturation  = "saturation"
 	RuleSuppression = "suppression"
 	RuleSoundflow   = "soundflow"
-	RuleConcurrency = "concurrency"
-	RuleErrRetain   = "errretain"
 )
 
 // Config scopes the rules to the packages and types they guard. The
@@ -81,19 +78,6 @@ type Config struct {
 	// dedicated dominance property test proves the reduction sound
 	// (e.g. clamping dmm(k) to k, which is itself a Lemma-3 bound).
 	SoundflowAllow []string
-
-	// ConcurrencyPkgs scopes the concurrency rule: the service/store
-	// tier where goroutine leaks and lock-holding blocking calls turn
-	// into fleet-wide stalls.
-	ConcurrencyPkgs []string
-
-	// RetainPkgs scopes the errretain rule.
-	RetainPkgs []string
-	// RetainSinks are func IDs of cache/retain entry points that must
-	// never receive an error value in any argument. Functions that
-	// forward a parameter into a sink become sinks in that parameter
-	// transitively.
-	RetainSinks []string
 }
 
 // DefaultConfig is the contract twca-lint enforces on this repository.
@@ -151,21 +135,6 @@ func DefaultConfig() Config {
 			"internal/twca.(*Analysis).boundsAt",
 			"internal/twca.(*Analysis).omegaSum",
 		},
-		ConcurrencyPkgs: []string{
-			"internal/service",
-			"internal/store",
-			"internal/parallel",
-			"internal/sim",
-		},
-		RetainPkgs: []string{
-			"internal/store",
-			"internal/sensitivity",
-			"internal/service",
-		},
-		RetainSinks: []string{
-			"internal/store.(*Store).Add",
-			"internal/sensitivity.(*scopeStore).put",
-		},
 		SaturationPkgs: []string{
 			"internal/latency",
 			"internal/twca",
@@ -203,7 +172,7 @@ type Analyzer struct {
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, CtxFlow, Sentinels, Saturation, Soundflow, Concurrency, ErrRetain}
+	return []*Analyzer{Determinism, Saturation, Soundflow}
 }
 
 // Pass is one analyzed package: its syntax, type information and the
@@ -216,9 +185,9 @@ type Pass struct {
 	Info       *types.Info
 	Files      []*ast.File
 
-	// Prog is the interprocedural summary layer over every pass of the
-	// run (see callgraph.go). AnalyzeAll fills it; a nil Prog degrades
-	// the interprocedural rules to their intraprocedural core.
+	// Prog is the interprocedural summary over every pass of the run
+	// (see callgraph.go). AnalyzeAll fills it; a nil Prog degrades
+	// soundflow to its intraprocedural core.
 	Prog *Program
 
 	findings []Finding
@@ -292,10 +261,26 @@ func (d *directive) covers(rule string) bool {
 	return d != nil && (d.rules["*"] || d.rules[rule])
 }
 
+// knownRule reports whether a //twcalint:ignore directive may name
+// rule: a rule of the full suite, the suppression rule, or the "*"
+// wildcard.
+func knownRule(rule string) bool {
+	if rule == "*" || rule == RuleSuppression {
+		return true
+	}
+	for _, a := range All() {
+		if a.Name == rule {
+			return true
+		}
+	}
+	return false
+}
+
 // Analyze runs the given analyzers over one loaded package, applies
 // the //twcalint:ignore directives, and returns the findings sorted by
-// position. Directives without a reason are reported under the
-// "suppression" rule; that finding cannot itself be suppressed.
+// position. Directives without a reason, and directives naming a rule
+// knownRule rejects, are reported under the "suppression" rule; that
+// finding cannot itself be suppressed.
 func Analyze(p *Pass, suite []*Analyzer) []Finding {
 	p.findings = nil
 	for _, a := range suite {
@@ -318,7 +303,9 @@ func Analyze(p *Pass, suite []*Analyzer) []Finding {
 	}
 	// A directive without a reason is a finding of its own, whether or
 	// not it suppressed anything: undocumented exceptions are exactly
-	// what the suite exists to prevent.
+	// what the suite exists to prevent. A directive naming an unknown
+	// rule suppresses nothing, so it is reported before it can hide a
+	// typo or outlive the rule it waived.
 	for _, f := range p.Files {
 		pos := p.Fset.Position(f.Pos())
 		for _, d := range directives[pos.Filename] {
@@ -328,6 +315,15 @@ func Analyze(p *Pass, suite []*Analyzer) []Finding {
 					Pos:     d.pos,
 					Message: "twcalint:ignore without a reason; state why the rule does not apply here",
 				})
+			}
+			for rule := range d.rules {
+				if !knownRule(rule) {
+					p.findings = append(p.findings, Finding{
+						Rule:    RuleSuppression,
+						Pos:     d.pos,
+						Message: fmt.Sprintf("twcalint:ignore names unknown rule %q; it suppresses nothing, so fix the name or delete the directive", rule),
+					})
+				}
 			}
 		}
 	}

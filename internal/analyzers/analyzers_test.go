@@ -1,35 +1,13 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
-
-func TestFormatVerbs(t *testing.T) {
-	cases := []struct {
-		format string
-		verbs  string
-		ok     bool
-	}{
-		{"plain", "", true},
-		{"%w", "w", true},
-		{"step %d: %w", "dw", true},
-		{"%w: %w", "ww", true},
-		{"100%% done: %v", "v", true},
-		{"%-8.3f %q", "fq", true},
-		{"%*d", "*d", true},
-		{"%[1]v", "", false},
-		{"trailing %", "", true},
-	}
-	for _, c := range cases {
-		verbs, ok := formatVerbs(c.format)
-		if string(verbs) != c.verbs || ok != c.ok {
-			t.Errorf("formatVerbs(%q) = %q, %v; want %q, %v", c.format, verbs, ok, c.verbs, c.ok)
-		}
-	}
-}
 
 func parseOne(t *testing.T, src string) (*token.FileSet, *ast.File) {
 	t.Helper()
@@ -44,13 +22,13 @@ func parseOne(t *testing.T, src string) (*token.FileSet, *ast.File) {
 func TestParseDirectives(t *testing.T) {
 	fset, f := parseOne(t, `package x
 
-//twcalint:ignore ctxflow completes instantly
+//twcalint:ignore soundflow exact model arithmetic
 var a int
 
 //twcalint:ignore determinism,saturation shared reason here
 var b int
 
-//twcalint:ignore sentinels
+//twcalint:ignore saturation
 var c int
 
 // an unrelated comment
@@ -60,18 +38,58 @@ var d int
 	if len(ds) != 3 {
 		t.Fatalf("parsed %d directives, want 3", len(ds))
 	}
-	if d := ds[3]; d == nil || !d.covers(RuleCtxFlow) || d.covers(RuleDeterminism) || !d.reason {
-		t.Errorf("line 3 directive = %+v, want reasoned ctxflow-only", d)
+	if d := ds[3]; d == nil || !d.covers(RuleSoundflow) || d.covers(RuleDeterminism) || !d.reason {
+		t.Errorf("line 3 directive = %+v, want reasoned soundflow-only", d)
 	}
-	if d := ds[6]; d == nil || !d.covers(RuleDeterminism) || !d.covers(RuleSaturation) || d.covers(RuleCtxFlow) {
+	if d := ds[6]; d == nil || !d.covers(RuleDeterminism) || !d.covers(RuleSaturation) || d.covers(RuleSoundflow) {
 		t.Errorf("line 6 directive = %+v, want determinism+saturation", d)
 	}
-	if d := ds[9]; d == nil || !d.covers(RuleSentinels) || d.reason {
-		t.Errorf("line 9 directive = %+v, want bare sentinels", d)
+	if d := ds[9]; d == nil || !d.covers(RuleSaturation) || d.reason {
+		t.Errorf("line 9 directive = %+v, want bare saturation", d)
 	}
 	var nilDirective *directive
-	if nilDirective.covers(RuleCtxFlow) {
+	if nilDirective.covers(RuleSoundflow) {
 		t.Error("nil directive must cover nothing")
+	}
+}
+
+// TestUnknownRuleWaiverIsReported keeps waivers honest: a directive
+// naming a rule the suite does not have (a typo, or a retired rule)
+// suppresses nothing, so it is reported under the suppression rule
+// instead of silently rotting. Known rules, the suppression rule and
+// the wildcard stay quiet.
+func TestUnknownRuleWaiverIsReported(t *testing.T) {
+	fset, f := parseOne(t, `package x
+
+//twcalint:ignore saturaton typo of a live rule
+var a int
+
+//twcalint:ignore errretain a retired rule
+var b int
+
+//twcalint:ignore determinism,saturation,soundflow all live rules
+var c int
+
+//twcalint:ignore suppression the driver's own rule
+var d int
+
+//twcalint:ignore * wildcard
+var e int
+`)
+	findings := Analyze(&Pass{Fset: fset, Files: []*ast.File{f}}, nil)
+	var got []string
+	for _, fd := range findings {
+		if fd.Rule != RuleSuppression {
+			t.Errorf("line %d: rule %q, want %q", fd.Pos.Line, fd.Rule, RuleSuppression)
+		}
+		got = append(got, fmt.Sprintf("%d:%s", fd.Pos.Line, fd.Message))
+	}
+	want := []string{
+		`3:twcalint:ignore names unknown rule "saturaton"; it suppresses nothing, so fix the name or delete the directive`,
+		`6:twcalint:ignore names unknown rule "errretain"; it suppresses nothing, so fix the name or delete the directive`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -7,15 +7,12 @@ import (
 	"strings"
 )
 
-// callgraph.go: the interprocedural summary layer. Every function
-// declared in the analyzed packages gets a FuncInfo keyed by its
-// canonical ID string ("pkg/path.Name" or "pkg/path.(*Recv).Name");
+// callgraph.go: the interprocedural summary soundflow consumes. Every
+// function declared in the analyzed packages gets a FuncInfo keyed by
+// its canonical ID string ("pkg/path.Name" or "pkg/path.(*Recv).Name");
 // keys are strings rather than types.Object so summaries compose
 // across passes even when packages were type-checked under different
-// FileSets (the parallel loader gives each shard its own). Summary
-// bits are propagated to a fixed point over the static call graph, so
-// the rules see through call chains: a function that calls a function
-// that blocks on a channel is itself blocking.
+// FileSets (the parallel loader gives each shard its own).
 
 // FuncInfo is the per-function node of the program call graph.
 type FuncInfo struct {
@@ -23,42 +20,15 @@ type FuncInfo struct {
 	Pass *Pass
 	Decl *ast.FuncDecl
 
-	// Summary bits, valid after BuildProgram returns.
-
-	// Blocks: the function may block on a channel operation, select
-	// without default, sync.WaitGroup/Cond.Wait, time.Sleep, an HTTP
-	// round-trip, or a callee that does.
-	Blocks bool
-	// BlockReason names the primitive or callee that makes Blocks true
-	// (for diagnostics).
-	BlockReason string
-	// InescapableLoop: the function's CFG contains a reachable block
-	// from which the exit is unreachable — once entered, the function
-	// can never return (`for { work() }` with no break/return).
-	InescapableLoop bool
 	// UpperResult: the function returns a value tainted "upper" (an
 	// over-approximating bound or saturation sentinel) — see soundflow.
+	// Valid after BuildProgram returns.
 	UpperResult bool
-	// SinkParams marks parameters that the function passes (directly or
-	// transitively) to a configured retain sink — see errretain.
-	SinkParams []bool
-
-	cfg *CFG
 }
 
-// CFG returns the function's control-flow graph, built on first use.
-func (f *FuncInfo) CFG() *CFG {
-	if f.cfg == nil {
-		f.cfg = NewCFG(f.Decl.Body)
-	}
-	return f.cfg
-}
-
-// Program is the whole analyzed package set: the function table plus
-// the config the summaries were computed under.
+// Program is the whole analyzed package set: the function table.
 type Program struct {
-	Config Config
-	funcs  map[string]*FuncInfo
+	funcs map[string]*FuncInfo
 }
 
 // Func returns the summary for the given canonical ID, or nil.
@@ -93,11 +63,11 @@ func FuncIDOf(obj types.Object) string {
 	return fn.Pkg().Path() + ".(" + ptr + name + ")." + fn.Name()
 }
 
-// callee resolves the static callee of a call expression to its
-// *types.Func (package function, method, or imported function), or nil
+// calleeID resolves the static callee of a call expression (package
+// function, method, or imported function) to its canonical ID, or ""
 // for builtins, function values and interface dispatch through
 // non-constant receivers.
-func (p *Pass) callee(call *ast.CallExpr) *types.Func {
+func (p *Pass) calleeID(call *ast.CallExpr) string {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -105,26 +75,16 @@ func (p *Pass) callee(call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return nil
+		return ""
 	}
 	fn, _ := p.Info.Uses[id].(*types.Func)
-	return fn
-}
-
-// calleeID is callee composed with FuncIDOf.
-func (p *Pass) calleeID(call *ast.CallExpr) string {
-	return FuncIDOf(p.callee(call))
+	return FuncIDOf(fn)
 }
 
 // BuildProgram indexes every function declaration of the passes and
-// computes the interprocedural summaries to a fixed point. The passes'
-// shared Config (taken from the first pass) scopes the sink and source
-// tables.
+// computes the UpperResult summaries to a fixed point.
 func BuildProgram(passes []*Pass) *Program {
 	pr := &Program{funcs: make(map[string]*FuncInfo)}
-	if len(passes) > 0 {
-		pr.Config = passes[0].Config
-	}
 	for _, p := range passes {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -132,8 +92,7 @@ func BuildProgram(passes []*Pass) *Program {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				obj := p.Info.Defs[fd.Name]
-				id := FuncIDOf(obj)
+				id := FuncIDOf(p.Info.Defs[fd.Name])
 				if id == "" {
 					continue
 				}
@@ -149,83 +108,19 @@ func BuildProgram(passes []*Pass) *Program {
 	}
 	sort.Strings(ids)
 
-	// Seed the intraprocedural bits.
-	for _, id := range ids {
-		fi := pr.funcs[id]
-		if reason := blockingPrimitiveIn(fi.Pass, fi.Decl.Body); reason != "" {
-			fi.Blocks, fi.BlockReason = true, reason
-		}
-		fi.InescapableLoop = hasInescapableLoop(fi.CFG())
-		fi.SinkParams = directSinkParams(pr, fi)
-		fi.UpperResult = returnsUpper(pr, fi)
-	}
-
-	// Propagate Blocks, SinkParams and UpperResult through the call
-	// graph until nothing changes. All three are monotone bits, so the
-	// loop terminates; the function count bounds the round count.
+	// UpperResult is a monotone bit, so the loop terminates; the
+	// function count bounds the round count.
 	for changed := true; changed; {
 		changed = false
 		for _, id := range ids {
 			fi := pr.funcs[id]
-			if !fi.Blocks {
-				if reason := blockingCalleeIn(pr, fi.Pass, fi.Decl.Body); reason != "" {
-					fi.Blocks, fi.BlockReason = true, reason
-					changed = true
-				}
-			}
-			if next := transitiveSinkParams(pr, fi); growBools(&fi.SinkParams, next) {
-				changed = true
-			}
-			if !fi.UpperResult && returnsUpper(pr, fi) {
+			if !fi.UpperResult && returnsUpper(fi) {
 				fi.UpperResult = true
 				changed = true
 			}
 		}
 	}
 	return pr
-}
-
-// growBools ORs next into dst, reporting whether anything flipped.
-func growBools(dst *[]bool, next []bool) bool {
-	changed := false
-	for i, v := range next {
-		if i >= len(*dst) {
-			*dst = append(*dst, false)
-		}
-		if v && !(*dst)[i] {
-			(*dst)[i] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-// hasInescapableLoop reports whether some block reachable from the
-// entry cannot reach the exit — the graph shape of a loop with no
-// break, return or cancellation escape.
-func hasInescapableLoop(g *CFG) bool {
-	reach := g.Reachable()
-	exits := g.ReachesExit()
-	for b := range reach {
-		if !exits[b] {
-			return true
-		}
-	}
-	return false
-}
-
-// paramObjects returns the declared parameter objects of fn in order.
-func paramObjects(p *Pass, fn *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	if fn.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fn.Type.Params.List {
-		for _, name := range field.Names {
-			out = append(out, p.Info.Defs[name])
-		}
-	}
-	return out
 }
 
 // qualifiedName renders pkgpath.Name for a package-level object, or ""
@@ -240,7 +135,8 @@ func qualifiedName(obj types.Object) string {
 // matchesQualified reports whether the qualified name (or func ID)
 // matches one of the configured patterns. Patterns are matched as
 // suffixes on a package-path element boundary so configs can say
-// "internal/store.(*Store).Add" without hard-coding the module path.
+// "internal/twca.(*Analysis).boundsAt" without hard-coding the module
+// path.
 func matchesQualified(name string, patterns []string) bool {
 	if name == "" {
 		return false

@@ -243,67 +243,6 @@ func (p *Pass) satAssignFix(f *ast.File, n *ast.AssignStmt, helper string) *Fix 
 	}
 }
 
-// wrapVerbFix rewrites the format verb consumed by argument argIndex of
-// an fmt.Errorf call to %w. The format string must be a literal without
-// escape sequences so source offsets line up with string content.
-func (p *Pass) wrapVerbFix(call *ast.CallExpr, argIndex int) *Fix {
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok || strings.ContainsRune(lit.Value, '\\') {
-		return nil
-	}
-	off := verbOffset(lit.Value, argIndex)
-	if off < 0 {
-		return nil
-	}
-	pos := p.Fset.Position(lit.Pos())
-	return &Fix{
-		Message: "wrap with %w",
-		Edits: []TextEdit{{
-			Filename: pos.Filename,
-			Start:    pos.Offset + off,
-			End:      pos.Offset + off + 1,
-			NewText:  "w",
-		}},
-	}
-}
-
-// verbOffset returns the byte offset within the literal source text of
-// the verb letter consumed by argument argIndex, or -1. Mirrors
-// formatVerbs' scan, so fix targets and findings agree.
-func verbOffset(litSrc string, argIndex int) int {
-	arg := 0
-	for i := 0; i < len(litSrc); i++ {
-		if litSrc[i] != '%' {
-			continue
-		}
-		i++
-		if i < len(litSrc) && litSrc[i] == '%' {
-			continue
-		}
-		for ; i < len(litSrc); i++ {
-			c := litSrc[i]
-			if c == '[' {
-				return -1
-			}
-			if c == '*' {
-				arg++
-				continue
-			}
-			if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-				if arg == argIndex {
-					return i
-				}
-				arg++
-				break
-			}
-			if !strings.ContainsRune("#0- +.0123456789'", rune(c)) {
-				break
-			}
-		}
-	}
-	return -1
-}
-
 // collectSortFix rewrites an order-observing map range into the
 // collect-then-sort idiom:
 //

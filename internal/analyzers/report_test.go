@@ -26,14 +26,14 @@ func TestReportGolden(t *testing.T) {
 			Message: "iteration over map res.Omega observes randomized order in a deterministic package; range over sorted keys instead",
 		},
 		{
-			Rule:    analyzers.RuleCtxFlow,
-			Pos:     token.Position{Filename: "/repo/internal/ilp/ilp.go", Line: 7, Column: 28},
-			Message: `solve receives ctx "ctx" but neither propagates it nor checks ctx.Err()/ctx.Done(); cancellation is lost here`,
+			Rule:    analyzers.RuleSoundflow,
+			Pos:     token.Position{Filename: "/repo/internal/holistic/holistic.go", Line: 7, Column: 28},
+			Message: "min of an upper-bound-tainted value and an unproven operand may tighten the bound; prove the other operand is itself an upper bound or allowlist the dominance-tested caller",
 		},
 		{
-			Rule:    analyzers.RuleSentinels,
-			Pos:     token.Position{Filename: "/repo/repro.go", Line: 130, Column: 9},
-			Message: "sentinel ErrNoChain passed to fmt.Errorf without %w; the wrap drops it from the errors.Is chain",
+			Rule:    analyzers.RuleSuppression,
+			Pos:     token.Position{Filename: "/repo/internal/sensitivity/sensitivity.go", Line: 570, Column: 3},
+			Message: `twcalint:ignore names unknown rule "errretain"; it suppresses nothing, so fix the name or delete the directive`,
 		},
 		{
 			Rule:       analyzers.RuleSaturation,
@@ -78,11 +78,11 @@ func TestReportGolden(t *testing.T) {
 // the per-rule counts.
 func TestReportSummaryCountsUnsuppressedOnly(t *testing.T) {
 	rep := analyzers.NewReport("", []analyzers.Finding{
-		{Rule: analyzers.RuleCtxFlow, Pos: token.Position{Filename: "a.go", Line: 1}},
-		{Rule: analyzers.RuleCtxFlow, Pos: token.Position{Filename: "a.go", Line: 2}, Suppressed: true},
+		{Rule: analyzers.RuleSoundflow, Pos: token.Position{Filename: "a.go", Line: 1}},
+		{Rule: analyzers.RuleSoundflow, Pos: token.Position{Filename: "a.go", Line: 2}, Suppressed: true},
 	})
-	if got := rep.Summary[analyzers.RuleCtxFlow]; got != 1 {
-		t.Errorf("summary[ctxflow] = %d, want 1", got)
+	if got := rep.Summary[analyzers.RuleSoundflow]; got != 1 {
+		t.Errorf("summary[soundflow] = %d, want 1", got)
 	}
 	if len(rep.Findings) != 2 {
 		t.Errorf("findings on the wire = %d, want 2 (suppressed included)", len(rep.Findings))
@@ -92,8 +92,8 @@ func TestReportSummaryCountsUnsuppressedOnly(t *testing.T) {
 // TestReportRelativizesPaths keeps reports stable across checkouts.
 func TestReportRelativizesPaths(t *testing.T) {
 	rep := analyzers.NewReport("/work/repo", []analyzers.Finding{
-		{Rule: analyzers.RuleCtxFlow, Pos: token.Position{Filename: "/work/repo/internal/a/a.go", Line: 3}},
-		{Rule: analyzers.RuleCtxFlow, Pos: token.Position{Filename: "/elsewhere/b.go", Line: 4}},
+		{Rule: analyzers.RuleSoundflow, Pos: token.Position{Filename: "/work/repo/internal/a/a.go", Line: 3}},
+		{Rule: analyzers.RuleSoundflow, Pos: token.Position{Filename: "/elsewhere/b.go", Line: 4}},
 	})
 	if got := rep.Findings[0].File; got != "internal/a/a.go" {
 		t.Errorf("in-repo path = %q, want relative form", got)

@@ -99,7 +99,7 @@ func NewSARIF(base string, suite []*Analyzer, findings []Finding) SARIFLog {
 	}
 	rules = append(rules, SARIFRule{
 		ID:               RuleSuppression,
-		ShortDescription: SARIFText{Text: "every twcalint:ignore directive must state a reason"},
+		ShortDescription: SARIFText{Text: "every twcalint:ignore directive must state a reason and name known rules"},
 	})
 
 	results := make([]SARIFResult, 0, len(findings))

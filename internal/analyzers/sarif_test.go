@@ -13,7 +13,7 @@ import (
 
 // sarifFixtureFindings mirror the report-golden findings so the two
 // wire formats pin the same scenarios: an open finding, an in-source
-// suppressed one, and one from each new rule family.
+// suppressed one, and one from each rule family.
 func sarifFixtureFindings() []analyzers.Finding {
 	return []analyzers.Finding{
 		{
@@ -27,14 +27,14 @@ func sarifFixtureFindings() []analyzers.Finding {
 			Message: "min of an upper-bound-tainted value tightens a reported bound; prove the other operand dominates or keep the looser bound",
 		},
 		{
-			Rule:    analyzers.RuleConcurrency,
-			Pos:     token.Position{Filename: "/repo/internal/store/store.go", Line: 55, Column: 3},
-			Message: `channel send while holding "s.mu" in flush; a blocked critical section stalls every other entrant — release the lock before channel send`,
+			Rule:    analyzers.RuleSaturation,
+			Pos:     token.Position{Filename: "/repo/internal/segments/segments.go", Line: 55, Column: 3},
+			Message: "raw += on saturating type repro/internal/curves.Time; use the saturating helpers (curves.AddSat/MulSat) so Infinity stays absorbing",
 		},
 		{
-			Rule:       analyzers.RuleErrRetain,
-			Pos:        token.Position{Filename: "/repo/internal/sensitivity/sensitivity.go", Line: 602, Column: 4},
-			Message:    "error value err reaches retain sink (*scopeStore).put; a cached error satisfies every later lookup — store a verdict, or waive deliberate negative caching with a reasoned //twcalint:ignore",
+			Rule:       analyzers.RuleSoundflow,
+			Pos:        token.Position{Filename: "/repo/internal/twca/twca.go", Line: 288, Column: 12},
+			Message:    "subtraction with upper-bound-tainted minuend window tightens the bound; a reported value derived from it may undercut the exact result",
 			Suppressed: true,
 		},
 	}

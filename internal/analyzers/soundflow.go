@@ -165,7 +165,7 @@ func (p *Pass) anyUpperArg(call *ast.CallExpr, tainted map[types.Object]bool) bo
 // returnsUpper reports whether fi returns an upper-tainted value on
 // some return statement (used by the call-graph fixed point to make
 // callers of bound producers sources themselves).
-func returnsUpper(pr *Program, fi *FuncInfo) bool {
+func returnsUpper(fi *FuncInfo) bool {
 	p := fi.Pass
 	if fi.Decl.Body == nil {
 		return false

@@ -6,8 +6,7 @@
 package fixable
 
 import (
-	"errors"
-	"fmt"
+	"strconv"
 )
 
 // Time mirrors curves.Time: the maximum value means "unbounded".
@@ -37,8 +36,11 @@ func MulSat(a, b Time) Time {
 	return a * b
 }
 
-// ErrBudget is a sentinel in the facade taxonomy style.
-var ErrBudget = errors.New("fixable: budget exhausted")
+// Label renders a Time. It keeps the import block above, which the
+// collect-then-sort fix extends with "slices".
+func Label(t Time) string {
+	return strconv.FormatInt(int64(t), 10)
+}
 
 // Sum should become AddSat(a, b).
 func Sum(a, b Time) Time {
@@ -49,11 +51,6 @@ func Sum(a, b Time) Time {
 func Scale(total, k Time) Time {
 	total *= k // want "raw \*= on saturating type"
 	return total
-}
-
-// Wrap should keep ErrBudget matchable: the %v becomes %w.
-func Wrap(q int) error {
-	return fmt.Errorf("window %d: %v", q, ErrBudget) // want "without %w"
 }
 
 // Order should become the collect-then-sort idiom.

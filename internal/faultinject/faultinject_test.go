@@ -137,15 +137,15 @@ func TestParseSpec(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"nonsense",                          // no action
-		"bogus.point:error",                 // unknown point
-		"ilp.branch:frobnicate",             // unknown action
-		"ilp.branch:error:every=0",          // zero rate
-		"ilp.branch:error:every=x",          // non-numeric
-		"ilp.branch:error:times=-1",         // negative cap
-		"ilp.branch:delay:delay=later",      // bad duration
-		"ilp.branch:error:unknownkey=1",     // unknown key
-		"ilp.branch:error:noequals",         // not key=value
+		"nonsense",                      // no action
+		"bogus.point:error",             // unknown point
+		"ilp.branch:frobnicate",         // unknown action
+		"ilp.branch:error:every=0",      // zero rate
+		"ilp.branch:error:every=x",      // non-numeric
+		"ilp.branch:error:times=-1",     // negative cap
+		"ilp.branch:delay:delay=later",  // bad duration
+		"ilp.branch:error:unknownkey=1", // unknown key
+		"ilp.branch:error:noequals",     // not key=value
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded", spec)

@@ -567,7 +567,8 @@ func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 		}
 	}
 	if e.err == nil || deterministicErr(e.err) {
-		//twcalint:ignore errretain deliberate negative caching: deterministicErr gates retention to errors that recur identically on re-analysis
+		// Deliberate negative caching: deterministicErr gates retention
+		// to errors that recur identically on re-analysis.
 		q.warm.put(c, hash, e.an, e.err, q.denom)
 	}
 	return e.an, e.err
