@@ -112,9 +112,12 @@ svcbench-smoke:
 # chaos runs the fault-injection suites under the race detector: the
 # service chaos suite (hundreds of randomized requests with panics,
 # errors and budget exhaustions armed at every seam) plus the seam
-# tests in the pipeline packages. See DESIGN.md §11.
+# tests in the pipeline packages. See DESIGN.md §11. The chaos suite
+# runs three times: its faults interleave differently on each run, so
+# repeats reach more of them.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosSuite|TestDrain|TestDegraded|TestBreaker|TestWarmNominalSeamFallback' ./internal/service/
+	$(GO) test -race -count=3 -run 'TestChaosSuite' ./internal/service/
+	$(GO) test -race -count=1 -run 'TestDrain|TestDegraded|TestBreaker|TestWarmNominalSeamFallback' ./internal/service/
 	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/parallel/ ./internal/degrade/
 	$(GO) test -race -count=1 -run 'Degraded|Injection|Inject' ./internal/ilp/ ./internal/twca/ ./internal/latency/ ./internal/sensitivity/
 

@@ -186,7 +186,7 @@ type Pass struct {
 	Files      []*ast.File
 
 	// Prog is the interprocedural summary over every pass of the run
-	// (see callgraph.go). AnalyzeAll fills it; a nil Prog degrades
+	// (see callgraph.go). BuildProgram fills it; a nil Prog degrades
 	// soundflow to its intraprocedural core.
 	Prog *Program
 
@@ -335,10 +335,9 @@ func Analyze(p *Pass, suite []*Analyzer) []Finding {
 // and then runs the suite on each, returning the concatenated findings
 // in pass order (each pass's findings position-sorted by Analyze).
 func AnalyzeAll(passes []*Pass, suite []*Analyzer) []Finding {
-	prog := BuildProgram(passes)
+	BuildProgram(passes)
 	var all []Finding
 	for _, p := range passes {
-		p.Prog = prog
 		all = append(all, Analyze(p, suite)...)
 	}
 	return all

@@ -81,11 +81,15 @@ func (p *Pass) calleeID(call *ast.CallExpr) string {
 	return FuncIDOf(fn)
 }
 
-// BuildProgram indexes every function declaration of the passes and
-// computes the UpperResult summaries to a fixed point.
+// BuildProgram indexes every function declaration of the passes, sets
+// each pass's Prog to the result, and computes the UpperResult
+// summaries to a fixed point. Prog is set first: returnsUpper reads
+// callee summaries through it, so each round carries the taint one
+// call level further.
 func BuildProgram(passes []*Pass) *Program {
 	pr := &Program{funcs: make(map[string]*FuncInfo)}
 	for _, p := range passes {
+		p.Prog = pr
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -188,6 +188,22 @@ func TestSoundflowFixture(t *testing.T) {
 	}
 }
 
+// TestUpperResultTransitive: the call-graph fixed point carries the
+// upper-bound summary through every call level, not just one: loosen
+// returns Infinity and wrap returns loosen(), so both are sources.
+func TestUpperResultTransitive(t *testing.T) {
+	pass, err := analyzers.LoadDir(fixtureConfig(), filepath.Join("testdata", "src", "soundflow"), "fixture/soundflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := analyzers.BuildProgram([]*analyzers.Pass{pass})
+	for _, id := range []string{"fixture/soundflow.loosen", "fixture/soundflow.wrap"} {
+		if fi := prog.Func(id); fi == nil || !fi.UpperResult {
+			t.Errorf("%s: UpperResult not set", id)
+		}
+	}
+}
+
 // TestFixturesFailTheRun mirrors the CLI contract: every rule family's
 // fixture must yield at least one unsuppressed finding of that family
 // (the seeded violations), so `twca-lint` exits non-zero on each.

@@ -82,3 +82,14 @@ func Waived(d, k Time) Time {
 	//twcalint:ignore soundflow slack headroom shrinks the safe side here; smaller output degrades earlier
 	return bound - k
 }
+
+// wrap forwards loosen's bound; the call-graph summary carries the
+// taint through it, so its call sites are sources as well.
+func wrap(d Time) Time {
+	return loosen(d)
+}
+
+// BadTransitive reduces a bound two call levels from its source.
+func BadTransitive(d, guess Time) Time {
+	return min(wrap(d), guess) // want "min of an upper-bound-tainted value"
+}

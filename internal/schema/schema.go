@@ -146,8 +146,8 @@ type FrontierPoint struct {
 // Probes and Analyses are part of the wire format deliberately: they
 // count predicate evaluations and distinct perturbed-system analyses of
 // the query itself, which are deterministic for a given request — they
-// do not reveal cache warmth (a probe answered by a warm artifact cache
-// still counts as one analysis).
+// do not reveal cache warmth (a probe answered from a warm store still
+// counts as one analysis).
 type Sensitivity struct {
 	SchemaVersion int    `json:"schema_version"`
 	Chain         string `json:"chain"`
@@ -155,8 +155,10 @@ type Sensitivity struct {
 	Policy string `json:"policy"`
 	M      int64  `json:"m"`
 	K      int64  `json:"k"`
-	// NominalDMM is dmm(k) of the unperturbed system (≤ m, or the query
-	// would have failed as infeasible).
+	// NominalDMM is dmm(k) of the unperturbed system: ≤ m, or the query
+	// would have failed as infeasible, unless Quality is degraded. A
+	// degraded value above m certifies nothing: every scale is 0 and
+	// there is no breakdown.
 	NominalDMM int64 `json:"nominal_dmm"`
 	// ScaleDenom is the denominator all scale values refer to: a scale
 	// of 1236 with denominator 1000 means WCETs may grow 23.6%.

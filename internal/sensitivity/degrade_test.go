@@ -196,3 +196,84 @@ func TestDegradedProbesAggregateQuality(t *testing.T) {
 		}
 	}
 }
+
+// TestDegradedNominalCertifiesNothing: when the nominal analysis trips
+// its budget, its degraded dmm(k) may exceed m although the exact one
+// does not. That bound proves neither slack nor infeasibility, so the
+// query answers with a result that certifies nothing — tagged with the
+// nominal's quality, every scale 0, no breakdown, the degraded frontier
+// — and never with ErrInfeasibleConstraint. Without degradation the
+// budget fails the query, as before. Once the budget lifts, the same
+// query through the same warm store gets the full answer: the store
+// keeps no degraded analysis.
+func TestDegradedNominalCertifiesNothing(t *testing.T) {
+	defer faultinject.Disarm()
+	faultinject.Disarm()
+	sys := casestudy.New()
+	opts := thalesOptions() // (5, 10): the exact dmm(10) is 5
+	opts.Tasks = []string{"tau1c", "tau3c"}
+	aopts := twca.Options{Degrade: degrade.Policy{Allow: true}}
+	exact, err := Engine{}.Query(context.Background(), sys, "sigma_c", aopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionBudget},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewWarmStore()
+	res, err := Engine{Warm: warm}.Query(context.Background(), sys, "sigma_c", aopts, opts)
+	if err != nil {
+		t.Fatalf("degraded nominal failed the query: %v", err)
+	}
+	if !res.Quality.Degraded() {
+		t.Fatalf("Quality = %+v, want the degraded nominal's", res.Quality)
+	}
+	if res.NominalDMM <= opts.Constraint.M {
+		t.Fatalf("NominalDMM = %d, want the degraded bound above m = %d", res.NominalDMM, opts.Constraint.M)
+	}
+	if res.Uniform != (Slack{}) {
+		t.Errorf("Uniform = %+v, want scale 0", res.Uniform)
+	}
+	if len(res.Tasks) != len(opts.Tasks) {
+		t.Fatalf("Tasks = %+v, want one zero entry per requested task", res.Tasks)
+	}
+	for i, ts := range res.Tasks {
+		if ts.Task != opts.Tasks[i] || ts.Slack != (Slack{}) {
+			t.Errorf("Tasks[%d] = %+v, want %s at scale 0", i, ts, opts.Tasks[i])
+		}
+	}
+	if len(res.Breakdown) != 0 {
+		t.Errorf("Breakdown = %+v, want none", res.Breakdown)
+	}
+	if len(res.Frontier) != len(exact.Frontier) {
+		t.Fatalf("frontier has %d points, want %d", len(res.Frontier), len(exact.Frontier))
+	}
+	for i, p := range res.Frontier {
+		if p.K != exact.Frontier[i].K || p.MinM < exact.Frontier[i].MinM {
+			t.Errorf("frontier point %+v undercuts the exact %+v", p, exact.Frontier[i])
+		}
+	}
+	if res.Probes != 0 {
+		t.Errorf("Probes = %d, want 0: nothing is bisected", res.Probes)
+	}
+
+	_, err = Engine{}.Query(context.Background(), sys, "sigma_c", twca.Options{}, opts)
+	if err == nil || errors.Is(err, ErrInfeasibleConstraint) {
+		t.Errorf("strict query under an exhausted budget: err = %v, want a budget failure", err)
+	}
+
+	// The warm store kept nothing of the degraded query, so once the
+	// budget is lifted the same query through the same store answers as
+	// one that never met the budget.
+	faultinject.Disarm()
+	again, err := Engine{Warm: warm}.Query(context.Background(), sys, "sigma_c", aopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, exact) {
+		t.Errorf("query after the budget lifted = %+v, want the unbudgeted %+v", again, exact)
+	}
+}

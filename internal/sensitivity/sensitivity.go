@@ -46,8 +46,8 @@
 // hash the memo and the earlier taken outcomes do not carry; an
 // unhashable system is charged once per analysis. So it counts distinct
 // systems, whatever the probe order, worker count or store warmth. The
-// analysis service plugs its content-addressed LRU in through the
-// AnalyzeFunc hook so probes are reused across endpoints.
+// analysis service plugs its admission gate in through the AnalyzeFunc
+// hook, so only probes that solve take a slot.
 package sensitivity
 
 import (
@@ -70,9 +70,10 @@ import (
 )
 
 // ErrInfeasibleConstraint reports that the weakly-hard constraint does
-// not verify on the nominal (unperturbed) system: dmm(k) > m, so there
-// is no slack to measure. Query the (m, k) frontier to find the
-// constraints that are feasible.
+// not verify on the nominal (unperturbed) system: the exact dmm(k) > m,
+// so there is no slack to measure. Query the (m, k) frontier to find
+// the constraints that are feasible. A degraded nominal above m is not
+// this error; see Result.NominalDMM.
 var ErrInfeasibleConstraint = errors.New("sensitivity: constraint is infeasible on the nominal system")
 
 // ErrInvalidOptions reports a query Engine.Query rejects before any
@@ -82,9 +83,9 @@ var ErrInvalidOptions = errors.New("sensitivity: options")
 
 // AnalyzeFunc produces the prepared DMM analysis of one (possibly
 // perturbed) system. The engine calls it once per distinct perturbed
-// system; nil selects twca.NewWarmCtx directly. The analysis service
-// substitutes a function that routes probes through its
-// content-addressed artifact cache.
+// system; nil selects twca.NewWarmCtx directly. A caller may substitute
+// a function that admits, counts, instruments or caches probe analyses
+// (the analysis service takes an admission slot for each solve).
 //
 // hash is the system's canonical content hash (model.CanonicalHash),
 // computed once by the engine so caching layers can key on it without
@@ -231,8 +232,12 @@ type Result struct {
 	// Policy is the canonical scheduling-policy name every probe was
 	// analyzed under (the query's twca.Options resolve to exactly one).
 	Policy string
-	// NominalDMM is dmm(k) on the unperturbed system (≤ m, or the query
-	// would have failed with ErrInfeasibleConstraint).
+	// NominalDMM is dmm(k) on the unperturbed system, ≤ m unless the
+	// nominal analysis degraded (see Quality); an exact value above m
+	// fails the query with ErrInfeasibleConstraint. A degraded value
+	// above m proves nothing, so that result certifies nothing: its
+	// Uniform and Tasks scales are 0, Breakdown is empty and Frontier
+	// holds the degraded dmm(k) values.
 	NominalDMM int64
 	// ScaleDenom echoes the quantum denominator the Scale numerators in
 	// Uniform and Tasks refer to.
@@ -242,7 +247,8 @@ type Result struct {
 	Uniform Slack
 	Tasks   []TaskSlack
 	// Breakdown holds the overload tolerances, one entry per overload
-	// chain in system order.
+	// chain in system order; empty when the result certifies nothing
+	// (see NominalDMM).
 	Breakdown []Breakdown
 	// Frontier is the (m, k) feasibility frontier for k in
 	// [1, FrontierMaxK]; nil when FrontierMaxK was 0.
@@ -266,8 +272,7 @@ type Result struct {
 }
 
 // Engine runs sensitivity queries. The zero value analyzes directly
-// with twca.NewWarmCtx; set Analyze to intercept probe analyses (the
-// analysis service routes them through its content-addressed cache).
+// with twca.NewWarmCtx; set Analyze to intercept probe analyses.
 type Engine struct {
 	Analyze AnalyzeFunc
 	// Warm retains probe analyses across queries for incremental
@@ -292,7 +297,10 @@ type Engine struct {
 // work spent per probe).
 //
 // The constraint must verify on the nominal system, or the query fails
-// with an error wrapping ErrInfeasibleConstraint.
+// with an error wrapping ErrInfeasibleConstraint. When the nominal
+// analysis degraded (only with aopts.Degrade allowed) and its dmm(k)
+// exceeds m, the query instead returns a result that certifies nothing,
+// tagged with the nominal's quality (see Result.NominalDMM).
 func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopts twca.Options, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -366,7 +374,8 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		NominalDMM: nominal.Value,
 		ScaleDenom: opts.ScaleDenom,
 	}
-	if nominal.Value > opts.Constraint.M {
+	certified := nominal.Value <= opts.Constraint.M
+	if !certified && !nominal.Quality.Degraded() {
 		return nil, fmt.Errorf("sensitivity: chain %q: dmm(%d) = %d exceeds m = %d: %w",
 			chain, opts.Constraint.K, nominal.Value, opts.Constraint.M, ErrInfeasibleConstraint)
 	}
@@ -379,9 +388,34 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 			}
 		}
 	}
-	overload := sys.OverloadChains()
 	res.Tasks = make([]TaskSlack, len(tasks))
-	res.Breakdown = make([]Breakdown, len(overload))
+	for i, name := range tasks {
+		res.Tasks[i].Task = name
+	}
+
+	frontier := func(ctx context.Context) error {
+		res.Frontier = make([]FrontierPoint, 0, opts.FrontierMaxK)
+		for k := int64(1); k <= opts.FrontierMaxK; k++ {
+			r, err := an.DMMValueCtx(ctx, k)
+			if err != nil {
+				return err
+			}
+			res.Frontier = append(res.Frontier, FrontierPoint{K: k, MinM: r.Value})
+		}
+		return nil
+	}
+	if !certified {
+		// A degraded nominal above m only over-approximates dmm(k): it
+		// proves neither slack nor infeasibility, so the result
+		// certifies nothing (every scale 0, no breakdown) and reports
+		// only the degraded frontier instead of failing.
+		if opts.FrontierMaxK > 0 {
+			if err := frontier(ctx); err != nil {
+				return nil, err
+			}
+		}
+		return q.finish(res), nil
+	}
 
 	// One job per independent metric; parallel.ForEach guarantees
 	// deterministic first-error selection and every job writes its own
@@ -395,17 +429,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 		return err
 	})
 	if opts.FrontierMaxK > 0 {
-		jobs = append(jobs, func(ctx context.Context) error {
-			res.Frontier = make([]FrontierPoint, 0, opts.FrontierMaxK)
-			for k := int64(1); k <= opts.FrontierMaxK; k++ {
-				r, err := an.DMMValueCtx(ctx, k)
-				if err != nil {
-					return err
-				}
-				res.Frontier = append(res.Frontier, FrontierPoint{K: k, MinM: r.Value})
-			}
-			return nil
-		})
+		jobs = append(jobs, frontier)
 	}
 	for i, name := range tasks {
 		i, name := i, name
@@ -413,10 +437,12 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 			scale, atLimit, err := q.bp.maxTrue(ctx, familyKey{kind: coordScale, subject: name}, opts.ScaleDenom, opts.MaxScale, func(ctx context.Context, c *candidate) (bool, error) {
 				return q.holdsAt(ctx, c, coord{kind: coordScale, subject: name, value: c.x})
 			})
-			res.Tasks[i] = TaskSlack{Task: name, Slack: Slack{Scale: scale, AtLimit: atLimit}}
+			res.Tasks[i].Slack = Slack{Scale: scale, AtLimit: atLimit}
 			return err
 		})
 	}
+	overload := sys.OverloadChains()
+	res.Breakdown = make([]Breakdown, len(overload))
 	for i, oc := range overload {
 		i, oc := i, oc
 		jobs = append(jobs, func(ctx context.Context) error {
@@ -428,6 +454,13 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	if err := parallel.ForEach(opts.Workers, len(jobs), func(i int) error { return jobs[i](ctx) }); err != nil {
 		return nil, err
 	}
+	return q.finish(res), nil
+}
+
+// finish fills res's effort counters and aggregate quality once every
+// probe of the query is done, and records the query's take count as the
+// scope's sizing hint for the next query.
+func (q *query) finish(res *Result) *Result {
 	q.chargeTaken()
 	res.Probes = q.probes.Load()
 	res.Analyses = q.analyses.Load()
@@ -437,7 +470,7 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	q.qmu.Lock()
 	res.Quality = q.worst
 	q.qmu.Unlock()
-	return res, nil
+	return res
 }
 
 // breakdown measures one overload chain's jitter and distance

@@ -175,41 +175,68 @@ func TestWarmStoreNearestSoundSide(t *testing.T) {
 	}
 }
 
-// TestWarmStoreDegradedExcluded: degraded analyses stay reusable at
-// their exact coordinate but are never offered as neighbor seeds (their
-// busy times are not fixed points of the exact demand).
+// TestWarmStoreDegradedExcluded: degraded analyses are never offered as
+// neighbor seeds (their busy times are not fixed points of the exact
+// demand), and are kept for exact-coordinate reuse only when a later
+// query would reproduce them: a diverging busy window is kept, a
+// breaker skip (or a deadline, or an injected fault) is not, and a
+// degraded nominal is not, so a query that certified nothing can be
+// retried.
 func TestWarmStoreDegradedExcluded(t *testing.T) {
+	defer faultinject.Disarm()
+	faultinject.Disarm()
 	sys := casestudy.New()
 	exact, err := twca.New(sys, sys.ChainByName("sigma_c"), twca.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := twca.New(sys, sys.ChainByName("sigma_c"),
+	skipped, err := twca.New(sys, sys.ChainByName("sigma_c"),
 		twca.Options{Degrade: degrade.Policy{SkipExact: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !degraded.Degraded.Degraded() {
-		t.Fatal("SkipExact analysis not degraded; test setup broken")
+	if skipped.Degraded.Budget != degrade.BudgetBreaker {
+		t.Fatalf("SkipExact analysis tagged %+v, want budget breaker; test setup broken", skipped.Degraded)
+	}
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionBudget},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	diverged, err := twca.New(sys, sys.ChainByName("sigma_c"),
+		twca.Options{Degrade: degrade.Policy{Allow: true}})
+	faultinject.Disarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diverged.Latency.Quality.Budget != degrade.BudgetFixedPoint {
+		t.Fatalf("diverged analysis tagged %+v, want budget fixed-point; test setup broken", diverged.Latency.Quality)
 	}
 
 	s := NewWarmStore().scope("base", "sigma_c", twca.Options{}, 1000)
 	s.put(coord{kind: coordScale, subject: "", value: 1000}, "h-exact", exact, nil, 1000)
-	s.put(coord{kind: coordScale, subject: "", value: 1050}, "h-degraded", degraded, nil, 1000)
+	s.put(coord{kind: coordScale, subject: "", value: 1040}, "h-diverged", diverged, nil, 1000)
+	s.put(coord{kind: coordScale, subject: "", value: 1050}, "h-skipped", skipped, nil, 1000)
 
-	hit := []candidate{{x: 1050}}
-	if s.fetch(familyKey{kind: coordScale}, hit) != 1 || hit[0].stored.an != degraded {
-		t.Error("degraded entry not reusable at its exact coordinate")
+	hit := []candidate{{x: 1040}, {x: 1050}}
+	if s.fetch(familyKey{kind: coordScale}, hit) != 1 || hit[0].stored == nil || hit[0].stored.an != diverged {
+		t.Error("diverged entry not reusable at its exact coordinate")
+	}
+	if hit[1].stored != nil {
+		t.Error("breaker-skipped entry served at its exact coordinate")
 	}
 	ws := s.nearest(coord{kind: coordScale, subject: "", value: 1060})
 	if ws == nil {
 		t.Fatal("nearest returned nil despite exact nominal entry")
 	}
-	if ws.From == degraded {
-		t.Error("degraded analysis offered as a neighbor seed")
-	}
 	if ws.From != exact {
-		t.Error("nearest skipped the exact entry")
+		t.Error("nearest offered a degraded analysis instead of the exact entry")
+	}
+
+	nom := NewWarmStore().scope("base", "sigma_c", twca.Options{}, 1000)
+	nom.put(coord{kind: coordScale, subject: "", value: 1000}, "h-diverged", diverged, nil, 1000)
+	if nom.fetch(familyKey{kind: coordScale}, []candidate{{x: 1000}}) != 0 || nom.nominal != nil {
+		t.Error("degraded nominal retained")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -99,6 +100,74 @@ func TestDegradedResponses(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("trivial latency response has no Retry-After")
+	}
+}
+
+// TestDegradedNominalSensitivity: a sensitivity query whose nominal
+// analysis trips its busy-window budget gets a degraded dmm(10) = 10
+// above m = 5, while the exact value is 5. That bound proves nothing
+// either way, so the answer is a 200 that certifies nothing (tagged,
+// with Retry-After, every scale 0, no breakdown), never a permanent
+// 422 infeasible_constraint. With no_degrade the budget still fails the
+// request, and not as infeasible.
+func TestDegradedNominalSensitivity(t *testing.T) {
+	defer faultinject.Disarm()
+	faultinject.Disarm()
+	_, ts := newTestServer(t, Config{})
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionBudget, Every: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	req := analyzeRequest{System: thalesJSON(t), Chain: "sigma_c",
+		Sensitivity: &reqSensitivity{M: 5, K: 10, Tasks: []string{"tau1c"}}}
+	status, doc, hdr := postHdr(t, ts.URL+"/v1/analyze/sensitivity", req)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d (kind %v: %v), want 200", status, doc["kind"], doc["error"])
+	}
+	if doc["quality"] == "exact" || doc["budget"] == nil {
+		t.Errorf("quality/budget = %v/%v, want the degraded nominal's tags", doc["quality"], doc["budget"])
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("degraded sensitivity response has no Retry-After")
+	}
+	if doc["nominal_dmm"].(float64) <= 5 || doc["uniform_scale"].(float64) != 0 {
+		t.Errorf("nominal_dmm/uniform_scale = %v/%v, want a bound above m = 5 and scale 0",
+			doc["nominal_dmm"], doc["uniform_scale"])
+	}
+	tasks, _ := doc["tasks"].([]any)
+	if len(tasks) != 1 || tasks[0].(map[string]any)["task"] != "tau1c" || tasks[0].(map[string]any)["scale"].(float64) != 0 {
+		t.Errorf("tasks = %v, want tau1c at scale 0", doc["tasks"])
+	}
+	if _, ok := doc["breakdown"]; ok {
+		t.Errorf("breakdown = %v, want none", doc["breakdown"])
+	}
+
+	req.Options.NoDegrade = true
+	status, doc, _ = postHdr(t, ts.URL+"/v1/analyze/sensitivity", req)
+	if status == http.StatusOK || doc["kind"] == "infeasible_constraint" {
+		t.Errorf("no_degrade under an exhausted budget = (%d, kind %v), want a budget failure", status, doc["kind"])
+	}
+
+	// The retry Retry-After invites earns the full answer once the budget
+	// lifts: the degraded nominal was not kept, so the query solves again
+	// and matches a server that never met the budget.
+	faultinject.Disarm()
+	req.Options.NoDegrade = false
+	status, doc, _ = postHdr(t, ts.URL+"/v1/analyze/sensitivity", req)
+	if status != http.StatusOK {
+		t.Fatalf("retry after the budget lifted = %d (kind %v: %v), want 200", status, doc["kind"], doc["error"])
+	}
+	if doc["nominal_dmm"].(float64) != 5 || doc["uniform_scale"].(float64) == 0 {
+		t.Errorf("retry nominal_dmm/uniform_scale = %v/%v, want 5 and a non-zero scale",
+			doc["nominal_dmm"], doc["uniform_scale"])
+	}
+	_, fresh := newTestServer(t, Config{})
+	_, want, _ := postHdr(t, fresh.URL+"/v1/analyze/sensitivity", req)
+	for _, field := range []string{"nominal_dmm", "uniform_scale", "tasks", "breakdown", "frontier", "quality", "budget"} {
+		if !reflect.DeepEqual(doc[field], want[field]) {
+			t.Errorf("retry %s = %v, want %v as on a server that never met the budget", field, doc[field], want[field])
+		}
 	}
 }
 

@@ -21,8 +21,6 @@ func perturb(t *testing.T, v reflect.Value, i int) {
 		f.SetInt(7)
 	case reflect.String:
 		f.SetString("x")
-	case reflect.Slice:
-		f.Set(reflect.Append(reflect.MakeSlice(f.Type(), 0, 1), reflect.ValueOf("x")))
 	default:
 		t.Fatalf("field %s has kind %s — teach perturb about it", v.Type().Field(i).Name, f.Kind())
 	}
@@ -63,25 +61,6 @@ func TestFingerprintPinned(t *testing.T) {
 		perturb(t, reflect.ValueOf(&o).Elem(), i)
 		if o.fingerprint() == base {
 			t.Errorf("reqOptions.%s does not reach the fingerprint — artifacts would alias across its values", name)
-		}
-	}
-
-	wantSensFields := []string{
-		"M", "K", "FrontierMaxK", "ScaleDenom", "MaxScale", "MaxJitter", "Tasks", "NoWarmStart",
-	}
-	if got := fieldNames(reflect.TypeOf(reqSensitivity{})); !reflect.DeepEqual(got, wantSensFields) {
-		t.Fatalf("reqSensitivity fields changed: %v\nwant %v\nUpdate the census and pinned rendering.", got, wantSensFields)
-	}
-	const wantSensZero = "{M:0 K:0 FrontierMaxK:0 ScaleDenom:0 MaxScale:0 MaxJitter:0 Tasks:[] NoWarmStart:false}"
-	if got := (reqSensitivity{}).fingerprint(); got != wantSensZero {
-		t.Fatalf("zero reqSensitivity fingerprint = %q, want %q", got, wantSensZero)
-	}
-	sensBase := (reqSensitivity{}).fingerprint()
-	for i, name := range wantSensFields {
-		var rs reqSensitivity
-		perturb(t, reflect.ValueOf(&rs).Elem(), i)
-		if rs.fingerprint() == sensBase {
-			t.Errorf("reqSensitivity.%s does not reach the fingerprint", name)
 		}
 	}
 }

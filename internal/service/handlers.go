@@ -185,10 +185,6 @@ func (rs reqSensitivity) options() repro.SensitivityOptions {
 	}
 }
 
-// fingerprint is the sensitivity part of the cache key; like reqOptions,
-// %+v is a stable, total rendering (pinned by TestFingerprintPinned).
-func (rs reqSensitivity) fingerprint() string { return fmt.Sprintf("%+v", rs) }
-
 // decodeSystem materializes the request's system description: parsed
 // from the DSL or decoded from JSON, and validated either way. Callers
 // go through Server.system, which has already checked that exactly one
@@ -211,7 +207,8 @@ func (req *analyzeRequest) decodeSystem() (*repro.System, error) {
 // lazySystem is a request's system model, decoded on first use. The
 // request path needs only the canonical hash — to route and to build
 // store keys — so a request whose bytes the memo knows never decodes
-// unless a store miss runs an analysis on the model.
+// unless a store miss or a sensitivity query runs an analysis on the
+// model.
 type lazySystem struct {
 	req *analyzeRequest
 	met *metrics
@@ -233,7 +230,7 @@ func (l *lazySystem) get() (*repro.System, error) {
 	return l.sys, nil
 }
 
-// getNominal is get for a sensitivity store miss: a system not decoded
+// getNominal is get for a sensitivity query: a system not decoded
 // yet is taken from the warm store's retained nominal for hash when it
 // has one (then it is shared and read-only), and decoded otherwise.
 func (l *lazySystem) getNominal(warm *repro.SensitivityWarmStore, hash string) (*repro.System, error) {
@@ -759,45 +756,18 @@ type sensitivityResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
-// probeAnalyze builds the AnalyzeFunc a sensitivity query's probes run
-// through: each perturbed system is addressed in the shared artifact
-// cache under the same artifactKey("dmm", ...) scheme as the DMM
-// endpoint, so the nominal probe reuses (and seeds) /v1/analyze/dmm
-// artifacts and probes shared between overlapping sensitivity queries
-// are computed once. Cache misses take an admission slot like any other
-// analysis and solve warm-started from the engine's hints (warm changes
-// only the work spent, never the artifact, so the cache still keys on
-// content alone); probes on unhashable perturbations bypass the cache.
-//
-// Probes stay node-local on purpose: a sensitivity query relays as a
-// whole to the replica owning the nominal system (see
-// handleSensitivity), and once there, fanning its probes back out over
-// the ring would trade warm-start locality — the dominant cost saver —
-// for cross-replica LRU space of perturbed one-off systems.
-func (s *Server) probeAnalyze(optfp string) repro.ProbeFunc {
-	return func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
-		run := func(fctx context.Context) (any, error) {
-			if err := s.gate.Acquire(fctx); err != nil {
-				return nil, err
-			}
-			defer s.gate.Release()
-			return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMMWarm(fctx, warm)
-		}
-		if hash == "" {
-			s.met.sensitivityProbe("")
-			val, err := run(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return val.(*repro.Analysis), nil
-		}
-		val, state, err := s.store.Do(ctx, artifactKey("dmm", hash, chain, optfp), run)
-		s.met.sensitivityProbe(state)
-		if err != nil {
-			return nil, err
-		}
-		return val.(*repro.Analysis), nil
+// gatedProbe is the ProbeFunc a sensitivity query's probes run
+// through: every probe the warm store cannot answer takes an admission
+// slot for its solve, like any other analysis, so -inflight bounds the
+// solves in the process however wide a query fans out. The query itself
+// holds no slot, so its probes cannot deadlock against it, and a warm
+// repeat whose probes all hit the warm store takes none.
+func (s *Server) gatedProbe(ctx context.Context, sys *repro.System, _, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
+	if err := s.gate.Acquire(ctx); err != nil {
+		return nil, err
 	}
+	defer s.gate.Release()
+	return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMMWarm(ctx, warm)
 }
 
 func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
@@ -820,51 +790,39 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	if s.relayToOwner(w, r, "sensitivity", hash, body) {
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	// The whole result is cached under the query fingerprint; the gate is
-	// taken per probe inside probeAnalyze, not here, so a query's fan-out
-	// cannot deadlock against its own admission slot.
-	optfp := req.Options.fingerprint()
-	key := artifactKey("sens", hash, req.Chain, optfp+"|"+req.Sensitivity.fingerprint())
-	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
-		// A warm query analyzes the system the warm store already holds
-		// for this hash, skipping the decode here and the re-hash in the
-		// engine; a no_warm_start query decodes, keeping the cold path
-		// cold.
-		var model *repro.System
-		var err error
-		if req.Sensitivity.NoWarmStart {
-			model, err = sys.get()
-		} else {
-			model, err = sys.getNominal(s.warm, hash)
-		}
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: req.Options.twca(), SystemHash: hash}.
-			SensitivityWarm(fctx, req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
-		s.met.observeAnalysis("sensitivity", time.Since(t0))
-		if err == nil {
-			s.met.addBisectionSteps(res.Probes)
-		}
-		return res, err
-	})
-	s.met.cacheOutcome(state)
+	// A warm query analyzes the system the warm store already holds for
+	// this hash, skipping the decode here and the re-hash in the engine;
+	// a no_warm_start query decodes, keeping the cold path cold.
+	var model *repro.System
+	if req.Sensitivity.NoWarmStart {
+		model, err = sys.get()
+	} else {
+		model, err = sys.getNominal(s.warm, hash)
+	}
 	if err != nil {
 		s.fail(w, "sensitivity", err)
 		return
 	}
-	if q := val.(*repro.SensitivityResult).Quality; q.Degraded() {
-		s.accountQuality("", map[string]int64{q.Budget: 1})
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+	t0 := time.Now()
+	res, err := repro.AnalysisRequest{System: model, Chain: req.Chain, Options: req.Options.twca(), SystemHash: hash}.
+		SensitivityWarm(ctx, req.Sensitivity.options(), s.gatedProbe, s.warm)
+	s.met.observeAnalysis("sensitivity", time.Since(t0))
+	if err != nil {
+		s.fail(w, "sensitivity", err)
+		return
+	}
+	s.met.addBisectionSteps(res.Probes)
+	if res.Quality.Degraded() {
+		s.accountQuality("", map[string]int64{res.Quality.Budget: 1})
 		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
 	}
 	s.met.request("sensitivity", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, sensitivityResponse{
-		Sensitivity: schema.FromSensitivity(val.(*repro.SensitivityResult)),
+		Sensitivity: schema.FromSensitivity(res),
 		SystemHash:  hash,
-		Cache:       state,
+		Cache:       store.OutcomeMiss,
 		WarmStart:   !req.Sensitivity.NoWarmStart,
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
 	})

@@ -34,21 +34,15 @@ type metrics struct {
 	// digest memo without a decode; systemsDecoded counts every decode of
 	// a request system, whether to learn its hash or to analyze it, and
 	// whether it succeeded or not; systemsFromWarm counts sensitivity
-	// store misses that analyzed the warm store's retained nominal
-	// system instead of decoding.
+	// queries that analyzed the warm store's retained nominal system
+	// instead of decoding.
 	systemsFromMemo, systemsDecoded, systemsFromWarm int64
 	// ilpNodes accumulates branch-and-bound nodes across all DMM
 	// queries — the "how hard is the solver working" counter.
 	ilpNodes int64
-	// sensitivity effort: bisectionSteps accumulates predicate
-	// evaluations across sensitivity queries, sensProbes the
-	// perturbed-system analyses they requested, and the probe cache
-	// counters split those by how the shared artifact cache answered
-	// (probes on unhashable perturbations bypass the cache and appear in
-	// no outcome bucket).
-	bisectionSteps                         int64
-	sensProbes                             int64
-	probeHits, probeMisses, probeCoalesced int64
+	// bisectionSteps accumulates predicate evaluations across
+	// sensitivity queries.
+	bisectionSteps int64
 	// degradedResults counts responses answered below Exact quality,
 	// keyed by the exhausted budget ("deadline", "ilp-nodes",
 	// "combinations", "breaker", ...).
@@ -85,10 +79,9 @@ type metrics struct {
 	storeStats func() store.Stats
 	// warmStats is sampled from the process-wide sensitivity warm store
 	// at scrape time: hits are probes answered from a stored artifact at
-	// the exact perturbation coordinate (they never reach the artifact
-	// cache), misses fell through to a cold or warm-seeded solve, and
-	// injected counts fault-injected store outages (see
-	// faultinject.PointSensitivityWarmStore).
+	// the exact perturbation coordinate, misses fell through to a cold or
+	// warm-seeded solve, and injected counts fault-injected store outages
+	// (see faultinject.PointSensitivityWarmStore).
 	warmStats func() (hits, misses, injected int64)
 }
 
@@ -197,23 +190,6 @@ func (m *metrics) addILPNodes(n int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ilpNodes += n
-}
-
-// sensitivityProbe accounts one perturbed-system analysis requested by a
-// sensitivity query; state is the artifact-cache outcome, or "" when the
-// probe bypassed the cache.
-func (m *metrics) sensitivityProbe(state string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sensProbes++
-	switch state {
-	case store.OutcomeHit:
-		m.probeHits++
-	case store.OutcomeMiss:
-		m.probeMisses++
-	case store.OutcomeCoalesced:
-		m.probeCoalesced++
-	}
 }
 
 func (m *metrics) addBisectionSteps(n int64) {
@@ -407,16 +383,6 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP twca_sensitivity_bisection_steps_total Predicate evaluations across sensitivity bisection searches.\n")
 	fmt.Fprintf(w, "# TYPE twca_sensitivity_bisection_steps_total counter\n")
 	fmt.Fprintf(w, "twca_sensitivity_bisection_steps_total %d\n", m.bisectionSteps)
-
-	fmt.Fprintf(w, "# HELP twca_sensitivity_probes_total Perturbed-system analyses requested by sensitivity queries.\n")
-	fmt.Fprintf(w, "# TYPE twca_sensitivity_probes_total counter\n")
-	fmt.Fprintf(w, "twca_sensitivity_probes_total %d\n", m.sensProbes)
-
-	fmt.Fprintf(w, "# HELP twca_sensitivity_probe_cache_total Sensitivity probe lookups in the shared artifact cache by outcome.\n")
-	fmt.Fprintf(w, "# TYPE twca_sensitivity_probe_cache_total counter\n")
-	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"hit\"} %d\n", m.probeHits)
-	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"miss\"} %d\n", m.probeMisses)
-	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"coalesced\"} %d\n", m.probeCoalesced)
 
 	if m.warmStats != nil {
 		hits, misses, injected := m.warmStats()

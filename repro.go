@@ -424,25 +424,26 @@ func (r AnalysisRequest) Latency(ctx context.Context) (*LatencyResult, error) {
 // (m, k) feasibility frontier. Options configures the underlying DMM
 // probes exactly as DMM does; sopts selects the constraint, metrics and
 // search brackets. The error matches ErrInfeasibleConstraint when the
-// constraint fails already on the nominal system.
+// constraint fails already on the nominal system's exact dmm(k); a
+// degraded nominal above m yields a result that certifies nothing
+// instead (see SensitivityResult.NominalDMM).
 func (r AnalysisRequest) Sensitivity(ctx context.Context, sopts SensitivityOptions) (*SensitivityResult, error) {
 	return r.SensitivityWarm(ctx, sopts, nil, nil)
 }
 
 // SensitivityWarm is Sensitivity with a probe hook and a shared warm
 // store. Every DMM analysis of a perturbed system goes through probe,
-// which receives the perturbed system's CanonicalHash so caching layers
-// can reuse completed analyses by content (the analysis service routes
-// probes through its artifact cache this way); a nil probe analyzes
-// directly. warm carries completed probe analyses across queries, so
+// which receives the perturbed system's CanonicalHash so a caller can
+// admit, count, instrument or cache probe analyses by content (the
+// analysis service takes an admission slot for each solve this way); a
+// nil probe analyzes directly. warm carries completed probe analyses across queries, so
 // repeated sweeps over the same system (a parameter study, the
 // service's sensitivity endpoint) skip re-solving coordinates they have
 // already probed and warm-start the rest from their nearest solved
-// neighbor. The store is
-// purely an optimization — results are byte-identical for any store
-// state, and sopts.NoWarmStart bypasses it entirely. A nil warm gives
-// the query a private store (probes still warm-start each other within
-// the query).
+// neighbor. The store is purely an optimization — results are
+// byte-identical for any store state, and sopts.NoWarmStart bypasses
+// it entirely. A nil warm gives the query a private store (probes
+// still warm-start each other within the query).
 func (r AnalysisRequest) SensitivityWarm(ctx context.Context, sopts SensitivityOptions, probe ProbeFunc, warm *SensitivityWarmStore) (*SensitivityResult, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
