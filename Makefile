@@ -144,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzLatencyOptionsValidate -fuzztime 10s -run NONE .
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzDecodeClusterRequest -fuzztime 10s -run NONE ./internal/service/
+	$(GO) test -fuzz FuzzOmegaJSON -fuzztime 10s -run NONE ./internal/schema/
 
 serve:
 	$(GO) run ./cmd/twca-serve

@@ -2,8 +2,10 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"repro"
@@ -88,6 +90,10 @@ func TestAllocCeilings(t *testing.T) {
 	}
 	firstQuery := repro.AnalysisRequest{System: firstStore.Nominal(sysHash), Chain: "sigma_c", SystemHash: sysHash}
 	primedMisses := firstStore.Stats().Misses
+	thalesJSON, err := os.ReadFile("examples/data/thales.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name    string
 		runs    int
@@ -149,6 +155,12 @@ func TestAllocCeilings(t *testing.T) {
 				return fmt.Errorf("k=%d: %d probes missed the warm store", firstK.Constraint.K, misses-primedMisses)
 			}
 			return nil
+		}},
+		// Decoding examples/data/thales.json, validation included: 76.
+		// Growing the chain and task slices by append from nil cost 86.
+		{"DecodeThales", 20, 95, func() error {
+			var sys repro.System
+			return json.Unmarshal(thalesJSON, &sys)
 		}},
 		// BenchmarkSimMapped's run: 6,244. A mapped run that allocated
 		// its running set on every step cost 13,392.

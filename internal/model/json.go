@@ -75,7 +75,7 @@ func (s *System) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return err
 	}
-	out := System{Name: spec.Name}
+	out := System{Name: spec.Name, Chains: make([]*Chain, 0, len(spec.Chains))}
 	for _, cs := range spec.Chains {
 		kind := Synchronous
 		switch cs.Kind {
@@ -89,7 +89,8 @@ func (s *System) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("model: chain %q: %w", cs.Name, err)
 		}
-		c := &Chain{Name: cs.Name, Kind: kind, Overload: cs.Overload, Deadline: cs.Deadline, Activation: act}
+		c := &Chain{Name: cs.Name, Kind: kind, Overload: cs.Overload, Deadline: cs.Deadline, Activation: act,
+			Tasks: make([]Task, 0, len(cs.Tasks))}
 		for _, ts := range cs.Tasks {
 			c.Tasks = append(c.Tasks, Task{Name: ts.Name, Priority: ts.Priority, WCET: ts.WCET, BCET: ts.BCET})
 		}

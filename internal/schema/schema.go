@@ -13,6 +13,9 @@ package schema
 
 import (
 	"context"
+	"encoding/json"
+	"slices"
+	"strconv"
 
 	"repro/internal/latency"
 	"repro/internal/model"
@@ -47,7 +50,7 @@ type DMMPoint struct {
 	// Omega maps overload chain names to their Ω^a_b capacity of
 	// Lemma 4. The value 9223372036854775807 (math.MaxInt64) means
 	// "unbounded" (sporadic target activation).
-	Omega map[string]int64 `json:"omega,omitempty"`
+	Omega Omega `json:"omega,omitempty"`
 	// Quality names the degradation rung that produced this value:
 	// "exact", "safe-upper-bound", or "trivial". Always emitted — a
 	// consumer enforcing exactness must be able to reject degraded
@@ -56,6 +59,59 @@ type DMMPoint struct {
 	// Budget names the exhausted budget that forced a degraded quality
 	// ("deadline", "ilp-nodes", "combinations", ...); empty when exact.
 	Budget string `json:"budget,omitempty"`
+}
+
+// Omega maps overload chain names to their Ω^a_b capacities. It
+// encodes to the bytes encoding/json's map encoder writes (keys sorted,
+// HTML-safe escaping) without reflection: every dmm point carries one,
+// so a wide sweep spent most of its encoding time in the map encoder.
+type Omega map[string]int64
+
+// MarshalJSON implements json.Marshaler. A key encoding/json would
+// escape sends the whole map through json.Marshal, which stays the
+// reference for the rare names that need it.
+func (o Omega) MarshalJSON() ([]byte, error) {
+	if o == nil {
+		return []byte("null"), nil
+	}
+	var stack [8]string
+	keys := stack[:0]
+	for k := range o {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	size := len("{}")
+	for _, k := range keys {
+		if !plainKey(k) {
+			return json.Marshal(map[string]int64(o))
+		}
+		size += len(k) + len(`"":,`) + len("-9223372036854775808")
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, '{')
+	for i, k := range keys {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '"')
+		buf = append(buf, k...)
+		buf = append(buf, '"', ':')
+		buf = strconv.AppendInt(buf, o[k], 10)
+	}
+	return append(buf, '}'), nil
+}
+
+// plainKey reports whether encoding/json writes s verbatim between
+// quotes: printable ASCII other than the quote, the backslash and the
+// HTML-escaped <, > and &.
+func plainKey(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Latency is the wire form of a §IV worst-case latency analysis.

@@ -212,3 +212,58 @@ func TestGoldenCampaignLines(t *testing.T) {
 	}
 	golden(t, "campaign_lines", lines)
 }
+
+// FuzzOmegaJSON pins the Ω encoder to encoding/json's map encoder:
+// for any keys — HTML characters, quotes, control bytes, invalid UTF-8
+// — and any values, Omega encodes to the bytes the plain map does, on
+// its own and inside an indented dmm point.
+func FuzzOmegaJSON(f *testing.F) {
+	f.Add("sigma_a", "sigma_b", "", int64(3), int64(9223372036854775807))
+	f.Add("<", ">", "&", int64(-1), int64(0))
+	f.Add(`"q"`, `back\slash`, "\x7f", int64(5), int64(5))
+	f.Add("a\x00b", "\x1f", "\u2028\u2029", int64(-9223372036854775808), int64(42))
+	f.Add("\xff", "\xc3\x28", "é", int64(1), int64(-7))
+	f.Fuzz(func(t *testing.T, a, b, c string, x, y int64) {
+		for _, m := range []map[string]int64{
+			nil,
+			{},
+			{a: x},
+			{b: y},
+			{c: x ^ y},
+			{a: x, b: y},
+			{a: x, b: y, c: x ^ y},
+		} {
+			want, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// MarshalJSON itself, not only json.Marshal's compacted and
+			// HTML-escaped copy of its output.
+			got, err := schema.Omega(m).MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Omega %q encodes to\n%s\nwant\n%s", m, got, want)
+			}
+			type mapPoint struct {
+				K     int64            `json:"k"`
+				Omega map[string]int64 `json:"omega,omitempty"`
+			}
+			want, err = json.MarshalIndent(mapPoint{K: x, Omega: m}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = json.MarshalIndent(struct {
+				K     int64        `json:"k"`
+				Omega schema.Omega `json:"omega,omitempty"`
+			}{K: x, Omega: m}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("point with Omega %q encodes to\n%s\nwant\n%s", m, got, want)
+			}
+		}
+	})
+}

@@ -201,11 +201,15 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 
 	switch kind {
 	case schema.CampaignKindDMM:
-		doc, stats, state, err := s.dmmDocument(ictx, &item.analyzeRequest, sys, hash)
+		d, state, err := s.dmmDocument(ictx, &item.analyzeRequest, sys, hash)
 		if err != nil {
 			return s.localFailure(line, err)
 		}
-		s.accountQuality(hash, stats.Degraded)
+		doc, err := decodeDMMHead(d.head)
+		if err != nil {
+			return s.localFailure(line, err)
+		}
+		s.accountQuality(hash, d.stats.Degraded)
 		line.Analysis, line.Cache = &doc, state
 	case schema.CampaignKindLatency:
 		res, state, err := s.latencyResult(ictx, &item.analyzeRequest, sys, hash)

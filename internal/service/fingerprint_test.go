@@ -87,4 +87,12 @@ func TestArtifactKeyPinned(t *testing.T) {
 	if a == b {
 		t.Fatal("policy does not separate artifact keys")
 	}
+	// The dmm document key: artifact key, requested points, breakpoint
+	// range.
+	for _, ks := range [][]int64{nil, {1}, {1, 10, 100}, {-3, 9223372036854775807}} {
+		want := fmt.Sprintf("doc|%s|%v|%d", a, ks, 260)
+		if got := dmmDocKey(a, ks, 260); got != want {
+			t.Errorf("dmmDocKey(%v) = %q, want %q", ks, got, want)
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package service
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // FuzzDecodeRequest drives the request-ingestion path — strict JSON
 // decode, system materialization (native JSON or DSL), option
@@ -22,6 +18,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"system": "not an object", "system_dsl": "also set"}`))
 	f.Add([]byte(`{"breakpoints_max_k": 1e308}`))
+	f.Add([]byte(`{"chain":"sigma_c"} {"chain":"x"} garbage`))
 
 	srv, err := New(Config{CacheSize: 8})
 	if err != nil {
@@ -30,9 +27,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req analyzeRequest
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeStrict(data, &req); err != nil {
 			return // rejected at the door, as the handlers would
 		}
 		// Decoded bodies flow on: materialization and option validation

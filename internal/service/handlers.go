@@ -51,8 +51,11 @@ func errNegative(field string, v int64) error {
 // everything that changes the artifact (policy, degrade policy, every
 // option); TestFingerprintPinned pins that composition.
 func artifactKey(kind, hash, chain, fp string) string {
-	return fmt.Sprintf("%s|v%d|%s|%s|%s", kind, schema.Version, hash, chain, fp)
+	return kind + versionTerm + hash + "|" + chain + "|" + fp
 }
+
+// versionTerm is the schema-version part of every artifact key.
+var versionTerm = "|v" + strconv.Itoa(schema.Version) + "|"
 
 // routeKey is the consistent-hashing key for a system: ownership is by
 // model content hash alone, so every artifact kind, chain and option
@@ -122,8 +125,16 @@ func (o reqOptions) twca() repro.Options {
 // including Policy and the NoDegrade degrade-policy switch — is part of
 // the key, and adding a field automatically extends it. The rendered
 // composition is pinned by TestFingerprintPinned so an accidental move
-// to a partial rendering cannot alias artifacts across policies.
-func (o reqOptions) fingerprint() string { return fmt.Sprintf("%+v", o) }
+// to a partial rendering cannot alias artifacts across policies. The
+// all-default options most requests carry are rendered once.
+func (o reqOptions) fingerprint() string {
+	if o == (reqOptions{}) {
+		return zeroFingerprint
+	}
+	return fmt.Sprintf("%+v", o)
+}
+
+var zeroFingerprint = fmt.Sprintf("%+v", reqOptions{})
 
 // analyzeRequest is the common request envelope: a system in exactly
 // one of the two formats, a target chain, and options.
@@ -403,14 +414,19 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return data, nil
 }
 
-// decodeStrict parses data into v. Unknown fields are rejected:
-// silently ignoring a typo like "max_combination" would analyze with
-// defaults and report a wrong answer as a right one.
+// decodeStrict parses data, one JSON value, into v. Unknown fields and
+// anything but whitespace after the value are rejected: silently
+// ignoring a typo like "max_combination" would analyze with defaults
+// and report a wrong answer as a right one, and a second document
+// after the first would be dropped unread.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequestError{fmt.Errorf("bad request body: %w", err)}
+	}
+	if off := dec.InputOffset(); len(bytes.TrimLeft(data[off:], " \t\r\n")) > 0 {
+		return badRequestError{fmt.Errorf("bad request body: data after the JSON value at offset %d", off)}
 	}
 	return nil
 }
@@ -471,14 +487,54 @@ func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *lazy
 	return val.(*repro.Analysis), key, state, nil
 }
 
-// dmmDoc is a fully assembled DMM response document retained in the
-// LRU alongside the analysis artifact it came from. Documents are
+// dmmDoc is a DMM response retained in the LRU alongside the analysis
+// artifact it came from, encoded up to its per-request envelope: head
+// is the indented dmmResponse without "cache", "elapsed_ms" and the
+// closing brace (appendDMMTail writes those). Documents are
 // deterministic functions of (artifact key, ks, breakpoint range), so
 // serving a retained one is byte-identical to re-deriving it — warmth
-// stays invisible in the body while repeat queries skip the sweep.
+// stays invisible in the body while repeat queries skip both the sweep
+// and the encode.
 type dmmDoc struct {
-	doc   schema.Analysis
+	head  []byte
 	stats schema.Stats
+}
+
+// dmmHead is the part of dmmResponse a dmmDoc retains: every field
+// but the per-request envelope.
+type dmmHead struct {
+	schema.Analysis
+	SystemHash string `json:"system_hash"`
+}
+
+// encodeDMMHead encodes a dmmDoc head: the indented dmmHead without
+// its closing "\n}".
+func encodeDMMHead(doc schema.Analysis, hash string) ([]byte, error) {
+	data, err := json.MarshalIndent(dmmHead{Analysis: doc, SystemHash: hash}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return data[:len(data)-len("\n}")], nil
+}
+
+// appendDMMTail completes a dmmDoc head into the bytes writeJSON would
+// write for the whole dmmResponse. state is a store outcome, a plain
+// identifier that needs no escaping; AppendFloat's 'f' form is
+// encoding/json's for every value in [1e-6, 1e21), which holds every
+// elapsed time counted in whole microseconds.
+func appendDMMTail(dst []byte, state string, elapsedMS float64) []byte {
+	dst = append(dst, ",\n  \"cache\": \""...)
+	dst = append(dst, state...)
+	dst = append(dst, "\",\n  \"elapsed_ms\": "...)
+	dst = strconv.AppendFloat(dst, elapsedMS, 'f', -1, 64)
+	return append(dst, "\n}\n"...)
+}
+
+// decodeDMMHead recovers the analysis document from a dmmDoc head.
+func decodeDMMHead(head []byte) (schema.Analysis, error) {
+	var doc dmmHead
+	err := json.Unmarshal(append(head[:len(head):len(head)], "\n}"...), &doc)
+	return doc.Analysis, err
 }
 
 // dmmKs resolves the requested dmm(k) points (default 1, 10, 100 when
@@ -490,31 +546,54 @@ func (req *analyzeRequest) dmmKs() []int64 {
 	return req.K
 }
 
-// dmmDocument produces the full schema document for a DMM request —
-// artifact (cached/coalesced/fresh) plus the assembled dmm sweep — and
-// is the one path shared by /v1/analyze/dmm and campaign items, so a
-// campaign line is byte-identical to the unary document.
-func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (schema.Analysis, schema.Stats, string, error) {
+// dmmDocKey addresses the dmmDoc of an artifact key, requested points
+// and breakpoint range: "doc|<key>|[k1 k2 ...]|<breakpoints max k>".
+func dmmDocKey(key string, ks []int64, breakpointsMaxK int64) string {
+	b := make([]byte, 0, len("doc|")+len(key)+len("|[]|")+8*len(ks)+20)
+	b = append(b, "doc|"...)
+	b = append(b, key...)
+	b = append(b, "|["...)
+	for i, k := range ks {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, k, 10)
+	}
+	b = append(b, "]|"...)
+	b = strconv.AppendInt(b, breakpointsMaxK, 10)
+	return string(b)
+}
+
+// dmmDocument produces the DMM response for a request, encoded up to
+// its envelope — artifact (cached/coalesced/fresh) plus the assembled
+// dmm sweep — and is the one path shared by /v1/analyze/dmm and
+// campaign items, so a campaign line is byte-identical to the unary
+// document.
+func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (dmmDoc, string, error) {
 	an, key, state, err := s.dmmArtifact(ctx, req, sys, hash)
 	if err != nil {
-		return schema.Analysis{}, schema.Stats{}, state, err
+		return dmmDoc{}, state, err
 	}
 	ks := req.dmmKs()
 	// The response document is a deterministic function of the artifact
-	// and the requested points, so repeat queries reuse the assembled
+	// and the requested points, so repeat queries reuse the encoded
 	// document instead of re-sweeping the dmm curve.
-	docKey := fmt.Sprintf("doc|%s|%v|%d", key, ks, req.BreakpointsMaxK)
+	docKey := dmmDocKey(key, ks, req.BreakpointsMaxK)
 	if v, ok := s.store.Peek(docKey); ok {
-		cached := v.(dmmDoc)
-		return cached.doc, cached.stats, state, nil
+		return v.(dmmDoc), state, nil
 	}
 	doc, stats, err := schema.FromAnalysisStats(ctx, an, ks, req.BreakpointsMaxK)
 	if err != nil {
-		return schema.Analysis{}, schema.Stats{}, state, err
+		return dmmDoc{}, state, err
 	}
 	s.met.addILPNodes(stats.ILPNodes)
-	s.store.Add(docKey, dmmDoc{doc: doc, stats: stats})
-	return doc, stats, state, nil
+	head, err := encodeDMMHead(doc, hash)
+	if err != nil {
+		return dmmDoc{}, state, err
+	}
+	d := dmmDoc{head: head, stats: stats}
+	s.store.Add(docKey, d)
+	return d, state, nil
 }
 
 // accountQuality does the per-response degradation bookkeeping shared
@@ -543,12 +622,13 @@ func (s *Server) accountQuality(hash string, degradedBudgets map[string]int64) (
 	return len(degradedBudgets) > 0
 }
 
-// dmmResponse is schema.Analysis plus service envelope fields.
+// dmmResponse is schema.Analysis plus service envelope fields. The
+// handler writes it as a dmmDoc head plus appendDMMTail; relayed
+// campaign items decode it.
 type dmmResponse struct {
-	schema.Analysis
-	SystemHash string  `json:"system_hash"`
-	Cache      string  `json:"cache"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
+	dmmHead
+	Cache     string  `json:"cache"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 func (s *Server) handleDMM(w http.ResponseWriter, r *http.Request) {
@@ -569,21 +649,20 @@ func (s *Server) handleDMM(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	doc, stats, state, err := s.dmmDocument(ctx, &req, sys, hash)
+	doc, state, err := s.dmmDocument(ctx, &req, sys, hash)
 	if err != nil {
 		s.fail(w, "dmm", err)
 		return
 	}
-	if s.accountQuality(hash, stats.Degraded) {
+	if s.accountQuality(hash, doc.stats.Degraded) {
 		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
 	}
 	s.met.request("dmm", http.StatusOK)
-	s.writeJSON(w, http.StatusOK, dmmResponse{
-		Analysis:   doc,
-		SystemHash: hash,
-		Cache:      state,
-		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(doc.head)
+	var tail [64]byte
+	w.Write(appendDMMTail(tail[:0], state, float64(time.Since(start).Microseconds())/1000))
 }
 
 type latencyResponse struct {
