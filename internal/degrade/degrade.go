@@ -91,9 +91,6 @@ const (
 	// BudgetFixedPoint: a busy-window fixed point diverged or exceeded
 	// its iteration/MaxQ budget.
 	BudgetFixedPoint = "fixed-point"
-	// BudgetBreaker: the service's circuit breaker is open for this
-	// model and the exact analysis was skipped pre-emptively.
-	BudgetBreaker = "breaker"
 	// BudgetInjected: a fault-injection rule forced the descent (test
 	// harness only; never emitted by production configurations).
 	BudgetInjected = "injected"
@@ -130,6 +127,21 @@ func ExactInfo() Info { return Info{Quality: Exact, Rung: RungTheorem3} }
 // Degraded reports whether the result sits below Exact on the lattice.
 func (i Info) Degraded() bool { return i.Quality != Exact }
 
+// Reproducible reports whether a result tagged i comes out the same on
+// every run: exact, or degraded by a budget that is a function of the
+// system and options alone (a diverging busy window, the combination
+// cap). A deadline, an injected fault or the ILP node cap (which an
+// injected budget fault also trips) degrades one run and may spare the
+// next, so caches keep only reproducible results: a retry of a
+// transient degradation runs the analysis again.
+func (i Info) Reproducible() bool {
+	switch i.Budget {
+	case "", BudgetFixedPoint, BudgetCombinations:
+		return true
+	}
+	return false
+}
+
 // Worse returns the lower-quality of a and b — the tag a result derived
 // from both must carry. Ties keep a's budget/rung (the earlier cause).
 func Worse(a, b Info) Info {
@@ -146,19 +158,6 @@ type Policy struct {
 	// analysis descends to the next sound rung and tags the result.
 	// False (the default) preserves the historical fail-hard contract.
 	Allow bool
-	// SkipExact starts the analysis on the omega-sum rung without
-	// attempting combination enumeration at all — the circuit breaker's
-	// lever for models that repeatedly blow their exact budget. It
-	// implies Allow.
-	SkipExact bool
-}
-
-// WithDefaults normalizes the policy (SkipExact implies Allow).
-func (p Policy) WithDefaults() Policy {
-	if p.SkipExact {
-		p.Allow = true
-	}
-	return p
 }
 
 // Sound is the machine-checkable safety invariant of the ladder: a

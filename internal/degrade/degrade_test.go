@@ -85,12 +85,25 @@ func TestWorse(t *testing.T) {
 	}
 }
 
-func TestPolicyWithDefaults(t *testing.T) {
-	if p := (Policy{SkipExact: true}).WithDefaults(); !p.Allow {
-		t.Error("SkipExact did not imply Allow")
+// TestInfoReproducible pins the retention rule every cache of degraded
+// results applies: budgets that depend only on the system and options
+// are kept, a deadline, a node cap or an injected fault is not.
+func TestInfoReproducible(t *testing.T) {
+	for budget, want := range map[string]bool{
+		"":                 true,
+		BudgetFixedPoint:   true,
+		BudgetCombinations: true,
+		BudgetDeadline:     false,
+		BudgetILPNodes:     false,
+		BudgetInjected:     false,
+		"unknown":          false,
+	} {
+		if got := (Info{Quality: SafeUpperBound, Budget: budget}).Reproducible(); got != want {
+			t.Errorf("Reproducible(%q) = %v, want %v", budget, got, want)
+		}
 	}
-	if p := (Policy{}).WithDefaults(); p.Allow || p.SkipExact {
-		t.Errorf("zero policy changed: %+v", p)
+	if !ExactInfo().Reproducible() {
+		t.Error("an exact result is not reproducible")
 	}
 }
 

@@ -58,9 +58,7 @@ type Options struct {
 	// a diverging or budget-exceeded busy-window analysis (ErrDiverged,
 	// ErrKExceeded, an expired deadline) returns the sound TrivialResult
 	// instead of an error, and a provably overloaded target returns it
-	// without searching at all. SkipExact has no effect here — the busy
-	// window is the cheap part of the pipeline; only package twca skips
-	// work under it.
+	// without searching at all.
 	Degrade degrade.Policy
 	// Policy names the scheduling policy the demand model assumes; see
 	// internal/policy. The empty string selects "spp", the paper's
@@ -104,7 +102,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 1 << 20
 	}
-	o.Degrade = o.Degrade.WithDefaults()
 	return o
 }
 

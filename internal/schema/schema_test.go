@@ -90,10 +90,11 @@ func TestGoldenWireFormat(t *testing.T) {
 // document: every point carries quality "safe-upper-bound" plus the
 // tripped budget, and the artifact-level tag names the omega-sum rung's
 // trigger, so the degradation ladder is fully observable on the wire.
+// A combination cap of 1 sends the construction straight to that rung.
 func TestGoldenDegradedWireFormat(t *testing.T) {
 	sys := casestudy.New()
 	an, err := twca.New(sys, sys.ChainByName("sigma_c"),
-		twca.Options{Degrade: degrade.Policy{SkipExact: true}})
+		twca.Options{MaxCombinations: 1, Degrade: degrade.Policy{Allow: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestGoldenDegradedWireFormat(t *testing.T) {
 		degradedPoints += n
 	}
 	if degradedPoints == 0 {
-		t.Error("Stats.Degraded counted no degraded points for a SkipExact analysis")
+		t.Error("Stats.Degraded counted no degraded points for an omega-sum analysis")
 	}
 }
 

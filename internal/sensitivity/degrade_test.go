@@ -148,11 +148,11 @@ func TestDegradedProbesAggregateQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nominal analysis stays exact (so the feasibility gate uses the true
-	// dmm); every perturbed probe descends to the omega-sum rung, as the
-	// service's circuit breaker does under pressure.
+	// dmm); every perturbed probe descends to the omega-sum rung under a
+	// combination cap of 1.
 	analyze := func(ctx context.Context, s *model.System, hash string, chain string, aopts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
 		if hash != nomHash {
-			aopts.Degrade = degrade.Policy{SkipExact: true}
+			aopts.MaxCombinations, aopts.Degrade = 1, degrade.Policy{Allow: true}
 		}
 		return twca.NewWarmCtx(ctx, s, s.ChainByName(chain), aopts, warm)
 	}
@@ -182,8 +182,8 @@ func TestDegradedProbesAggregateQuality(t *testing.T) {
 	if res.Quality.Quality != degrade.SafeUpperBound {
 		t.Fatalf("Quality = %+v, want safe-upper-bound", res.Quality)
 	}
-	if res.Quality.Budget != degrade.BudgetBreaker {
-		t.Errorf("Budget = %q, want %q (all probes degraded the same way)", res.Quality.Budget, degrade.BudgetBreaker)
+	if res.Quality.Budget != degrade.BudgetCombinations {
+		t.Errorf("Budget = %q, want %q (all probes degraded the same way)", res.Quality.Budget, degrade.BudgetCombinations)
 	}
 	if res.Uniform.Scale > exact.Uniform.Scale {
 		t.Errorf("degraded uniform slack %d exceeds exact %d — degraded probes over-promised headroom",

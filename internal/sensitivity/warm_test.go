@@ -178,10 +178,9 @@ func TestWarmStoreNearestSoundSide(t *testing.T) {
 // TestWarmStoreDegradedExcluded: degraded analyses are never offered as
 // neighbor seeds (their busy times are not fixed points of the exact
 // demand), and are kept for exact-coordinate reuse only when a later
-// query would reproduce them: a diverging busy window is kept, a
-// breaker skip (or a deadline, or an injected fault) is not, and a
-// degraded nominal is not, so a query that certified nothing can be
-// retried.
+// query would reproduce them: a diverging busy window is kept, an
+// injected fault (or a deadline) is not, and a degraded nominal is not,
+// so a query that certified nothing can be retried.
 func TestWarmStoreDegradedExcluded(t *testing.T) {
 	defer faultinject.Disarm()
 	faultinject.Disarm()
@@ -190,13 +189,19 @@ func TestWarmStoreDegradedExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := twca.New(sys, sys.ChainByName("sigma_c"),
-		twca.Options{Degrade: degrade.Policy{SkipExact: true}})
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionError},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	injected, err := twca.New(sys, sys.ChainByName("sigma_c"),
+		twca.Options{Degrade: degrade.Policy{Allow: true}})
+	faultinject.Disarm()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped.Degraded.Budget != degrade.BudgetBreaker {
-		t.Fatalf("SkipExact analysis tagged %+v, want budget breaker; test setup broken", skipped.Degraded)
+	if injected.Degraded.Budget != degrade.BudgetInjected {
+		t.Fatalf("fault-injected analysis tagged %+v, want budget injected; test setup broken", injected.Degraded)
 	}
 	if err := faultinject.Configure([]faultinject.Rule{
 		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionBudget},
@@ -216,14 +221,14 @@ func TestWarmStoreDegradedExcluded(t *testing.T) {
 	s := NewWarmStore().scope("base", "sigma_c", twca.Options{}, 1000)
 	s.put(coord{kind: coordScale, subject: "", value: 1000}, "h-exact", exact, nil, 1000)
 	s.put(coord{kind: coordScale, subject: "", value: 1040}, "h-diverged", diverged, nil, 1000)
-	s.put(coord{kind: coordScale, subject: "", value: 1050}, "h-skipped", skipped, nil, 1000)
+	s.put(coord{kind: coordScale, subject: "", value: 1050}, "h-injected", injected, nil, 1000)
 
 	hit := []candidate{{x: 1040}, {x: 1050}}
 	if s.fetch(familyKey{kind: coordScale}, hit) != 1 || hit[0].stored == nil || hit[0].stored.an != diverged {
 		t.Error("diverged entry not reusable at its exact coordinate")
 	}
 	if hit[1].stored != nil {
-		t.Error("breaker-skipped entry served at its exact coordinate")
+		t.Error("fault-injected entry served at its exact coordinate")
 	}
 	ws := s.nearest(coord{kind: coordScale, subject: "", value: 1060})
 	if ws == nil {

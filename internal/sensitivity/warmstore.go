@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/degrade"
 	"repro/internal/faultinject"
 	"repro/internal/model"
 	"repro/internal/twca"
@@ -331,16 +330,17 @@ func (s *scopeStore) nearest(c coord) *twca.WarmStart {
 // but never offered as neighbor seeds (degraded busy times are the
 // Infinity sentinel, not fixed points; failures have no fixed points at
 // all). A degraded analysis is kept only when a later query would
-// reproduce it (see reproducible) and never at the nominal coordinate:
-// a degraded nominal above m makes the whole result certify nothing,
-// and the retry that result invites must solve the nominal again.
+// reproduce it (see degrade.Info.Reproducible) and never at the
+// nominal coordinate: a degraded nominal above m makes the whole result
+// certify nothing, and the retry that result invites must solve the
+// nominal again.
 func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, denom int64) {
 	if s == nil || (an == nil && err == nil) {
 		return
 	}
 	nominal := c.kind == coordScale && c.subject == "" && c.value == denom
 	degraded := an != nil && (an.Degraded.Degraded() || an.Latency.Quality.Degraded())
-	if degraded && (nominal || !reproducible(an.Degraded) || !reproducible(an.Latency.Quality)) {
+	if degraded && (nominal || !an.Degraded.Reproducible() || !an.Latency.Quality.Reproducible()) {
 		return
 	}
 	s.mu.Lock()
@@ -369,17 +369,4 @@ func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, den
 	if nominal {
 		s.nominal = out
 	}
-}
-
-// reproducible reports whether an analysis tagged q comes out the same
-// on every run: exact, or degraded by a budget that is a function of the
-// system and options alone (a diverging busy window, the combination
-// cap). A deadline, the circuit breaker or an injected fault degrade one
-// run and may spare the next.
-func reproducible(q degrade.Info) bool {
-	switch q.Budget {
-	case "", degrade.BudgetFixedPoint, degrade.BudgetCombinations:
-		return true
-	}
-	return false
 }

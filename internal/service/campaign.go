@@ -209,7 +209,7 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 		if err != nil {
 			return s.localFailure(line, err)
 		}
-		s.accountQuality(hash, d.stats.Degraded)
+		s.accountQuality(d.stats.Degraded)
 		line.Analysis, line.Cache = &doc, state
 	case schema.CampaignKindLatency:
 		res, state, err := s.latencyResult(ictx, &item.analyzeRequest, sys, hash)
@@ -217,7 +217,7 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 			return s.localFailure(line, err)
 		}
 		if q := res.Quality; q.Degraded() {
-			s.accountQuality("", map[string]int64{q.Budget: 1})
+			s.met.degraded(q.Budget, 1)
 		}
 		doc := schema.FromLatency(res)
 		line.Latency, line.Cache = &doc, state

@@ -29,7 +29,7 @@ import (
 //   - every degraded result is tagged with quality + budget, advertises
 //     Retry-After, and is counted in /metrics;
 //   - a request whose exact artifact is cached is always answered
-//     exactly, no matter how the breaker and the faults interleave.
+//     exactly, no matter how the faults interleave.
 //
 // The request stream and the fault pattern are both deterministic
 // (seeded PRNG, counter-addressed rules), so a failure replays. Arms
@@ -332,9 +332,6 @@ func TestChaosSuite(t *testing.T) {
 	gotPanics := sum(regexp.MustCompile(`twca_worker_panics_total (\d+)`))
 	if gotPanics != workerPanics {
 		t.Errorf("twca_worker_panics_total = %d, client observed %d worker_panic responses", gotPanics, workerPanics)
-	}
-	if degradedPoints > 0 && !regexp.MustCompile(`twca_breaker_trips_total \d+`).MatchString(metrics) {
-		t.Error("metrics lack twca_breaker_trips_total")
 	}
 }
 

@@ -452,7 +452,7 @@ func TestClusterChurn(t *testing.T) {
 
 	// Ground truth, computed before any chaos.
 	_, truthTS := newTestServer(t, Config{})
-	truth, _ := runCampaign(t, truthTS.URL, req)
+	truth := runCampaign(t, truthTS.URL, req)
 
 	cfg := Config{CampaignWorkers: 2, HeartbeatInterval: 25 * time.Millisecond}
 	c := newCluster(t, 3, cfg)
@@ -534,7 +534,7 @@ func TestClusterChurn(t *testing.T) {
 	// The shrunken, churned fleet still answers the whole campaign
 	// byte-exactly (warm where artifacts survived, recomputed where
 	// they died with replica 1).
-	wlines, _ := runCampaign(t, c.url(0), req)
+	wlines := runCampaign(t, c.url(0), req)
 	assertDocsMatchTruth(t, wlines, truth, "post-churn campaign")
 
 	view := getCluster(t, c.url(0))

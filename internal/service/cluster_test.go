@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/schema"
@@ -162,9 +161,8 @@ func fleetSystems(t testing.TB, n int) []json.RawMessage {
 func fleetCampaign(systems []json.RawMessage) campaignRequest {
 	// A wide dmm sweep (80 points up to k≈160000) makes each cold item
 	// a real analysis — tens of milliseconds — while the resulting
-	// document stays small, so the warm path is dominated by cache
-	// lookup and transport, not marshaling. That separation is what the
-	// ≥10x warm-speedup assertion measures.
+	// document stays small, so the warm path is cache lookup and
+	// transport, which TestClusterSharing's allocation ceiling bounds.
 	ks := make([]int64, 80)
 	for i := range ks {
 		ks[i] = int64(i)*1997 + 1
@@ -180,12 +178,10 @@ func fleetCampaign(systems []json.RawMessage) campaignRequest {
 }
 
 // runCampaign posts the campaign to a replica and returns the result
-// lines (summary excluded, after checking it) plus the wall time.
-func runCampaign(t testing.TB, url string, req campaignRequest) ([]schema.CampaignLine, time.Duration) {
+// lines (summary excluded, after checking it).
+func runCampaign(t testing.TB, url string, req campaignRequest) []schema.CampaignLine {
 	t.Helper()
-	start := time.Now()
 	status, lines := postCampaign(t, url, req)
-	elapsed := time.Since(start)
 	if status != http.StatusOK {
 		t.Fatalf("campaign status = %d", status)
 	}
@@ -196,20 +192,46 @@ func runCampaign(t testing.TB, url string, req campaignRequest) ([]schema.Campai
 	if sum.Kind != schema.CampaignKindSummary || sum.Items != len(req.Items) {
 		t.Fatalf("summary = %+v", sum)
 	}
-	return lines[:len(req.Items)], elapsed
+	return lines[:len(req.Items)]
 }
+
+// scrapeFleet sums the named /metrics series over every replica.
+func (c *cluster) scrapeFleet(t *testing.T, series ...string) map[string]float64 {
+	t.Helper()
+	sum := make(map[string]float64, len(series))
+	for i := range c.servers {
+		for name, v := range scrapeMetrics(t, c.url(i), series...) {
+			sum[name] += v
+		}
+	}
+	return sum
+}
+
+// warmCampaignAllocsCeiling bounds the allocations of one warm repeat
+// of TestClusterSharing's 50-item campaign, counted in the whole test
+// process: the client, the replica it posts to, and the relays to the
+// two owners. Measured at 74,500–77,800 on go1.24 linux/amd64 (80,700
+// under -race); the cold campaign costs about 115,000. Most of it is
+// decoding and re-encoding 50 documents of 80 points each on the relay
+// and client sides. The ceiling leaves about 25% headroom.
+const warmCampaignAllocsCeiling = 100_000
 
 // TestClusterSharing is the fleet acceptance test: a 50-system campaign
 // against a 3-replica cluster computes every artifact exactly once
 // fleet-wide (the store misses across all replicas account for each
 // system once, with no duplicate computation on non-owners), and a warm
-// repeat answers entirely from the sharded stores — at least 10x faster
-// and with zero new computation.
+// repeat answers entirely from the sharded stores. Summed over the
+// replicas, the warm repeats add no store miss
+// (twca_store_misses_total +0), no ILP node (twca_ilp_nodes_total +0)
+// and no decode (twca_system_decodes_total{source="decoded"} +0), and
+// one stays under warmCampaignAllocsCeiling. These are counters, not a
+// warm/cold wall-clock ratio, which depends on host load and on how
+// cheap the cold analysis is.
 func TestClusterSharing(t *testing.T) {
 	c := newCluster(t, 3, Config{})
 	req := fleetCampaign(fleetSystems(t, 50))
 
-	lines, cold := runCampaign(t, c.url(0), req)
+	lines := runCampaign(t, c.url(0), req)
 	hashes := map[string]bool{}
 	for i, line := range lines {
 		if line.Kind != schema.CampaignKindDMM || line.Analysis == nil {
@@ -238,16 +260,15 @@ func TestClusterSharing(t *testing.T) {
 		t.Errorf("healthy cluster recorded %d peer failures, %d local fallbacks", st.PeerUnavailable, st.LocalFallbacks)
 	}
 
-	// Warm repeat: zero new computation anywhere in the fleet, ≥10x
-	// faster. Three runs, best time, to keep scheduler noise out of the
-	// ratio; correctness assertions apply to every run.
-	warm := time.Duration(1 << 62)
+	// Warm repeats: zero new computation anywhere in the fleet.
+	series := []string{
+		"twca_store_misses_total",
+		"twca_ilp_nodes_total",
+		`twca_system_decodes_total{source="decoded"}`,
+	}
+	cold := c.scrapeFleet(t, series...)
 	for run := 0; run < 3; run++ {
-		wlines, elapsed := runCampaign(t, c.url(0), req)
-		if elapsed < warm {
-			warm = elapsed
-		}
-		for i, line := range wlines {
+		for i, line := range runCampaign(t, c.url(0), req) {
 			if line.Kind != schema.CampaignKindDMM || line.Analysis == nil {
 				t.Fatalf("warm line %d = kind %q", i, line.Kind)
 			}
@@ -256,13 +277,18 @@ func TestClusterSharing(t *testing.T) {
 			}
 		}
 	}
-	if after := c.fleetStats(); after.Misses != st.Misses {
-		t.Errorf("warm runs added %d misses — artifacts recomputed despite warm fleet", after.Misses-st.Misses)
+	warm := c.scrapeFleet(t, series...)
+	for _, name := range series {
+		if warm[name] != cold[name] {
+			t.Errorf("fleet-wide %s moved from %v to %v over the warm repeats, want +0", name, cold[name], warm[name])
+		}
 	}
-	if cold < 10*warm {
-		t.Errorf("warm campaign %v is only %.1fx faster than cold %v, want ≥10x", warm, float64(cold)/float64(warm), cold)
+
+	allocs := testing.AllocsPerRun(3, func() { runCampaign(t, c.url(0), req) })
+	t.Logf("warm campaign: %.0f allocs (ceiling %d)", allocs, warmCampaignAllocsCeiling)
+	if allocs > warmCampaignAllocsCeiling {
+		t.Errorf("warm campaign allocates %.0f times, ceiling %d", allocs, warmCampaignAllocsCeiling)
 	}
-	t.Logf("cold %v, warm %v (%.0fx)", cold, warm, float64(cold)/float64(warm))
 }
 
 // TestClusterSingleflight: concurrent identical requests sprayed across
@@ -313,7 +339,7 @@ func TestClusterChaosKillReplica(t *testing.T) {
 
 	// Ground truth, computed before any chaos.
 	_, truthTS := newTestServer(t, Config{})
-	truth, _ := runCampaign(t, truthTS.URL, req)
+	truth := runCampaign(t, truthTS.URL, req)
 
 	c := newCluster(t, 3, Config{CampaignWorkers: 2})
 	body, err := json.Marshal(req)

@@ -11,8 +11,8 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Tests in this file drive the degradation ladder, the circuit breaker
-// and the drain gate; several arm the process-global fault-injection
+// Tests in this file drive the degradation ladder, the retention of
+// degraded results and the drain gate; several arm the process-global fault-injection
 // harness, so none of them use t.Parallel().
 
 // postHdr is post plus the response headers, for Retry-After checks.
@@ -171,128 +171,94 @@ func TestDegradedNominalSensitivity(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAfterConsecutiveTrips: three consecutive
-// budget-tripped analyses of one system open its breaker; the next
-// request starts directly on the omega-sum rung (budget "breaker")
-// without burning an exact-analysis budget.
-func TestBreakerOpensAfterConsecutiveTrips(t *testing.T) {
-	svc, ts := newTestServer(t, Config{})
+// TestTransientDegradationNotKept: a result degraded by a budget that
+// a retry may not meet again (a deadline, an injected fault) is served
+// once and not kept, so the retry its Retry-After invites earns the
+// exact answer, and the degradation never spills over to other option
+// sets of the same system.
+func TestTransientDegradationNotKept(t *testing.T) {
+	defer faultinject.Disarm()
+	faultinject.Disarm()
 	thales := thalesJSON(t)
-	trip := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10},
-		Options: reqOptions{MaxCombinations: 1}}
-
-	var hash string
-	for i := 0; i < breakerThreshold; i++ {
-		status, doc, _ := postHdr(t, ts.URL+"/v1/analyze/dmm", trip)
-		if status != http.StatusOK || doc["quality"] != "safe-upper-bound" {
-			t.Fatalf("trip %d: status %d quality %v", i, status, doc["quality"])
+	// docHead is a dmm response up to its per-request envelope.
+	docHead := func(data []byte) []byte {
+		head, _, ok := bytes.Cut(data, []byte(",\n  \"cache\""))
+		if !ok {
+			t.Fatalf("response has no cache field: %s", data)
 		}
-		hash = doc["system_hash"].(string)
-	}
-	if !svc.breaker.open(hash) {
-		t.Fatalf("breaker not open after %d trips", breakerThreshold)
+		return head
 	}
 
-	// Different options, same system: the open breaker skips the exact
-	// analysis outright.
-	req := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10}}
+	// Query-time deadline: the exact artifact builds, then one delay at
+	// the first ILP node outlasts the request timeout and dmm(160000)
+	// descends to the omega-sum rung.
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Second})
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointILPBranch, Action: faultinject.ActionDelay, Delay: 1300 * time.Millisecond, Times: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	req := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{160000}}
 	status, doc, hdr := postHdr(t, ts.URL+"/v1/analyze/dmm", req)
 	if status != http.StatusOK {
-		t.Fatalf("breaker-degraded status = %d, body %v", status, doc)
+		t.Fatalf("delayed query = %d, body %v", status, doc)
 	}
-	if doc["quality"] != "safe-upper-bound" || doc["budget"] != "breaker" {
-		t.Errorf("quality/budget = %v/%v, want safe-upper-bound/breaker", doc["quality"], doc["budget"])
+	if pt := doc["dmm"].([]any)[0].(map[string]any); pt["budget"] != "deadline" || hdr.Get("Retry-After") != "30" {
+		t.Fatalf("delayed dmm(160000) = (%v, budget %v, Retry-After %q), want the deadline rung and Retry-After 30",
+			pt["dmm"], pt["budget"], hdr.Get("Retry-After"))
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("breaker-degraded response has no Retry-After")
+	faultinject.Disarm()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestBreakerPrefersCachedExact: an open breaker must never shadow an
-// exact artifact that is already cached — degraded results are a
-// fallback, not a downgrade.
-func TestBreakerPrefersCachedExact(t *testing.T) {
-	svc, ts := newTestServer(t, Config{})
-	thales := thalesJSON(t)
-	exactReq := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10}}
-
-	status, doc, _ := postHdr(t, ts.URL+"/v1/analyze/dmm", exactReq)
-	if status != http.StatusOK || doc["quality"] != "exact" {
-		t.Fatalf("warmup: status %d quality %v", status, doc["quality"])
+	_, fresh := newTestServer(t, Config{})
+	_, want := postBytes(t, fresh.URL+"/v1/analyze/dmm", body)
+	for i := 0; i < 4; i++ {
+		status, got := postBytes(t, ts.URL+"/v1/analyze/dmm", body)
+		if status != http.StatusOK || !bytes.Equal(docHead(got), docHead(want)) {
+			t.Fatalf("retry %d = %d %s\nwant the fresh server's document %s", i, status, got, want)
+		}
 	}
-	hash := doc["system_hash"].(string)
-
-	trip := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10},
-		Options: reqOptions{MaxCombinations: 1}}
-	for i := 0; i < breakerThreshold; i++ {
-		postHdr(t, ts.URL+"/v1/analyze/dmm", trip)
-	}
-	if !svc.breaker.open(hash) {
-		t.Fatal("breaker not open")
+	other := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10}, Options: reqOptions{NoCarryIn: true}}
+	if status, doc, hdr := postHdr(t, ts.URL+"/v1/analyze/dmm", other); status != http.StatusOK ||
+		doc["quality"] != "exact" || hdr.Get("Retry-After") != "" {
+		t.Errorf("another option set = (%d, quality %v, budget %v, Retry-After %q), want an exact 200",
+			status, doc["quality"], doc["budget"], hdr.Get("Retry-After"))
 	}
 
-	status, doc, _ = postHdr(t, ts.URL+"/v1/analyze/dmm", exactReq)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
+	// A fault injected into the busy-window analysis at construction:
+	// the dmm and latency artifacts fall to the trivial rung, and are
+	// not kept past the requests that waited for them.
+	_, ts = newTestServer(t, Config{})
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointBusyWindow, Action: faultinject.ActionError},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if doc["quality"] != "exact" || doc["cache"] != "hit" {
-		t.Errorf("open breaker served quality %v / cache %v, want the cached exact artifact",
-			doc["quality"], doc["cache"])
+	queries := []struct {
+		endpoint string
+		req      analyzeRequest
+	}{
+		{"/v1/analyze/dmm", analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10}}},
+		{"/v1/analyze/latency", analyzeRequest{System: thales, Chain: "sigma_c"}},
 	}
-}
-
-// TestBreakerCooldownHalfOpen: after the cooldown the next request
-// retries the exact analysis; success closes the breaker and evicts the
-// degraded twin artifact.
-func TestBreakerCooldownHalfOpen(t *testing.T) {
-	svc, ts := newTestServer(t, Config{})
-	thales := thalesJSON(t)
-
-	// Deterministic clock, advanced by the test. breaker.now is only
-	// ever read under breaker.mu, so swapping it under the same lock is
-	// race-free.
-	now := time.Now()
-	svc.breaker.mu.Lock()
-	svc.breaker.now = func() time.Time { return now }
-	svc.breaker.mu.Unlock()
-
-	trip := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10},
-		Options: reqOptions{MaxCombinations: 1}}
-	var hash string
-	for i := 0; i < breakerThreshold; i++ {
-		_, doc, _ := postHdr(t, ts.URL+"/v1/analyze/dmm", trip)
-		hash = doc["system_hash"].(string)
+	for _, q := range queries {
+		if status, doc, _ := postHdr(t, ts.URL+q.endpoint, q.req); status != http.StatusOK ||
+			doc["quality"] != "trivial" || doc["budget"] != "injected" {
+			t.Fatalf("%s under the fault = (%d, quality %v, budget %v), want (200, trivial, injected)",
+				q.endpoint, status, doc["quality"], doc["budget"])
+		}
 	}
-	if !svc.breaker.open(hash) {
-		t.Fatal("breaker not open")
-	}
-
-	req := analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{10}}
-	_, doc, _ := postHdr(t, ts.URL+"/v1/analyze/dmm", req)
-	if doc["budget"] != "breaker" {
-		t.Fatalf("open breaker budget = %v, want breaker", doc["budget"])
-	}
-	degradedKey := artifactKey("dmm", hash, "sigma_c", req.Options.fingerprint()) + "|degraded"
-	if _, ok := svc.store.Peek(degradedKey); !ok {
-		t.Fatal("degraded twin artifact not cached while breaker open")
-	}
-
-	svc.breaker.mu.Lock()
-	now = now.Add(breakerCooldown + time.Second)
-	svc.breaker.mu.Unlock()
-
-	// Half-open probe: the exact analysis runs (default options do not
-	// trip any budget), closes the breaker, and the degraded twin is
-	// forgotten so it cannot resurface.
-	status, doc, _ := postHdr(t, ts.URL+"/v1/analyze/dmm", req)
-	if status != http.StatusOK || doc["quality"] != "exact" {
-		t.Fatalf("half-open probe: status %d quality %v, want 200 exact", status, doc["quality"])
-	}
-	if svc.breaker.open(hash) {
-		t.Error("breaker still open after a successful exact analysis")
-	}
-	if _, ok := svc.store.Peek(degradedKey); ok {
-		t.Error("degraded twin artifact lingers after the exact analysis")
+	faultinject.Disarm()
+	for i := 0; i < 2; i++ {
+		for _, q := range queries {
+			if status, doc, hdr := postHdr(t, ts.URL+q.endpoint, q.req); status != http.StatusOK ||
+				doc["quality"] != "exact" || hdr.Get("Retry-After") != "" {
+				t.Errorf("%s retry %d = (%d, quality %v, cache %v), want an exact 200",
+					q.endpoint, i, status, doc["quality"], doc["cache"])
+			}
+		}
 	}
 }
 

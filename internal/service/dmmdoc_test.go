@@ -39,15 +39,16 @@ func TestDMMDocSplice(t *testing.T) {
 	}
 	// The golden documents (plain and degraded), the service's default
 	// points, wide breakpoint sweeps, and every regular chain of a few
-	// generated systems, exact and degraded.
-	skipExact := twca.Options{Degrade: degrade.Policy{SkipExact: true}}
+	// generated systems, exact and degraded (a combination cap of 1
+	// sends a construction to the omega-sum rung).
+	omegaSum := twca.Options{MaxCombinations: 1, Degrade: degrade.Policy{Allow: true}}
 	cs := casestudy.New()
 	cases := []docCase{
 		{"golden", cs, "sigma_c", twca.Options{}, []int64{1, 3, 10, 100}, 260},
-		{"golden-degraded", cs, "sigma_c", skipExact, []int64{1, 3, 10, 100}, 0},
+		{"golden-degraded", cs, "sigma_c", omegaSum, []int64{1, 3, 10, 100}, 0},
 		{"defaults", cs, "sigma_c", twca.Options{}, []int64{1, 10, 100}, 0},
 		{"sweep", cs, "sigma_c", twca.Options{}, nil, 10000},
-		{"sweep-degraded", cs, "sigma_c", skipExact, nil, 1000},
+		{"sweep-degraded", cs, "sigma_c", omegaSum, nil, 1000},
 		{"sigma_d", cs, "sigma_d", twca.Options{}, []int64{1, 10}, 500},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -58,7 +59,7 @@ func TestDMMDocSplice(t *testing.T) {
 		for _, c := range sys.RegularChains() {
 			cases = append(cases,
 				docCase{"gen-" + c.Name, sys, c.Name, twca.Options{}, []int64{1, 7, 100}, 200},
-				docCase{"gen-degraded-" + c.Name, sys, c.Name, skipExact, []int64{2, 50}, 0})
+				docCase{"gen-degraded-" + c.Name, sys, c.Name, omegaSum, []int64{2, 50}, 0})
 		}
 	}
 	ctx := context.Background()

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro"
+	"repro/internal/casestudy"
 	"repro/internal/schema"
 )
 
@@ -41,7 +44,9 @@ func fieldNames(typ reflect.Type) []string {
 // value, (b) takes a census of the struct fields so that adding one
 // forces a deliberate decision here, and (c) proves each field's value
 // actually changes the fingerprint — no field can silently alias
-// artifacts across, say, scheduling policies or degrade modes.
+// artifacts across, say, scheduling policies or degrade modes; (d) it
+// does the same for the latency key, which only the latency fields
+// reach.
 func TestFingerprintPinned(t *testing.T) {
 	wantOptFields := []string{
 		"MaxCombinations", "ExactCriterion", "Flat", "Baseline",
@@ -61,6 +66,38 @@ func TestFingerprintPinned(t *testing.T) {
 		perturb(t, reflect.ValueOf(&o).Elem(), i)
 		if o.fingerprint() == base {
 			t.Errorf("reqOptions.%s does not reach the fingerprint — artifacts would alias across its values", name)
+		}
+	}
+
+	// Latency artifacts are keyed on the fields a latency analysis
+	// reads. Each of them changes the latency key; each DMM-only field
+	// leaves it alone, and leaves the library's latency result
+	// unchanged too, so sharing the key cannot serve a wrong answer.
+	latencyFields := map[string]bool{"MaxQ": true, "Horizon": true, "MaxIterations": true, "NoDegrade": true, "Policy": true}
+	if got := (reqOptions{}).latencyOnly().fingerprint(); got != wantZero {
+		t.Fatalf("zero latency fingerprint = %q, want %q (all-default requests keep their key)", got, wantZero)
+	}
+	sys := casestudy.New()
+	ctx := context.Background()
+	want, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c", Options: (reqOptions{}).twca()}.Latency(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range wantOptFields {
+		var o reqOptions
+		perturb(t, reflect.ValueOf(&o).Elem(), i)
+		if changed := o.latencyOnly().fingerprint() != wantZero; changed != latencyFields[name] {
+			t.Errorf("reqOptions.%s changes the latency key: %v, want %v", name, changed, latencyFields[name])
+		}
+		if latencyFields[name] {
+			continue
+		}
+		got, err := repro.AnalysisRequest{System: sys, Chain: "sigma_c", Options: o.twca()}.Latency(ctx)
+		if err != nil {
+			t.Fatalf("latency with %s set: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("reqOptions.%s leaves the latency key alone but changes the latency result", name)
 		}
 	}
 }

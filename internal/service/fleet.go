@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/schema"
-	"repro/internal/store"
 )
 
 // The fleet layer shards the analysis tier across the peer set by
@@ -116,7 +115,6 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 	} else {
 		// Answered by the owner: a relayed artifact document.
 		s.store.CountPeerHit()
-		s.met.cacheOutcome(store.OutcomePeer)
 	}
 	// Stream the body through byte-for-byte so a relayed document is
 	// indistinguishable from a locally served one.
@@ -329,7 +327,6 @@ func (s *Server) relayItem(ctx context.Context, cands []string, path string, req
 			return fmt.Errorf("%w: %s: bad relay body: %v", ErrPeerUnavailable, peer, err)
 		}
 		s.store.CountPeerHit()
-		s.met.cacheOutcome(store.OutcomePeer)
 		return nil
 	case http.StatusTooManyRequests:
 		io.Copy(io.Discard, resp.Body)

@@ -109,6 +109,14 @@ func (o reqOptions) latency() repro.LatencyOptions {
 	}
 }
 
+// latencyOnly keeps the fields a latency analysis reads (MaxQ, Horizon,
+// MaxIterations, Policy, NoDegrade) and zeroes the DMM-only ones.
+// All-default options stay all-default, so their latency key is the
+// one every other artifact kind uses.
+func (o reqOptions) latencyOnly() reqOptions {
+	return reqOptions{MaxQ: o.MaxQ, Horizon: o.Horizon, MaxIterations: o.MaxIterations, NoDegrade: o.NoDegrade, Policy: o.Policy}
+}
+
 func (o reqOptions) twca() repro.Options {
 	return repro.Options{
 		MaxCombinations: o.MaxCombinations,
@@ -443,29 +451,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *analyzeRequ
 
 // dmmArtifact returns the prepared DMM analysis for the request's
 // (system, chain, options), from the store's LRU, an in-flight twin, or
-// a fresh gate-admitted analysis.
-//
-// When the system's circuit breaker is open (its exact analysis tripped
-// budgets on consecutive requests), the analysis starts directly on the
-// omega-sum degradation rung and is cached under a separate
-// "|degraded" key — a degraded artifact can never be mistaken for, or
-// shadow, an exact one. Before going degraded, the exact key is peeked:
-// a cached exact artifact always wins over running a degraded analysis.
+// a fresh gate-admitted analysis. An analysis whose construction was
+// degraded by a transient budget (a deadline, an injected fault) is
+// served to the requests that waited for it and then forgotten, so the
+// retry its Retry-After invites analyzes again (see
+// degrade.Info.Reproducible).
 func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (*repro.Analysis, string, string, error) {
 	key := artifactKey("dmm", hash, req.Chain, req.Options.fingerprint())
 	opts := req.Options.twca()
-	if !req.Options.NoDegrade && s.breaker.open(hash) {
-		if val, ok := s.store.Peek(key); ok {
-			s.met.cacheOutcome(store.OutcomeHit)
-			return val.(*repro.Analysis), key, store.OutcomeHit, nil
-		}
-		opts.Degrade.SkipExact = true
-		key += "|degraded"
-	} else {
-		// Breaker closed: stale degraded twins must not linger past the
-		// next exact artifact.
-		defer s.store.Forget(key + "|degraded")
-	}
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
 		model, err := sys.get()
 		if err != nil {
@@ -480,11 +473,14 @@ func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *lazy
 		s.met.observeAnalysis("dmm", time.Since(t0))
 		return an, err
 	})
-	s.met.cacheOutcome(state)
 	if err != nil {
 		return nil, key, state, err
 	}
-	return val.(*repro.Analysis), key, state, nil
+	an := val.(*repro.Analysis)
+	if !an.Degraded.Reproducible() || !an.Latency.Quality.Reproducible() {
+		s.store.Forget(key)
+	}
+	return an, key, state, nil
 }
 
 // dmmDoc is a DMM response retained in the LRU alongside the analysis
@@ -568,7 +564,9 @@ func dmmDocKey(key string, ks []int64, breakpointsMaxK int64) string {
 // its envelope — artifact (cached/coalesced/fresh) plus the assembled
 // dmm sweep — and is the one path shared by /v1/analyze/dmm and
 // campaign items, so a campaign line is byte-identical to the unary
-// document.
+// document. A document with a point degraded by a transient budget
+// (say, a query-time deadline on an exact artifact) is not retained:
+// the retry sweeps again and can answer exactly.
 func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (dmmDoc, string, error) {
 	an, key, state, err := s.dmmArtifact(ctx, req, sys, hash)
 	if err != nil {
@@ -592,32 +590,25 @@ func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazy
 		return dmmDoc{}, state, err
 	}
 	d := dmmDoc{head: head, stats: stats}
+	for budget := range stats.Degraded {
+		if !(degrade.Info{Budget: budget}).Reproducible() {
+			return d, state, nil
+		}
+	}
 	s.store.Add(docKey, d)
 	return d, state, nil
 }
 
-// accountQuality does the per-response degradation bookkeeping shared
-// by the endpoints and campaign items: count each degraded result in
-// /metrics and feed the system's circuit breaker (a budget trip opens
-// it after enough consecutive failures; an exact answer closes it). The
-// return value reports whether the result was degraded at all — the
-// budget pressure is transient, so unary handlers advertise Retry-After
-// and a later retry may earn an exact answer.
-func (s *Server) accountQuality(hash string, degradedBudgets map[string]int64) (degradedAtAll bool) {
-	tripped := false
+// degradedRetryAfter is the Retry-After a degraded answer advertises: a
+// later retry may meet less budget pressure and earn an exact answer.
+const degradedRetryAfter = "30"
+
+// accountQuality counts each degraded result in /metrics, for the
+// endpoints and campaign items alike, and reports whether there was
+// any.
+func (s *Server) accountQuality(degradedBudgets map[string]int64) (degradedAtAll bool) {
 	for budget, n := range degradedBudgets {
 		s.met.degraded(budget, n)
-		if budget != degrade.BudgetBreaker {
-			tripped = true
-		}
-	}
-	if hash != "" {
-		switch {
-		case tripped:
-			s.breaker.recordTrip(hash)
-		case len(degradedBudgets) == 0:
-			s.breaker.recordOK(hash)
-		}
 	}
 	return len(degradedBudgets) > 0
 }
@@ -654,8 +645,8 @@ func (s *Server) handleDMM(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "dmm", err)
 		return
 	}
-	if s.accountQuality(hash, doc.stats.Degraded) {
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
+	if s.accountQuality(doc.stats.Degraded) {
+		w.Header().Set("Retry-After", degradedRetryAfter)
 	}
 	s.met.request("dmm", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
@@ -674,10 +665,14 @@ type latencyResponse struct {
 
 // latencyResult returns the latency analysis for the request, from the
 // store or a fresh gate-admitted run — the path shared by
-// /v1/analyze/latency and campaign items.
+// /v1/analyze/latency and campaign items. The artifact is keyed on, and
+// computed from, the latency options alone, so requests that differ
+// only in DMM options share it; like a dmm artifact, one degraded by a
+// transient budget is not retained.
 func (s *Server) latencyResult(ctx context.Context, req *analyzeRequest, sys *lazySystem, hash string) (*repro.LatencyResult, string, error) {
-	key := artifactKey("latency", hash, req.Chain, req.Options.fingerprint())
-	opts := req.Options.twca()
+	lopts := req.Options.latencyOnly()
+	key := artifactKey("latency", hash, req.Chain, lopts.fingerprint())
+	opts := lopts.twca()
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
 		model, err := sys.get()
 		if err != nil {
@@ -692,11 +687,14 @@ func (s *Server) latencyResult(ctx context.Context, req *analyzeRequest, sys *la
 		s.met.observeAnalysis("latency", time.Since(t0))
 		return res, err
 	})
-	s.met.cacheOutcome(state)
 	if err != nil {
 		return nil, state, err
 	}
-	return val.(*repro.LatencyResult), state, nil
+	res := val.(*repro.LatencyResult)
+	if !res.Quality.Reproducible() {
+		s.store.Forget(key)
+	}
+	return res, state, nil
 }
 
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
@@ -723,10 +721,8 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if q := res.Quality; q.Degraded() {
-		// Metrics + Retry-After only: a latency trip says nothing about
-		// the DMM combination space, so it does not feed the breaker.
-		s.accountQuality("", map[string]int64{q.Budget: 1})
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
+		s.met.degraded(q.Budget, 1)
+		w.Header().Set("Retry-After", degradedRetryAfter)
 	}
 	s.met.request("latency", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, latencyResponse{
@@ -814,8 +810,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			Quality: r.Quality.Quality.String(), Budget: r.Quality.Budget,
 		})
 	}
-	if s.accountQuality(hash, degraded) {
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
+	if s.accountQuality(degraded) {
+		w.Header().Set("Retry-After", degradedRetryAfter)
 	}
 	s.met.request("verify", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, resp)
@@ -894,8 +890,8 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.addBisectionSteps(res.Probes)
 	if res.Quality.Degraded() {
-		s.accountQuality("", map[string]int64{res.Quality.Budget: 1})
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
+		s.met.degraded(res.Quality.Budget, 1)
+		w.Header().Set("Retry-After", degradedRetryAfter)
 	}
 	s.met.request("sensitivity", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, sensitivityResponse{

@@ -22,11 +22,6 @@ type metrics struct {
 	mu sync.Mutex
 	// requests counts finished HTTP requests by "endpoint|status".
 	requests map[string]int64
-	// cache effectiveness: a hit answered from the LRU, a miss ran the
-	// analysis, a coalesced request piggybacked on an in-flight one, a
-	// peer outcome was relayed to (and answered by) the replica owning
-	// the model hash.
-	cacheHits, cacheMisses, cacheCoalesced, cachePeer int64
 	// campaign item outcomes: ok lines versus campaign_partial lines
 	// across all /v1/campaign streams.
 	campaignOK, campaignFailed int64
@@ -45,7 +40,7 @@ type metrics struct {
 	bisectionSteps int64
 	// degradedResults counts responses answered below Exact quality,
 	// keyed by the exhausted budget ("deadline", "ilp-nodes",
-	// "combinations", "breaker", ...).
+	// "combinations", "injected", ...).
 	degradedResults map[string]int64
 	// workerPanics counts analyses that failed because a worker task
 	// panicked (recovered to an error; the process survived).
@@ -70,12 +65,9 @@ type metrics struct {
 	durations map[string]*histogram
 	// inflight is sampled from the admission gate at scrape time.
 	inflight func() int
-	// breakerOpen/breakerTrips are sampled from the per-system circuit
-	// breaker at scrape time.
-	breakerOpen  func() int
-	breakerTrips func() int64
 	// storeStats is sampled from the two-tier artifact store at scrape
-	// time (local LRU counters plus fleet routing counters).
+	// time (local LRU counters plus fleet routing counters); it also
+	// renders the cache outcome series.
 	storeStats func() store.Stats
 	// warmStats is sampled from the process-wide sensitivity warm store
 	// at scrape time: hits are probes answered from a stored artifact at
@@ -123,21 +115,6 @@ func (m *metrics) request(endpoint string, status int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[endpoint+"|"+strconv.Itoa(status)]++
-}
-
-func (m *metrics) cacheOutcome(state string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch state {
-	case store.OutcomeHit:
-		m.cacheHits++
-	case store.OutcomeMiss:
-		m.cacheMisses++
-	case store.OutcomeCoalesced:
-		m.cacheCoalesced++
-	case store.OutcomePeer:
-		m.cachePeer++
-	}
 }
 
 // campaignItem accounts one streamed campaign line: a result document
@@ -276,29 +253,6 @@ func (m *metrics) membershipPropagationFailure() {
 	m.propagationFailures++
 }
 
-// degradedTotal reports the total degraded results across budgets.
-func (m *metrics) degradedTotal() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, n := range m.degradedResults {
-		total += n
-	}
-	return total
-}
-
-// hitRatio returns hits / (hits + misses + coalesced), or 0 before any
-// cacheable request.
-func (m *metrics) hitRatio() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := m.cacheHits + m.cacheMisses + m.cacheCoalesced
-	if total == 0 {
-		return 0
-	}
-	return float64(m.cacheHits) / float64(total)
-}
-
 // write renders the Prometheus text exposition. Keys are emitted in
 // sorted order so scrapes (and tests) are deterministic.
 func (m *metrics) write(w io.Writer) {
@@ -327,24 +281,23 @@ func (m *metrics) write(w io.Writer) {
 		fmt.Fprintf(w, "twca_requests_total{endpoint=%q,status=%q} %d\n", endpoint, status, m.requests[k])
 	}
 
-	fmt.Fprintf(w, "# HELP twca_cache_requests_total Analysis cache lookups by outcome.\n")
-	fmt.Fprintf(w, "# TYPE twca_cache_requests_total counter\n")
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"hit\"} %d\n", m.cacheHits)
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"miss\"} %d\n", m.cacheMisses)
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"coalesced\"} %d\n", m.cacheCoalesced)
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"peer\"} %d\n", m.cachePeer)
-
-	hits, total := m.cacheHits, m.cacheHits+m.cacheMisses+m.cacheCoalesced
-	ratio := 0.0
-	if total > 0 {
-		ratio = float64(hits) / float64(total)
-	}
-	fmt.Fprintf(w, "# HELP twca_cache_hit_ratio Fraction of cacheable requests answered from the LRU.\n")
-	fmt.Fprintf(w, "# TYPE twca_cache_hit_ratio gauge\n")
-	fmt.Fprintf(w, "twca_cache_hit_ratio %g\n", ratio)
-
 	if m.storeStats != nil {
 		st := m.storeStats()
+		fmt.Fprintf(w, "# HELP twca_cache_requests_total Analysis cache lookups by outcome.\n")
+		fmt.Fprintf(w, "# TYPE twca_cache_requests_total counter\n")
+		fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"hit\"} %d\n", st.Hits)
+		fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"miss\"} %d\n", st.Misses)
+		fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"coalesced\"} %d\n", st.Coalesced)
+		fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"peer\"} %d\n", st.PeerHits)
+
+		ratio := 0.0
+		if total := st.Hits + st.Misses + st.Coalesced; total > 0 {
+			ratio = float64(st.Hits) / float64(total)
+		}
+		fmt.Fprintf(w, "# HELP twca_cache_hit_ratio Fraction of cacheable requests answered from the LRU.\n")
+		fmt.Fprintf(w, "# TYPE twca_cache_hit_ratio gauge\n")
+		fmt.Fprintf(w, "twca_cache_hit_ratio %g\n", ratio)
+
 		fmt.Fprintf(w, "# HELP twca_store_local_hits_total Artifact requests answered from this replica's LRU.\n")
 		fmt.Fprintf(w, "# TYPE twca_store_local_hits_total counter\n")
 		fmt.Fprintf(w, "twca_store_local_hits_total %d\n", st.Hits)
@@ -454,17 +407,6 @@ func (m *metrics) write(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE twca_cluster_peers gauge\n")
 		fmt.Fprintf(w, "twca_cluster_peers{state=\"up\"} %d\n", len(mb.Peers)-len(mb.Down))
 		fmt.Fprintf(w, "twca_cluster_peers{state=\"down\"} %d\n", len(mb.Down))
-	}
-
-	if m.breakerTrips != nil {
-		fmt.Fprintf(w, "# HELP twca_breaker_trips_total Budget-tripped analyses recorded by the per-system circuit breaker.\n")
-		fmt.Fprintf(w, "# TYPE twca_breaker_trips_total counter\n")
-		fmt.Fprintf(w, "twca_breaker_trips_total %d\n", m.breakerTrips())
-	}
-	if m.breakerOpen != nil {
-		fmt.Fprintf(w, "# HELP twca_breaker_open Systems whose circuit breaker is currently open.\n")
-		fmt.Fprintf(w, "# TYPE twca_breaker_open gauge\n")
-		fmt.Fprintf(w, "twca_breaker_open %d\n", m.breakerOpen())
 	}
 
 	if m.inflight != nil {

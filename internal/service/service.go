@@ -201,7 +201,6 @@ type Server struct {
 	store    *store.Store
 	gate     *parallel.Gate
 	met      *metrics
-	breaker  *breaker
 	memo     *systemMemo
 	warm     *repro.SensitivityWarmStore
 	client   *http.Client
@@ -241,7 +240,6 @@ func New(cfg Config) (*Server, error) {
 		Peers:    cfg.Peers,
 	})
 	s.relaySeq.Store(splitmix64(hashSeed(cfg.Self)))
-	s.breaker = newBreaker(breakerThreshold, breakerCooldown)
 	// The system memo shares the artifact store's bound: a replica that
 	// keeps N artifacts keeps the hashes of at most N request bodies.
 	s.memo = newSystemMemo(cfg.CacheSize)
@@ -250,8 +248,6 @@ func New(cfg Config) (*Server, error) {
 	// are byte-identical whether the store is hot or cold).
 	s.warm = repro.NewSensitivityWarmStore()
 	s.met = newMetrics(s.gate.InUse)
-	s.met.breakerOpen = s.breaker.openCount
-	s.met.breakerTrips = s.breaker.tripCount
 	s.met.storeStats = s.store.Stats
 	s.met.membership = s.store.Membership
 	s.met.warmStats = func() (hits, misses, injected int64) {

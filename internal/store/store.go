@@ -501,9 +501,7 @@ func (s *Store) addLocked(key string, val any) {
 
 // Peek returns the retained artifact for key without starting a flight
 // (it still refreshes the entry's recency) and without touching the
-// outcome counters. The service's degradation path uses it to prefer
-// an already-cached exact artifact over running a degraded analysis,
-// and its response cache rides on it.
+// outcome counters. The service's response-document cache rides on it.
 func (s *Store) Peek(key string) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

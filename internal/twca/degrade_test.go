@@ -70,18 +70,25 @@ func TestDegradedDMMDominatesExact(t *testing.T) {
 	for _, tg := range degradeTargets() {
 		_, exact := exactCurve(t, tg, degradeMaxK)
 
-		// Rung 2 (omega-sum): the breaker's SkipExact path — no
-		// combination enumeration, no ILP.
+		// Rung 2 (omega-sum): a combination cap of 1 abandons the
+		// enumeration before any ILP. A target with at most one
+		// combination (the overload-free paper example) fits under the
+		// cap and stays exact.
 		skip, err := twca.New(tg.sys, tg.sys.ChainByName(tg.chain),
-			twca.Options{Degrade: degrade.Policy{SkipExact: true}})
+			twca.Options{MaxCombinations: 1, Degrade: degrade.Policy{Allow: true}})
 		if err != nil {
-			t.Fatalf("%s: skip-exact analysis: %v", tg.name, err)
+			t.Fatalf("%s: omega-sum analysis: %v", tg.name, err)
 		}
-		if !skip.Degraded.Degraded() {
-			t.Fatalf("%s: SkipExact construction not tagged degraded: %+v", tg.name, skip.Degraded)
-		}
-		if len(skip.Combinations) != 0 || len(skip.Unschedulable) != 0 {
-			t.Fatalf("%s: SkipExact construction enumerated combinations", tg.name)
+		switch {
+		case skip.Degraded.Degraded():
+			if skip.Degraded.Budget != degrade.BudgetCombinations || skip.Degraded.Rung != degrade.RungOmegaSum {
+				t.Fatalf("%s: capped construction tagged %+v, want the combination budget on the omega-sum rung", tg.name, skip.Degraded)
+			}
+			if len(skip.Combinations) != 0 || len(skip.Unschedulable) != 0 {
+				t.Fatalf("%s: capped construction kept combinations", tg.name)
+			}
+		case len(skip.Combinations) > 1:
+			t.Fatalf("%s: %d combinations passed a cap of 1 undegraded", tg.name, len(skip.Combinations))
 		}
 		checkDominates(t, tg.name+"/omega-sum", skip, exact)
 
@@ -266,7 +273,7 @@ func TestDegradedBreakpoints(t *testing.T) {
 	faultinject.Disarm()
 	sys := casestudy.New()
 	an, err := twca.New(sys, sys.ChainByName("sigma_c"),
-		twca.Options{Degrade: degrade.Policy{SkipExact: true}})
+		twca.Options{MaxCombinations: 1, Degrade: degrade.Policy{Allow: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

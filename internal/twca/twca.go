@@ -84,9 +84,7 @@ type Options struct {
 	// diverging classification fixed point) descends to the closed-form
 	// Lemma-4 omega-sum rung — and, when even the busy-window analysis
 	// cannot complete, to the trivial all-k rung — instead of failing.
-	// SkipExact (the circuit breaker's lever) starts directly on the
-	// omega-sum rung, skipping combination enumeration and the ILP. The
-	// nested Latency.Degrade field is managed internally from this
+	// The nested Latency.Degrade field is managed internally from this
 	// policy and ignored if set by the caller.
 	Degrade degrade.Policy
 	// Policy names the scheduling policy the analysis assumes; see
@@ -108,10 +106,7 @@ func (o Options) withDefaults() Options {
 		o.Latency.Policy = o.Policy
 	}
 	o.Latency.ExcludeOverload = false
-	o.Degrade = o.Degrade.WithDefaults()
-	// The busy-window analysis degrades on its own ladder; SkipExact is
-	// about the combination/ILP stage only, so it is not forwarded.
-	o.Latency.Degrade = degrade.Policy{Allow: o.Degrade.Allow}
+	o.Latency.Degrade = o.Degrade
 	return o
 }
 
@@ -290,10 +285,6 @@ func newCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 		}
 	}
 	a.TypicalSchedulable = a.MinSlack >= 0
-	if opts.Degrade.SkipExact {
-		a.degradeConstruction(degrade.BudgetBreaker)
-		return a, nil
-	}
 	combos, ok := enumerateCombinations(info, a.overload, opts.MaxCombinations)
 	if !ok {
 		if opts.Degrade.Allow {

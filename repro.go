@@ -213,9 +213,7 @@ type (
 	// soundness rung that produced the value.
 	DegradeInfo = degrade.Info
 	// DegradePolicy is the Options.Degrade field: Allow enables descent
-	// on budget exhaustion; SkipExact starts on the omega-sum rung
-	// without attempting the exact analysis (the service's circuit
-	// breaker uses this).
+	// on budget exhaustion.
 	DegradePolicy = degrade.Policy
 )
 
