@@ -78,8 +78,9 @@ bench:
 	$(GO) run ./cmd/twca-sensitivity -chain sigma_c -bench-out BENCH_sensitivity.json >/dev/null
 
 # bench-check guards the incremental engine's edge: it reruns the
-# sensitivity benchmark and fails when the warm-start speedup measured
-# on this machine fell below half the one committed in
+# sensitivity benchmark and fails when the speedup of a hot-store repeat
+# (every probe an exact-coordinate hit in the warm store) over a cold
+# run, measured on this machine, fell below half the one committed in
 # BENCH_sensitivity.json. Speedups (not wall-clock times) are compared,
 # so the gate is host-independent. CI runs this in the bench-smoke job.
 bench-check:

@@ -121,7 +121,7 @@ func TestAllocCeilings(t *testing.T) {
 		// allocates 12; before the template split it allocated 21.
 		{"ILPSolve", 50, 1, func() error {
 			solves++
-			_, err := tmpl.Solve(context.Background(), &scratch, capacities[solves%2], nil)
+			_, err := tmpl.Solve(context.Background(), &scratch, capacities[solves%2])
 			return err
 		}},
 		// A 100-assignment slice of Figure 5, seed 1: 16,457 (16,614

@@ -15,12 +15,12 @@
 //
 // -json emits the versioned schema.Sensitivity document (the same wire
 // format twca-serve speaks); -bench-out FILE additionally times a cold
-// run and a warm-started run (hot sensitivity.WarmStore) of the query
-// and writes the numbers as JSON (the make bench artifact).
-// -bench-check FILE reruns those timings and exits nonzero when the
-// warm-start speedup fell below half the committed one — the CI bench
-// smoke gate. -no-warm-start disables the incremental warm-start
-// engine; the results are byte-identical either way, only slower.
+// run and a repeat against a hot sensitivity.WarmStore, whose probes are
+// all exact-coordinate hits, and writes the numbers as JSON (the make
+// bench artifact). -bench-check FILE reruns those timings and exits
+// nonzero when the hot-store speedup fell below half the committed one
+// — the CI bench smoke gate. -no-warm-start bypasses the warm store, so
+// every probe is solved; the results are byte-identical either way.
 package main
 
 import (
@@ -69,9 +69,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the versioned JSON document (the twca-serve wire schema)")
 	par := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"probe worker pool size (results are identical for any value)")
-	benchOut := fs.String("bench-out", "", "also time cold and warm-started runs and write the JSON to this file")
-	benchCheck := fs.String("bench-check", "", "rerun the benchmark and fail if the warm-start speedup fell below half the one committed in this JSON file")
-	noWarm := fs.Bool("no-warm-start", false, "disable warm-started probes (results are byte-identical either way)")
+	benchOut := fs.String("bench-out", "", "also time a cold run and a hot-store repeat and write the JSON to this file")
+	benchCheck := fs.String("bench-check", "", "rerun the benchmark and fail if the hot-store speedup fell below half the one committed in this JSON file")
+	noWarm := fs.Bool("no-warm-start", false, "bypass the warm store: solve every probe (results are byte-identical either way)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -222,7 +222,7 @@ func atLimit(b bool) string {
 }
 
 // benchDoc is the BENCH_sensitivity.json artifact written by -bench-out:
-// cold solves everything from scratch (warm starting disabled), and
+// cold solves everything from scratch (warm store bypassed), and
 // warm_start_ms repeats the query against a hot sensitivity.WarmStore
 // (exact-coordinate reuse — the incremental engine's fast path). Both
 // produce byte-identical documents.
@@ -297,7 +297,7 @@ func runBench(ctx context.Context, sys *model.System, chain string, aopts twca.O
 
 // checkBench compares a fresh run against the committed artifact. It
 // compares speedups rather than wall-clock times, so the gate is
-// machine-independent: a regression means the warm-start path lost its
+// machine-independent: a regression means the hot-store path lost its
 // edge over the cold path on the SAME host, not that the host is slow.
 func checkBench(path string, got *benchDoc, stderr io.Writer) error {
 	data, err := os.ReadFile(path)

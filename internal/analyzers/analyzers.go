@@ -90,9 +90,10 @@ func DefaultConfig() Config {
 			"internal/schema",
 			"internal/report",
 			"internal/sensitivity",
-			// The warm-start paths: branch-and-bound with carried
-			// incumbents must explore the same tree for the same input,
-			// or warm and cold runs stop being byte-identical.
+			// Branch-and-bound node counts reach the wire through
+			// schema.Stats (ILPNodes), so the search must explore the
+			// same tree for the same input: no map order, clock or
+			// global randomness may steer it.
 			"internal/ilp",
 			// Policy demand functions feed the deterministic analyses
 			// above, and policy schedulers may randomize only through the

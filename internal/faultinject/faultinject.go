@@ -44,10 +44,10 @@ const (
 	// PointSensitivityProbe fires at every sensitivity bisection probe.
 	PointSensitivityProbe Point = "sensitivity.probe"
 	// PointSensitivityWarmStore fires at every warm-store consultation
-	// of the incremental sensitivity engine (exact-coordinate lookups
-	// and nearest-neighbor searches). An injected fault there makes the
-	// store report a miss, so the probe silently falls back to a cold
-	// solve — never a wrong-side bound.
+	// of the incremental sensitivity engine (one exact-coordinate fetch
+	// per probe batch, and each WarmStore.Nominal lookup). An injected
+	// fault there makes the store report a miss, so the probe silently
+	// falls back to a cold solve — never a wrong-side bound.
 	PointSensitivityWarmStore Point = "sensitivity.warmstore"
 	// PointServiceRelay fires at the start of every fleet relay
 	// attempt. An injected error makes the attempt fail as if the peer

@@ -67,19 +67,6 @@ type Problem struct {
 	// solution found so far with Exact=false and Bound set to the root
 	// relaxation — a sound upper bound on the true optimum.
 	MaxNodes int64
-	// IncumbentX optionally warm-starts the branch-and-bound with a
-	// known assignment — typically the optimum of a neighboring problem
-	// that shares this one's coefficient matrix (TWCA probes differ only
-	// in the capacity vector). When the assignment is feasible here, the
-	// search begins with its objective value as the incumbent lower
-	// bound, so subtrees that cannot beat it are pruned from the first
-	// node on. The returned optimum, bound and exactness are identical
-	// to a cold solve (the incumbent only prunes provably dominated
-	// subtrees); only Nodes can shrink and, on value ties, X may be the
-	// incumbent instead of the cold search's assignment. An infeasible
-	// or wrongly sized incumbent is silently ignored. The slice is only
-	// read, never modified.
-	IncumbentX []int64
 }
 
 // Solution is the result of Maximize.
@@ -181,11 +168,10 @@ type Scratch struct {
 
 // Compile validates p's shape and signs, rejects objectives that are
 // unbounded for every bound vector, and precomputes the branching order
-// and the sparse column view. The row bounds and IncumbentX of p are
-// not part of the template (Solve takes them); the row bounds are still
-// validated, so Maximize reports errors exactly as a one-shot solver
-// would. Objective and VarBounds are copied: later changes to p do not
-// reach the template.
+// and the sparse column view. The row bounds of p are not part of the
+// template (Solve takes them); they are still validated, so Maximize
+// reports errors exactly as a one-shot solver would. Objective and
+// VarBounds are copied: later changes to p do not reach the template.
 func Compile(p Problem) (*Template, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -276,18 +262,15 @@ func MaximizeCtx(ctx context.Context, p Problem) (Solution, error) {
 	for i, r := range p.Rows {
 		bounds[i] = r.Bound
 	}
-	return t.Solve(ctx, nil, bounds, p.IncumbentX)
+	return t.Solve(ctx, nil, bounds)
 }
 
 // Solve maximizes the template's objective under the row bounds, one
 // per row of the compiled problem, with the semantics of MaximizeCtx.
-// incumbent optionally warm-starts the search like Problem.IncumbentX:
-// a feasible assignment becomes the initial lower bound, an infeasible
-// or wrongly sized one is ignored, and the slice is only read. sc
-// supplies the work buffers (nil allocates fresh ones). Neither bounds
-// nor incumbent is retained; the returned Solution.X is freshly
-// allocated and owned by the caller.
-func (t *Template) Solve(ctx context.Context, sc *Scratch, bounds, incumbent []int64) (Solution, error) {
+// sc supplies the work buffers (nil allocates fresh ones). bounds is
+// not retained; the returned Solution.X is freshly allocated and owned
+// by the caller.
+func (t *Template) Solve(ctx context.Context, sc *Scratch, bounds []int64) (Solution, error) {
 	if len(bounds) != t.rows {
 		return Solution{}, fmt.Errorf("ilp: %d row bounds for %d rows", len(bounds), t.rows)
 	}
@@ -308,13 +291,6 @@ func (t *Template) Solve(ctx context.Context, sc *Scratch, bounds, incumbent []i
 	sc.rem = rem
 
 	s := solver{Template: *t, best: -1, done: ctx.Done()}
-	// Warm start: adopt a feasible incumbent as the initial lower bound.
-	// Feasibility is verified here, not trusted — the incumbent usually
-	// comes from a neighboring problem with different capacities.
-	if v, ok := t.feasible(incumbent, rem); ok {
-		s.best = v
-		s.bestX = append([]int64(nil), incumbent...)
-	}
 	s.branch(0, 0, rem, x)
 	if s.canceled {
 		if s.injected != nil {
@@ -339,38 +315,6 @@ func (t *Template) Solve(ctx context.Context, sc *Scratch, bounds, incumbent []i
 		}
 	}
 	return sol, nil
-}
-
-// feasible reports whether x is a feasible assignment under the budgets
-// rem (right shape, non-negative, within the variable bounds and the row
-// capacities) and returns its objective value. rem is used as the work
-// vector and holds its original contents again on return.
-func (t *Template) feasible(x, rem []int64) (int64, bool) {
-	if len(x) == 0 || len(x) != len(t.objective) {
-		return 0, false
-	}
-	var value int64
-	for j, v := range x {
-		if v < 0 || (t.varBounds != nil && t.varBounds[j] >= 0 && v > t.varBounds[j]) {
-			return 0, false
-		}
-		value += t.objective[j] * v
-	}
-	for j, v := range x {
-		for k, i := range t.varRows[j] {
-			rem[i] -= t.varCoeffs[j][k] * v
-		}
-	}
-	ok := true
-	for _, r := range rem {
-		ok = ok && r >= 0
-	}
-	for j, v := range x {
-		for k, i := range t.varRows[j] {
-			rem[i] += t.varCoeffs[j][k] * v
-		}
-	}
-	return value, ok
 }
 
 // solver is the state of one branch-and-bound search over a Template.

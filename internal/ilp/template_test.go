@@ -10,6 +10,30 @@ import (
 	"repro/internal/faultinject"
 )
 
+// randomKnapsack builds a random non-negative multidimensional knapsack
+// in the 0/1-coefficient shape TWCA's Theorem 3 produces.
+func randomKnapsack(rng *rand.Rand) Problem {
+	n := 2 + rng.Intn(6)
+	rows := 1 + rng.Intn(4)
+	p := Problem{Objective: make([]int64, n), Rows: make([]Row, rows)}
+	for j := range p.Objective {
+		p.Objective[j] = int64(rng.Intn(5))
+	}
+	for i := range p.Rows {
+		p.Rows[i].Coeffs = make([]int64, n)
+		for j := range p.Rows[i].Coeffs {
+			p.Rows[i].Coeffs[j] = int64(rng.Intn(2))
+		}
+		p.Rows[i].Bound = int64(rng.Intn(8))
+	}
+	// Cap every variable so zero-coefficient columns stay bounded.
+	p.VarBounds = make([]int64, n)
+	for j := range p.VarBounds {
+		p.VarBounds[j] = int64(1 + rng.Intn(6))
+	}
+	return p
+}
+
 // withBounds returns p with its row bounds replaced by bounds.
 func withBounds(p Problem, bounds []int64) Problem {
 	p.Rows = slices.Clone(p.Rows)
@@ -71,8 +95,8 @@ func nextBounds(rng *rand.Rand, cur []int64) []int64 {
 
 // TestTemplateReuseDifferential solves compiled templates again and
 // again through ONE Scratch — across bound sequences that grow, shrink
-// and hit zero, across templates of different shapes, with and without
-// a feasible incumbent, and under MaxNodes truncation — and checks
+// and hit zero, across templates of different shapes, and under
+// MaxNodes truncation — and checks
 // every solve against fresh references: BruteForce's optimum (and
 // MaximizeDP's on single-row instances), and a one-shot Maximize of the
 // same problem, which must agree field for field. Any state leaking
@@ -93,7 +117,6 @@ func TestTemplateReuseDifferential(t *testing.T) {
 			}
 		}
 		bounds := make([]int64, len(p.Rows))
-		var prevX []int64
 		for step := 0; step < 10; step++ {
 			bounds = nextBounds(rng, bounds)
 			bp := withBounds(p, bounds)
@@ -107,31 +130,22 @@ func TestTemplateReuseDifferential(t *testing.T) {
 					t.Fatalf("trial %d step %d: DP %d (%v) != brute force %d", trial, step, dp.Value, err, want.Value)
 				}
 			}
-			var inc []int64
-			switch rng.Intn(3) {
-			case 1:
-				inc = prevX // feasible after growth, often not after shrinking
-			case 2:
-				inc = want.X // the optimum itself: always feasible
-			}
 			which := rng.Intn(2)
 			ref := bp
 			ref.MaxNodes = []int64{p.MaxNodes, trunc.MaxNodes}[which]
-			ref.IncumbentX = inc
 			fresh, err := Maximize(ref)
 			if err != nil {
 				t.Fatalf("trial %d step %d: fresh solve: %v", trial, step, err)
 			}
-			got, err := tmpls[which].Solve(ctx, &sc, bounds, inc)
+			got, err := tmpls[which].Solve(ctx, &sc, bounds)
 			if err != nil {
 				t.Fatalf("trial %d step %d: reused solve: %v", trial, step, err)
 			}
 			if !sameSolution(got, fresh) {
-				t.Fatalf("trial %d step %d (bounds %v, incumbent %v, maxNodes %d): reused scratch %+v != fresh %+v",
-					trial, step, bounds, inc, ref.MaxNodes, got, fresh)
+				t.Fatalf("trial %d step %d (bounds %v, maxNodes %d): reused scratch %+v != fresh %+v",
+					trial, step, bounds, ref.MaxNodes, got, fresh)
 			}
 			checkAgainstOptimum(t, "reused", bp, got, want.Value)
-			prevX = got.X
 		}
 	}
 }
@@ -168,7 +182,7 @@ func TestTemplateLargeSingleVariable(t *testing.T) {
 		for i := range dirty {
 			dirty[i] = 7
 		}
-		if _, err := wt.Solve(ctx, &sc, dirty, nil); err != nil {
+		if _, err := wt.Solve(ctx, &sc, dirty); err != nil {
 			t.Fatal(err)
 		}
 		bp := withBounds(p, bounds)
@@ -176,7 +190,7 @@ func TestTemplateLargeSingleVariable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tmpl.Solve(ctx, &sc, bounds, nil)
+		got, err := tmpl.Solve(ctx, &sc, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +208,10 @@ func TestTemplateSolveRejectsBadBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tmpl.Solve(context.Background(), nil, []int64{1, 2}, nil); err == nil {
+	if _, err := tmpl.Solve(context.Background(), nil, []int64{1, 2}); err == nil {
 		t.Error("two bounds for one row accepted")
 	}
-	if _, err := tmpl.Solve(context.Background(), nil, []int64{-1}, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := tmpl.Solve(context.Background(), nil, []int64{-1}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("negative bound: err = %v, want ErrInfeasible", err)
 	}
 }
@@ -230,7 +244,7 @@ func TestInjectedBranchFaultOnTemplate(t *testing.T) {
 	if err := faultinject.Configure([]faultinject.Rule{{Point: faultinject.PointILPBranch, Action: faultinject.ActionBudget}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tmpl.Solve(ctx, &sc, bounds, nil)
+	got, err := tmpl.Solve(ctx, &sc, bounds)
 	if err != nil {
 		t.Fatalf("budget fault: %v", err)
 	}
@@ -242,12 +256,12 @@ func TestInjectedBranchFaultOnTemplate(t *testing.T) {
 	if err := faultinject.Configure([]faultinject.Rule{{Point: faultinject.PointILPBranch, Action: faultinject.ActionError}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tmpl.Solve(ctx, &sc, bounds, nil); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := tmpl.Solve(ctx, &sc, bounds); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("error fault: err = %v, want ErrInjected", err)
 	}
 
 	faultinject.Disarm()
-	got, err = tmpl.Solve(ctx, &sc, bounds, nil)
+	got, err = tmpl.Solve(ctx, &sc, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +302,13 @@ func TestInjectedPanicMidSearchLeavesScratchUsable(t *testing.T) {
 				t.Fatal("armed panic did not fire")
 			}
 		}()
-		_, _ = tmpl.Solve(context.Background(), &sc, []int64{1, 10_000}, nil)
+		_, _ = tmpl.Solve(context.Background(), &sc, []int64{1, 10_000})
 	}()
 	faultinject.Disarm()
 	// x1 cannot move under these bounds, so its stale value would
 	// survive into the returned assignment.
 	small := []int64{1, 0}
-	got, err := tmpl.Solve(context.Background(), &sc, small, nil)
+	got, err := tmpl.Solve(context.Background(), &sc, small)
 	if err != nil {
 		t.Fatal(err)
 	}

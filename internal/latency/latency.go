@@ -39,7 +39,7 @@ type Options struct {
 	// MaxQ bounds the K_b search of Theorem 2 (default 4096). A target
 	// whose long-run load provably exceeds 1 never finds K_b and fails
 	// at this cap or at Horizon; under Degrade.Allow such a target skips
-	// the search (see AnalyzeInfoWarmCtx), so MaxQ then costs nothing.
+	// the search (see AnalyzeInfoCtx), so MaxQ then costs nothing.
 	MaxQ int64
 	// Horizon bounds busy-window lengths; a fixed point exceeding it
 	// reports ErrDiverged (default 1<<40).
@@ -133,9 +133,8 @@ type Result struct {
 	// Exact; TrivialResult carries the Trivial tag with the budget that
 	// tripped.
 	Quality degrade.Info
-	// Iterations counts fixed-point iterations summed over all q — the
-	// effort metric a warm-started analysis (AnalyzeInfoWarmCtx)
-	// reduces. It is diagnostic only and not part of any wire schema:
+	// Iterations counts fixed-point iterations summed over all q. It
+	// is diagnostic only and not part of any wire schema:
 	// two results that differ only in Iterations are the same analysis.
 	Iterations int64
 	// Policy is the canonical name of the scheduling policy the result
@@ -308,28 +307,6 @@ func degradableBudget(err error) (string, bool) {
 // Options.Degrade.Allow, budget-exhaustion failures (divergence, MaxQ,
 // an expired deadline) return TrivialResult instead of an error; plain
 // cancellation always propagates.
-func AnalyzeInfoCtx(ctx context.Context, info *segments.Info, opts Options) (*Result, error) {
-	return AnalyzeInfoWarmCtx(ctx, info, opts, nil)
-}
-
-// AnalyzeInfoWarmCtx is AnalyzeInfoCtx with busy-window warm starts.
-// seeds[q-1], when present and finite, must be a lower bound on the
-// true least fixed point B(q) — for q beyond len(seeds) the last seed
-// is reused, which stays sound because B is monotone in q. Kleene
-// iteration for each q then starts at max(B(q−1), seed) instead of
-// B(q−1), cutting the climb to the fixed point without changing it:
-// iterating Demand from any start ≤ lfp converges to the same lfp.
-//
-// The canonical sound seed source is the BusyTimes of a completed
-// analysis of a demand-dominated neighbor — a system whose Demand
-// function is pointwise ≤ this one's at every window length (smaller
-// WCETs, less release jitter, larger inter-arrival distance), which
-// forces its fixed points at or below this system's. Seeding from a
-// system that is NOT demand-dominated is unsound: a start above the
-// least fixed point can converge to a higher fixed point. nil (or
-// empty) seeds make this exactly AnalyzeInfoCtx; every Result field
-// except the Iterations effort counter is identical either way
-// (TestWarmSeedsPreserveFixedPoints pins this).
 //
 // Under Degrade.Allow the busy-window search is preceded by the
 // long-run-load certificate of policy.Overloaded: when the target and
@@ -340,7 +317,7 @@ func AnalyzeInfoCtx(ctx context.Context, info *segments.Info, opts Options) (*Re
 // once, identical to the one the search would have ended in, instead of
 // walking up to MaxQ busy windows to learn it. Fail-hard callers keep
 // the search, whose error tells the two failures apart.
-func AnalyzeInfoWarmCtx(ctx context.Context, info *segments.Info, opts Options, seeds []curves.Time) (*Result, error) {
+func AnalyzeInfoCtx(ctx context.Context, info *segments.Info, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	pol, perr := analyzerFor(opts)
 	if perr != nil {
@@ -349,7 +326,7 @@ func AnalyzeInfoWarmCtx(ctx context.Context, info *segments.Info, opts Options, 
 	if opts.Degrade.Allow && ctx.Err() == nil && neverCloses(info, opts) {
 		return policyTrivial(info, degrade.BudgetFixedPoint, pol), nil
 	}
-	res, err := analyzeExact(ctx, info, opts, seeds)
+	res, err := analyzeExact(ctx, info, opts)
 	if err != nil && opts.Degrade.Allow {
 		if budget, ok := degradableBudget(err); ok {
 			return policyTrivial(info, budget, pol), nil
@@ -362,7 +339,7 @@ func AnalyzeInfoWarmCtx(ctx context.Context, info *segments.Info, opts Options, 
 }
 
 // policyTrivial is TrivialResult tagged with the analysis policy, the
-// ladder's Lemma-3 floor as AnalyzeInfoWarmCtx returns it.
+// ladder's Lemma-3 floor as AnalyzeInfoCtx returns it.
 func policyTrivial(info *segments.Info, budget string, pol policy.Analyzer) *Result {
 	triv := TrivialResult(info, budget)
 	triv.Policy = pol.Name()
@@ -385,7 +362,7 @@ func neverCloses(info *segments.Info, opts Options) bool {
 
 // analyzeExact is the historical fail-hard analysis: the Theorem 1/2
 // busy-window search, returning an error when any budget is exceeded.
-func analyzeExact(ctx context.Context, info *segments.Info, opts Options, seeds []curves.Time) (*Result, error) {
+func analyzeExact(ctx context.Context, info *segments.Info, opts Options) (*Result, error) {
 	b := info.B
 	res := &Result{Chain: b, WCL: -1}
 	for _, t := range b.Tasks {
@@ -400,21 +377,7 @@ func analyzeExact(ctx context.Context, info *segments.Info, opts Options, seeds 
 			return nil, fmt.Errorf("latency: %s: no busy-window end below q=%d: %w",
 				b.Name, opts.MaxQ, ErrKExceeded)
 		}
-		start := prev
-		if n := int64(len(seeds)); n > 0 {
-			// Warm start: the seed is a lower bound on B(q) by the
-			// AnalyzeInfoWarmCtx contract; the last seed covers q > n
-			// because B is monotone in q. Infinite seeds (a degraded
-			// neighbor's sentinel) are never trusted.
-			i := q - 1
-			if i >= n {
-				i = n - 1
-			}
-			if s := seeds[i]; s > start && !s.IsInf() {
-				start = s
-			}
-		}
-		bq, iters, err := busyTimeFrom(ctx, info, q, start, opts)
+		bq, iters, err := busyTimeFrom(ctx, info, q, prev, opts)
 		res.Iterations += iters
 		if err != nil {
 			return nil, err

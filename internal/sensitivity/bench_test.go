@@ -56,8 +56,8 @@ func BenchmarkSensitivitySweepColdDegrade(b *testing.B) {
 	opts.NoWarmStart = true
 	aopts := twca.Options{Degrade: degrade.Policy{Allow: true}}
 	var degraded atomic.Int64
-	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, o twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
-		a, err := twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), o, warm)
+	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, o twca.Options) (*twca.Analysis, error) {
+		a, err := twca.NewCtx(ctx, sys, sys.ChainByName(chain), o)
 		if err == nil && a.Degraded.Degraded() {
 			degraded.Add(1)
 		}
@@ -72,7 +72,7 @@ func BenchmarkSensitivitySweepColdDegrade(b *testing.B) {
 	b.ReportMetric(float64(degraded.Load())/float64(b.N), "degraded/query")
 }
 
-// BenchmarkSensitivitySweepWarm measures the warm-started sweep: the
+// BenchmarkSensitivitySweepWarm measures the hot-store sweep: the
 // shared WarmStore has already served the query once, so every probe is
 // an exact-coordinate hit that skips materializing, hashing and solving
 // the perturbed system. The results are byte-identical to the cold
@@ -94,4 +94,30 @@ func BenchmarkSensitivitySweepWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSensitivityGenSweep is a sweep over generated systems: each
+// iteration answers the queries of a fixed-seed population of 24
+// internal/gen systems (see genPopulation), each on a fresh Engine{} and
+// so a private warm store, as a cold query would. It reports the probes
+// and distinct analyses per iteration, which do not depend on the host.
+func BenchmarkSensitivityGenSweep(b *testing.B) {
+	pop := genPopulation(b, 11, 24)
+	ctx := context.Background()
+	var probes, analyses int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probes, analyses = 0, 0
+		for _, q := range pop {
+			res, err := Engine{}.Query(ctx, q.sys, q.chain, twca.Options{}, q.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			probes += res.Probes
+			analyses += res.Analyses
+		}
+	}
+	b.ReportMetric(float64(probes), "probes/op")
+	b.ReportMetric(float64(analyses), "analyses/op")
 }

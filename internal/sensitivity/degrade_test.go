@@ -24,8 +24,8 @@ import (
 func TestCanceledProbeNotCached(t *testing.T) {
 	sys := casestudy.New()
 	q := &query{
-		analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
-			return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
+		analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options) (*twca.Analysis, error) {
+			return twca.NewCtx(ctx, sys, sys.ChainByName(chain), opts)
 		},
 		sys:    sys,
 		chain:  "sigma_c",
@@ -74,13 +74,13 @@ func TestMidBisectionCancellationLeavesMemoConsistent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var analyses atomic.Int64
-	eng := Engine{Warm: NewWarmStore(), Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, aopts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	eng := Engine{Warm: NewWarmStore(), Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, aopts twca.Options) (*twca.Analysis, error) {
 		// Pull the rug after a few distinct analyses: every probe still
 		// in flight sees the canceled context mid-bisection.
 		if analyses.Add(1) == 3 {
 			cancel()
 		}
-		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), aopts, warm)
+		return twca.NewCtx(ctx, sys, sys.ChainByName(chain), aopts)
 	}}
 	if _, err := eng.Query(ctx, sys, "sigma_c", twca.Options{}, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query: err = %v, want context.Canceled", err)
@@ -150,11 +150,11 @@ func TestDegradedProbesAggregateQuality(t *testing.T) {
 	// Nominal analysis stays exact (so the feasibility gate uses the true
 	// dmm); every perturbed probe descends to the omega-sum rung under a
 	// combination cap of 1.
-	analyze := func(ctx context.Context, s *model.System, hash string, chain string, aopts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	analyze := func(ctx context.Context, s *model.System, hash string, chain string, aopts twca.Options) (*twca.Analysis, error) {
 		if hash != nomHash {
 			aopts.MaxCombinations, aopts.Degrade = 1, degrade.Policy{Allow: true}
 		}
-		return twca.NewWarmCtx(ctx, s, s.ChainByName(chain), aopts, warm)
+		return twca.NewCtx(ctx, s, s.ChainByName(chain), aopts)
 	}
 
 	exact, err := Engine{}.Query(context.Background(), sys, "sigma_c", twca.Options{}, thalesOptions())

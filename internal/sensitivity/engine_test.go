@@ -149,9 +149,9 @@ func TestQueryCancellation(t *testing.T) {
 func TestQueryCountsDistinctAnalyses(t *testing.T) {
 	sys := casestudy.New()
 	var calls atomic.Int64
-	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options) (*twca.Analysis, error) {
 		calls.Add(1)
-		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
+		return twca.NewCtx(ctx, sys, sys.ChainByName(chain), opts)
 	}}
 	opts := thalesOptions()
 	opts.Tasks = []string{"tau1c"} // keep the query small
@@ -169,9 +169,9 @@ func TestQueryCountsDistinctAnalyses(t *testing.T) {
 func TestWarmStoreSharesAcrossQueries(t *testing.T) {
 	sys := casestudy.New()
 	var calls atomic.Int64
-	eng := Engine{Warm: NewWarmStore(), Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	eng := Engine{Warm: NewWarmStore(), Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options) (*twca.Analysis, error) {
 		calls.Add(1)
-		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
+		return twca.NewCtx(ctx, sys, sys.ChainByName(chain), opts)
 	}}
 	opts := thalesOptions()
 	opts.Tasks = []string{"tau1c"}
@@ -217,7 +217,7 @@ func TestWarmStoreSharesAcrossQueries(t *testing.T) {
 func TestQueryAnalyzeErrorPropagates(t *testing.T) {
 	sys := casestudy.New()
 	boom := errors.New("boom")
-	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	eng := Engine{Analyze: func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options) (*twca.Analysis, error) {
 		return nil, boom
 	}}
 	_, err := eng.Query(context.Background(), sys, "sigma_c", twca.Options{}, thalesOptions())

@@ -21,20 +21,18 @@
 // coordinate (axis, subject, value), and a WarmStore retains completed
 // probe analyses across queries. A re-probed coordinate is answered
 // from the store without re-materializing or re-hashing the perturbed
-// system; a fresh coordinate is solved warm-started from its nearest
-// solved neighbor on the demand-dominated side of its axis
-// (twca.WarmStart seeds the busy-window fixed points and the Theorem-3
-// ILP incumbents). Each bisection evaluates a batch of speculative
-// candidate probes through internal/parallel. One read-locked pass over
-// the warm store fetches the stored outcomes of a whole batch first;
-// the batch then runs concurrently when a candidate needs solving, one
-// at a time when the store answered every candidate (a stored answer
-// is cheaper than the fan-out). The store also retains each base
-// system's nominal, so a caller holding it (WarmStore.Nominal) skips
-// decoding and, through Engine.BaseHash, re-hashing it. All of this is
-// effort-only machinery: results are byte-identical for any worker
-// count, any cache state and any store warmth (Options.NoWarmStart pins
-// the cold path for benchmarks and equivalence tests).
+// system; a fresh coordinate is solved from scratch. Each bisection
+// evaluates a batch of speculative candidate probes through
+// internal/parallel. One read-locked pass over the warm store fetches
+// the stored outcomes of a whole batch first; the batch then runs
+// concurrently when a candidate needs solving, one at a time when the
+// store answered every candidate (a stored answer is cheaper than the
+// fan-out). The store also retains each base system's nominal, so a
+// caller holding it (WarmStore.Nominal) skips decoding and, through
+// Engine.BaseHash, re-hashing it. All of this is effort-only machinery:
+// results are byte-identical for any worker count, any cache state and
+// any store warmth (Options.NoWarmStart pins the cold path for
+// benchmarks and equivalence tests).
 //
 // The driver fans independent metrics out across the internal/parallel
 // pool. Each query keeps one memo of its fresh analyses, keyed by the
@@ -83,7 +81,7 @@ var ErrInvalidOptions = errors.New("sensitivity: options")
 
 // AnalyzeFunc produces the prepared DMM analysis of one (possibly
 // perturbed) system. The engine calls it once per distinct perturbed
-// system; nil selects twca.NewWarmCtx directly. A caller may substitute
+// system; nil selects twca.NewCtx directly. A caller may substitute
 // a function that admits, counts, instruments or caches probe analyses
 // (the analysis service takes an admission slot for each solve).
 //
@@ -91,12 +89,7 @@ var ErrInvalidOptions = errors.New("sensitivity: options")
 // computed once by the engine so caching layers can key on it without
 // re-serializing the system; it is empty when the system has no JSON
 // form (and is then uncacheable by content).
-//
-// warm carries the engine's warm-start hints for this probe (nil when
-// warm starting is disabled or nothing usable is stored). The hints are
-// advisory and never change the analysis's values, so caching layers
-// may key on hash alone and pass warm through to the underlying solve.
-type AnalyzeFunc func(ctx context.Context, sys *model.System, hash string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error)
+type AnalyzeFunc func(ctx context.Context, sys *model.System, hash string, chain string, opts twca.Options) (*twca.Analysis, error)
 
 // Options tunes a sensitivity query. The zero value of every field but
 // Constraint selects the documented defaults.
@@ -125,11 +118,11 @@ type Options struct {
 	// over the speculative probe batches inside each bisection (≤ 0
 	// selects runtime.GOMAXPROCS(0)).
 	Workers int
-	// NoWarmStart disables the incremental machinery for this query: no
-	// warm store is consulted or populated, and every probe is a cold
-	// solve. Results are byte-identical either way — the option exists
-	// to measure the warm-start speedup and to pin the equivalence in
-	// tests and in the service API.
+	// NoWarmStart bypasses the warm store for this query: it is neither
+	// consulted nor populated, and every probe is solved. Results are
+	// byte-identical either way — the option exists to measure what the
+	// store saves and to pin the equivalence in tests and in the
+	// service API.
 	NoWarmStart bool
 }
 
@@ -272,14 +265,13 @@ type Result struct {
 }
 
 // Engine runs sensitivity queries. The zero value analyzes directly
-// with twca.NewWarmCtx; set Analyze to intercept probe analyses.
+// with twca.NewCtx; set Analyze to intercept probe analyses.
 type Engine struct {
 	Analyze AnalyzeFunc
-	// Warm retains probe analyses across queries for incremental
-	// warm-started sweeps. Nil gives each query a private store, so
-	// probes within the query still warm-start each other; share one
-	// store (NewWarmStore) to carry the warmth across queries, as the
-	// analysis service and cmd/twca-sensitivity do.
+	// Warm retains probe analyses across queries, so a repeated
+	// coordinate is not solved again. Nil gives each query a private
+	// store; share one store (NewWarmStore) to carry the outcomes across
+	// queries, as the analysis service and cmd/twca-sensitivity do.
 	Warm *WarmStore
 	// BaseHash optionally names the canonical hash (model.CanonicalHash)
 	// of the system passed to Query, as a caller holding Warm.Nominal's
@@ -293,8 +285,8 @@ type Engine struct {
 // sys. aopts configures the underlying DMM analyses exactly as in
 // twca.New; opts selects the metrics and search brackets. The result is
 // deterministic: byte-identical for any Workers value, any cache state
-// behind Analyze, and any warm-store state (warm starts only change the
-// work spent per probe).
+// behind Analyze, and any warm-store state (a stored outcome is the
+// outcome a solve would produce).
 //
 // The constraint must verify on the nominal system, or the query fails
 // with an error wrapping ErrInfeasibleConstraint. When the nominal
@@ -326,8 +318,8 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 	}
 	q.bp = batcher{width: batchWidth, workers: opts.Workers, take: q.take}
 	if q.analyze == nil {
-		q.analyze = func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
-			return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
+		q.analyze = func(ctx context.Context, sys *model.System, _ string, chain string, opts twca.Options) (*twca.Analysis, error) {
+			return twca.NewCtx(ctx, sys, sys.ChainByName(chain), opts)
 		}
 	}
 	if !opts.NoWarmStart {
@@ -346,9 +338,8 @@ func (e Engine) Query(ctx context.Context, sys *model.System, chain string, aopt
 
 	// Nominal feasibility first: every bisection below brackets against
 	// the nominal system holding, and the frontier job reuses this
-	// analysis. The nominal coordinate is the identity scaling — the
-	// universal warm-start fallback, demand-dominated by every probe on
-	// every axis. It is fetched like a probe batch of one.
+	// analysis. The nominal coordinate is the identity scaling. It is
+	// fetched like a probe batch of one.
 	nom := [1]candidate{{x: opts.ScaleDenom}}
 	var an *twca.Analysis
 	var err error
@@ -519,7 +510,7 @@ type query struct {
 	c       weaklyhard.Constraint
 	denom   int64
 	bp      batcher
-	warm    *scopeStore // nil when warm starting is disabled
+	warm    *scopeStore // nil under NoWarmStart
 
 	probes   atomic.Int64
 	analyses atomic.Int64
@@ -569,9 +560,8 @@ type memoEntry struct {
 // resolve returns the prepared DMM analysis of the system at coordinate
 // c, which the warm store does not hold (a stored outcome skips
 // materializing and hashing the perturbed system; see holdsAt). The
-// system is built, hashed and solved at most once per content hash,
-// warm-started from the nearest solved neighbor on the sound side of
-// c's axis. Completed outcomes are stored under c for future queries.
+// system is built, hashed and solved at most once per content hash.
+// Completed outcomes are stored under c for future queries.
 //
 // Transient failures (cancellation, injected faults) are evicted before
 // followers wake, so a probe canceled mid-flight is not replayed to
@@ -585,7 +575,7 @@ func (q *query) resolve(ctx context.Context, c coord) (*twca.Analysis, error) {
 	hash, _ := model.CanonicalHash(sys) // "" when sys has no JSON form
 	e, created := q.entry(hash)
 	if created {
-		e.an, e.err = q.analyze(ctx, sys, hash, q.chain, q.aopts, q.warm.nearest(c))
+		e.an, e.err = q.analyze(ctx, sys, hash, q.chain, q.aopts)
 		if e.err != nil && !deterministicErr(e.err) {
 			q.mu.Lock()
 			delete(q.byHash, hash)

@@ -32,7 +32,7 @@ func marshalResult(t *testing.T, res *Result) []byte {
 // TestWarmSweepByteIdentical is the central safety property of the
 // incremental engine: the exact same query answered cold (NoWarmStart),
 // against an empty warm store, and against a hot one must serialize to
-// the same bytes — warm starting moves effort, never answers. Run with
+// the same bytes — the store moves effort, never answers. Run with
 // Workers > 1 so the batched bisection and store writes race under
 // -race.
 func TestWarmSweepByteIdentical(t *testing.T) {
@@ -114,73 +114,11 @@ func TestWarmByteIdenticalAcrossChains(t *testing.T) {
 	}
 }
 
-// TestWarmStoreNearestSoundSide pins the neighbor search to the sound
-// (demand-dominated) side of each axis, with the nominal entry as the
-// universal fallback.
-func TestWarmStoreNearestSoundSide(t *testing.T) {
-	sys := casestudy.New()
-	// Distinct pointers so the test can tell which entry nearest picked.
-	mk := func() *twca.Analysis {
-		an, err := twca.New(sys, sys.ChainByName("sigma_c"), twca.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return an
-	}
-
-	s := NewWarmStore().scope("base", "sigma_c", twca.Options{}, 1000)
-	nominal := mk()
-	s.put(coord{kind: coordScale, subject: "", value: 1000}, "h-nom", nominal, nil, 1000)
-	at1020 := mk()
-	s.put(coord{kind: coordScale, subject: "", value: 1020}, "h-1020", at1020, nil, 1000)
-	j100 := mk()
-	s.put(coord{kind: coordJitter, subject: "sigma_b", value: 100}, "h-j100", j100, nil, 1000)
-	j300 := mk()
-	s.put(coord{kind: coordJitter, subject: "sigma_b", value: 300}, "h-j300", j300, nil, 1000)
-	d450 := mk()
-	s.put(coord{kind: coordDistance, subject: "sigma_b", value: 450}, "h-d450", d450, nil, 1000)
-
-	tests := []struct {
-		name string
-		c    coord
-		want *twca.Analysis
-	}{
-		// Scale and jitter seed from below (weaker perturbation).
-		{"scale below probe", coord{coordScale, "", 1010}, nominal},
-		{"scale exact neighbor", coord{coordScale, "", 1020}, at1020},
-		{"scale above all", coord{coordScale, "", 5000}, at1020},
-		{"jitter between entries", coord{coordJitter, "sigma_b", 250}, j100},
-		{"jitter below all falls back to nominal", coord{coordJitter, "sigma_b", 50}, nominal},
-		// Distance seeds from above (larger distance = weaker).
-		{"distance below entry", coord{coordDistance, "sigma_b", 400}, d450},
-		{"distance above all falls back to nominal", coord{coordDistance, "sigma_b", 500}, nominal},
-		// Unknown family: nominal is still a sound seed.
-		{"unseen family", coord{coordJitter, "sigma_a", 10}, nominal},
-	}
-	for _, tc := range tests {
-		ws := s.nearest(tc.c)
-		if ws == nil {
-			t.Errorf("%s: nearest returned nil", tc.name)
-			continue
-		}
-		if ws.From != tc.want {
-			t.Errorf("%s: nearest picked the wrong neighbor", tc.name)
-		}
-	}
-
-	// An empty scope has nothing to offer.
-	empty := NewWarmStore().scope("other", "sigma_c", twca.Options{}, 1000)
-	if ws := empty.nearest(coord{coordScale, "", 1010}); ws != nil {
-		t.Error("empty scope produced a warm hint")
-	}
-}
-
-// TestWarmStoreDegradedExcluded: degraded analyses are never offered as
-// neighbor seeds (their busy times are not fixed points of the exact
-// demand), and are kept for exact-coordinate reuse only when a later
-// query would reproduce them: a diverging busy window is kept, an
-// injected fault (or a deadline) is not, and a degraded nominal is not,
-// so a query that certified nothing can be retried.
+// TestWarmStoreDegradedExcluded: degraded analyses are kept for
+// exact-coordinate reuse only when a later query would reproduce them:
+// a diverging busy window is kept, an injected fault (or a deadline) is
+// not, and a degraded nominal is not, so a query that certified nothing
+// can be retried. Only an exact nominal becomes the scope's nominal.
 func TestWarmStoreDegradedExcluded(t *testing.T) {
 	defer faultinject.Disarm()
 	faultinject.Disarm()
@@ -230,12 +168,8 @@ func TestWarmStoreDegradedExcluded(t *testing.T) {
 	if hit[1].stored != nil {
 		t.Error("fault-injected entry served at its exact coordinate")
 	}
-	ws := s.nearest(coord{kind: coordScale, subject: "", value: 1060})
-	if ws == nil {
-		t.Fatal("nearest returned nil despite exact nominal entry")
-	}
-	if ws.From != exact {
-		t.Error("nearest offered a degraded analysis instead of the exact entry")
+	if s.nominal == nil || s.nominal.an != exact {
+		t.Error("exact nominal not retained as the scope's nominal")
 	}
 
 	nom := NewWarmStore().scope("base", "sigma_c", twca.Options{}, 1000)
@@ -245,7 +179,7 @@ func TestWarmStoreDegradedExcluded(t *testing.T) {
 	}
 }
 
-// TestWarmStoreCaps: past the growth caps new entries are dropped, not
+// TestWarmStoreCaps: past the entry cap new entries are dropped, not
 // evicted — dropping costs warm hits but can never change an answer.
 func TestWarmStoreCaps(t *testing.T) {
 	sys := casestudy.New()
@@ -254,18 +188,22 @@ func TestWarmStoreCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewWarmStore().scope("base", "sigma_c", twca.Options{}, 1000)
-	for v := int64(0); v < maxFamilyEntries+8; v++ {
+	for v := int64(0); v < maxScopeEntries+8; v++ {
 		s.put(coord{kind: coordJitter, subject: "sigma_b", value: v}, "h", an, nil, 1000)
 	}
+	first := []candidate{{x: 0}}
+	last := []candidate{{x: maxScopeEntries}}
+	if s.fetch(familyKey{kind: coordJitter, subject: "sigma_b"}, first) != 1 {
+		t.Error("an entry stored before the cap was evicted")
+	}
+	if s.fetch(familyKey{kind: coordJitter, subject: "sigma_b"}, last) != 0 {
+		t.Error("an entry past the cap was retained")
+	}
 	s.mu.Lock()
-	famLen := len(s.families[familyKey{kind: coordJitter, subject: "sigma_b"}])
 	total := len(s.byCoord)
 	s.mu.Unlock()
-	if famLen != maxFamilyEntries {
-		t.Errorf("family grew to %d entries, cap is %d", famLen, maxFamilyEntries)
-	}
-	if total != maxFamilyEntries+8 {
-		t.Errorf("byCoord holds %d entries, want %d (family cap must not drop exact hits)", total, maxFamilyEntries+8)
+	if total != maxScopeEntries {
+		t.Errorf("byCoord holds %d entries, cap is %d", total, maxScopeEntries)
 	}
 }
 
@@ -348,11 +286,11 @@ func TestStoredFailureChargedOnce(t *testing.T) {
 	if h, _ := model.CanonicalHash(ScaleWCET(sys, "tau1c", 21, 20)); h != shared {
 		t.Fatal("scales 21 and 23 of tau1c materialize different systems; test setup broken")
 	}
-	analyze := func(ctx context.Context, sys *model.System, hash string, chain string, opts twca.Options, warm *twca.WarmStart) (*twca.Analysis, error) {
+	analyze := func(ctx context.Context, sys *model.System, hash string, chain string, opts twca.Options) (*twca.Analysis, error) {
 		if hash == shared {
 			return nil, latency.ErrDiverged
 		}
-		return twca.NewWarmCtx(ctx, sys, sys.ChainByName(chain), opts, warm)
+		return twca.NewCtx(ctx, sys, sys.ChainByName(chain), opts)
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -2,7 +2,6 @@ package sensitivity
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,83 +12,56 @@ import (
 )
 
 // coordKind enumerates the perturbation axes a probe coordinate can
-// lie on. Each axis has a "sound side" for warm starting: a neighbor
-// whose perturbation is weaker than the probe's is demand-dominated by
-// it (its busy-window demand is pointwise ≤ the probe's), so its fixed
-// points and knapsack optima are valid warm-start seeds.
+// lie on.
 type coordKind uint8
 
 const (
 	// coordScale scales WCETs by value/ScaleDenom; subject names the
-	// task ("" = uniform). Demand is monotone increasing in value, so
-	// neighbors with value ≤ the probe's are sound seeds.
+	// task ("" = uniform).
 	coordScale coordKind = iota
 	// coordJitter adds value extra release jitter to the subject
-	// overload chain. Demand increases with value: neighbors with
-	// value ≤ the probe's are sound.
+	// overload chain.
 	coordJitter
 	// coordDistance sets the subject chain's base inter-arrival
-	// distance to value. Demand increases as the distance shrinks:
-	// neighbors with value ≥ the probe's are sound.
+	// distance to value.
 	coordDistance
 )
 
 // coord identifies one probe point in perturbation space. It is the
-// warm store's key: unlike a content hash it carries the geometry
-// (axis, direction) the nearest-neighbor search needs, and an exact
-// hit skips materializing and hashing the perturbed system entirely.
+// warm store's key: a hit skips materializing and hashing the perturbed
+// system entirely, which a content-hash key could not.
 type coord struct {
 	kind    coordKind
 	subject string
 	value   int64
 }
 
-// familyKey groups coordinates that differ only in value — the
-// one-dimensional slices the nearest-neighbor search runs on.
+// familyKey groups coordinates that differ only in value: the axis one
+// bisection probes, and the unit of one warm-store fetch.
 type familyKey struct {
 	kind    coordKind
 	subject string
 }
 
-// warmEntry is one completed probe outcome retained for reuse: either a
-// solved analysis or a deterministic failure verdict (diverged /
-// K-exceeded, a pure function of the coordinate — see deterministicErr).
-// The outcome is a complete memo entry, built once in put and carrying
-// the perturbed system's content hash, so a query that hits it records
-// this very pointer instead of allocating per hit; complete entries are
-// never written again.
-type warmEntry struct {
-	c   coord
-	out *memoEntry
-}
-
 // Store growth caps. The warm store retains whole analyses, so a
 // long-lived shared store (the analysis service's) must stay bounded:
-// past the entry caps new entries are simply not retained, and past the
+// past the entry cap new entries are simply not retained, and past the
 // scope cap the least recently used scopes are dropped. Either costs
 // warm hits but can never change a result.
 const (
-	maxScopes        = 64
-	maxScopeEntries  = 4096
-	maxFamilyEntries = 64
+	maxScopes       = 64
+	maxScopeEntries = 4096
 )
 
-// WarmStore retains completed probe analyses across sensitivity
-// queries, keyed by perturbation coordinate, and answers two questions
-// for the incremental engine:
-//
-//   - exact hit: this very coordinate was solved before (same base
-//     system, chain and analysis options) — reuse the artifact without
-//     materializing or hashing the perturbed system;
-//   - nearest neighbor: the closest solved coordinate on the sound
-//     (demand-dominated) side of the probe's axis, whose analysis
-//     seeds the busy-window fixed points and ILP incumbents of a
-//     fresh solve (twca.WarmStart).
-//
-// Both answers are advisory: every value the engine computes is
-// byte-identical with or without them. A WarmStore is safe for
-// concurrent use and may be shared across queries, engines and
-// goroutines; the analysis service holds one per process.
+// WarmStore retains completed probe outcomes across sensitivity
+// queries, keyed by perturbation coordinate: a coordinate solved before
+// (same base system, chain and analysis options) is answered with the
+// stored outcome, without materializing or hashing the perturbed
+// system. A stored outcome is the outcome a solve would produce, so
+// every value the engine computes is byte-identical with or without
+// the store. A WarmStore is safe for concurrent use and may be shared
+// across queries, engines and goroutines; the analysis service holds
+// one per process.
 //
 // Scopes rotate through two generations of maxScopes/2 each: a scope
 // is looked up in cur, then in old (and promoted to cur); when cur is
@@ -123,8 +95,8 @@ type WarmStats struct {
 	// sensitivity.warmstore fault-injection seam, each degraded to a
 	// silent (uncounted) miss. A probe batch's fetch is one
 	// consultation: a suppressed fetch turns every candidate of its
-	// batch into a miss and counts once, like a suppressed neighbor
-	// search or Nominal lookup.
+	// batch into a miss and counts once, like a suppressed Nominal
+	// lookup.
 	Injected int64
 }
 
@@ -143,7 +115,7 @@ func (w *WarmStore) Stats() WarmStats {
 // fresh private scope (still useful within its query, never shared).
 func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int64) *scopeStore {
 	if baseHash == "" {
-		return &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry), families: make(map[familyKey][]warmEntry)}
+		return &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry)}
 	}
 	// The key names the effective policy, so every spelling of one
 	// policy ("" and "spp", or the name set through Latency.Policy)
@@ -159,7 +131,7 @@ func (w *WarmStore) scope(baseHash, chain string, aopts twca.Options, denom int6
 	if ok {
 		delete(w.old, key)
 	} else {
-		s = &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry), families: make(map[familyKey][]warmEntry)}
+		s = &scopeStore{owner: w, byCoord: make(map[coord]*memoEntry)}
 	}
 	if len(w.cur) >= maxScopes/2 {
 		w.old, w.cur = w.cur, make(map[string]*scopeStore)
@@ -222,19 +194,22 @@ func (w *WarmStore) retains(hash string, sys *model.System) bool {
 	return s.nominal != nil && s.nominal.an.Sys == sys
 }
 
-// scopeStore holds the entries of one scope. families keeps per-axis
-// slices sorted ascending by coordinate value (insertion keeps the
-// order; no map iteration is ever needed, so the store is trivially
-// deterministic). nominal is the unperturbed system's outcome — the
-// universal fallback seed, demand-dominated by every probe on every
-// axis. takenHint is how many stored outcomes the scope's latest query
-// took, which sizes the next query's list of them up front.
+// scopeStore holds the entries of one scope. byCoord maps each stored
+// coordinate to its outcome: a solved analysis or a deterministic
+// failure verdict (diverged / K-exceeded, a pure function of the
+// coordinate — see deterministicErr). Each outcome is a complete memo
+// entry, built once in put and carrying the perturbed system's content
+// hash, so a query that hits it records this very pointer instead of
+// allocating per hit; complete entries are never written again.
+// nominal is the unperturbed system's exact analysis, also held in
+// byCoord: it is how Nominal hands a caller the decoded base system.
+// takenHint is how many stored outcomes the scope's latest query took,
+// which sizes the next query's list of them up front.
 type scopeStore struct {
 	owner *WarmStore
 
 	mu        sync.RWMutex
 	byCoord   map[coord]*memoEntry
-	families  map[familyKey][]warmEntry
 	nominal   *memoEntry
 	takenHint atomic.Int64
 }
@@ -287,53 +262,12 @@ func (s *scopeStore) fetch(fk familyKey, cands []candidate) int {
 	return found
 }
 
-// nearest returns warm-start hints from the closest solved neighbor on
-// the sound side of c's axis: the largest stored value ≤ c.value for
-// scale and jitter (demand grows with the value), the smallest stored
-// value ≥ c.value for distance (demand grows as the distance shrinks).
-// The nominal system is the fallback — it is demand-dominated by every
-// probe on every axis. Returns nil when nothing usable is stored.
-func (s *scopeStore) nearest(c coord) *twca.WarmStart {
-	if s == nil || !s.available() {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fam := s.families[familyKey{kind: c.kind, subject: c.subject}]
-	var best *memoEntry
-	switch c.kind {
-	case coordScale, coordJitter:
-		// Rightmost entry with value ≤ c.value.
-		i := sort.Search(len(fam), func(i int) bool { return fam[i].c.value > c.value })
-		if i > 0 {
-			best = fam[i-1].out
-		}
-	case coordDistance:
-		// Leftmost entry with value ≥ c.value.
-		i := sort.Search(len(fam), func(i int) bool { return fam[i].c.value >= c.value })
-		if i < len(fam) {
-			best = fam[i].out
-		}
-	}
-	if best == nil {
-		best = s.nominal
-	}
-	if best == nil {
-		return nil
-	}
-	return &twca.WarmStart{From: best.an}
-}
-
 // put retains a completed probe outcome under its coordinate: a solved
 // analysis, or (an == nil, err != nil) a deterministic failure verdict.
-// Degraded analyses and failures are kept for exact-coordinate reuse
-// but never offered as neighbor seeds (degraded busy times are the
-// Infinity sentinel, not fixed points; failures have no fixed points at
-// all). A degraded analysis is kept only when a later query would
-// reproduce it (see degrade.Info.Reproducible) and never at the
-// nominal coordinate: a degraded nominal above m makes the whole result
-// certify nothing, and the retry that result invites must solve the
-// nominal again.
+// A degraded analysis is kept only when a later query would reproduce
+// it (see degrade.Info.Reproducible) and never at the nominal
+// coordinate: a degraded nominal above m makes the whole result certify
+// nothing, and a later query must solve the nominal again.
 func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, denom int64) {
 	if s == nil || (an == nil && err == nil) {
 		return
@@ -353,20 +287,7 @@ func (s *scopeStore) put(c coord, hash string, an *twca.Analysis, err error, den
 	}
 	out := &memoEntry{hash: hash, an: an, err: err}
 	s.byCoord[c] = out
-	if degraded || an == nil {
-		return
-	}
-	fk := familyKey{kind: c.kind, subject: c.subject}
-	fam := s.families[fk]
-	if len(fam) >= maxFamilyEntries {
-		return
-	}
-	i := sort.Search(len(fam), func(i int) bool { return fam[i].c.value >= c.value })
-	fam = append(fam, warmEntry{})
-	copy(fam[i+1:], fam[i:])
-	fam[i] = warmEntry{c: c, out: out}
-	s.families[fk] = fam
-	if nominal {
+	if nominal && an != nil {
 		s.nominal = out
 	}
 }

@@ -209,7 +209,9 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 		if err != nil {
 			return s.localFailure(line, err)
 		}
-		s.accountQuality(d.stats.Degraded)
+		for budget, n := range d.stats.Degraded {
+			s.met.degraded(budget, n)
+		}
 		line.Analysis, line.Cache = &doc, state
 	case schema.CampaignKindLatency:
 		res, state, err := s.latencyResult(ictx, &item.analyzeRequest, sys, hash)

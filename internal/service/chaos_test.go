@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/casestudy"
+	"repro/internal/degrade"
 	"repro/internal/faultinject"
 )
 
@@ -26,8 +27,10 @@ import (
 //     crash);
 //   - no response ever reports a bound on the wrong side of the exact
 //     value (degraded ≥ exact, and anything tagged "exact" IS exact);
-//   - every degraded result is tagged with quality + budget, advertises
-//     Retry-After, and is counted in /metrics;
+//   - every degraded result is tagged with quality + budget and is
+//     counted in /metrics, and a response advertises Retry-After exactly
+//     when one of its degraded results has a budget a retry can escape
+//     (one degrade.Info.Reproducible rejects);
 //   - a request whose exact artifact is cached is always answered
 //     exactly, no matter how the faults interleave.
 //
@@ -111,6 +114,8 @@ func TestChaosSuite(t *testing.T) {
 		mu             sync.Mutex
 		degradedPoints int64 // client-observed degraded results
 		workerPanics   int64 // client-observed worker_panic 500s
+		retryInvited   int64 // degraded responses with Retry-After
+		retryWithheld  int64 // degraded responses without it
 		statuses       = map[int]int{}
 	)
 
@@ -138,6 +143,11 @@ func TestChaosSuite(t *testing.T) {
 			return
 		}
 		degradedHere := int64(0)
+		transient := false // a degraded result has a non-reproducible budget
+		noteBudget := func(budget any) {
+			b, _ := budget.(string)
+			transient = transient || !(degrade.Info{Budget: b}).Reproducible()
+		}
 		switch endpoint {
 		case "dmm":
 			for _, p := range doc["dmm"].([]any) {
@@ -153,6 +163,7 @@ func TestChaosSuite(t *testing.T) {
 					}
 				case "safe-upper-bound", "trivial":
 					degradedHere++
+					noteBudget(pt["budget"])
 					if known && v < exact {
 						t.Errorf("degraded dmm(%s, %d) = %d undercuts exact %d (wrong-side bound)", chain, k, v, exact)
 					}
@@ -171,6 +182,7 @@ func TestChaosSuite(t *testing.T) {
 				exact, known := truths[chain][k]
 				if q, _ := res["quality"].(string); q != "exact" {
 					degradedHere++
+					noteBudget(res["budget"])
 				} else if known && v != exact {
 					t.Errorf("verify(%s, k=%d) tagged exact = %d, truth %d", chain, k, v, exact)
 				}
@@ -184,11 +196,13 @@ func TestChaosSuite(t *testing.T) {
 		case "latency":
 			if q, _ := doc["quality"].(string); q != "exact" {
 				degradedHere++
+				noteBudget(doc["budget"])
 			}
 		case "sensitivity":
 			q, _ := doc["quality"].(string)
 			if q != "exact" {
 				degradedHere++
+				noteBudget(doc["budget"])
 			}
 			// Warm-store outages must be invisible in the answer: exact
 			// responses match the pre-fault ground truth, degraded ones
@@ -208,10 +222,16 @@ func TestChaosSuite(t *testing.T) {
 		if degradedHere > 0 {
 			mu.Lock()
 			degradedPoints += degradedHere
-			mu.Unlock()
-			if hdr.Get("Retry-After") == "" {
-				t.Errorf("%s: degraded response without Retry-After", endpoint)
+			if transient {
+				retryInvited++
+			} else {
+				retryWithheld++
 			}
+			mu.Unlock()
+		}
+		if got := hdr.Get("Retry-After") != ""; got != transient {
+			t.Errorf("%s: Retry-After present = %v, want %v (set iff a degraded result has a non-reproducible budget)",
+				endpoint, got, transient)
 		}
 	}
 
@@ -299,8 +319,12 @@ func TestChaosSuite(t *testing.T) {
 	if statuses[http.StatusOK] == 0 {
 		t.Fatal("no request succeeded — the ladder never engaged")
 	}
-	t.Logf("chaos: %d requests, statuses %v, degraded results %d, worker panics %d, fires %v",
-		requests+32+1, statuses, degradedPoints, workerPanics, faultinject.FireCounts())
+	t.Logf("chaos: %d requests, statuses %v, degraded results %d, worker panics %d, Retry-After invited/withheld %d/%d, fires %v",
+		requests+32+1, statuses, degradedPoints, workerPanics, retryInvited, retryWithheld, faultinject.FireCounts())
+	if retryInvited == 0 || retryWithheld == 0 {
+		t.Errorf("Retry-After invited on %d and withheld on %d degraded responses; the stream must exercise both",
+			retryInvited, retryWithheld)
+	}
 
 	// The server survived (it answered the whole stream); cross-check
 	// the degradation accounting against /metrics.

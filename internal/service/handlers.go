@@ -184,9 +184,9 @@ type reqSensitivity struct {
 	MaxScale     int64    `json:"max_scale,omitempty"`
 	MaxJitter    int64    `json:"max_jitter,omitempty"`
 	Tasks        []string `json:"tasks,omitempty"`
-	// NoWarmStart opts this query out of the server's shared warm store:
-	// every probe is a cold solve. The result document is byte-identical
-	// either way (warm starts change only the work spent); the option
+	// NoWarmStart bypasses the server's shared warm store for this
+	// query: every probe is solved. The result document is byte-identical
+	// either way (the store changes only the work spent); the option
 	// exists to measure the difference and to rule the store out when
 	// debugging.
 	NoWarmStart bool `json:"no_warm_start,omitempty"`
@@ -599,18 +599,22 @@ func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazy
 	return d, state, nil
 }
 
-// degradedRetryAfter is the Retry-After a degraded answer advertises: a
-// later retry may meet less budget pressure and earn an exact answer.
+// degradedRetryAfter is the Retry-After a transiently degraded answer
+// advertises: a later retry may meet less budget pressure and earn an
+// exact answer.
 const degradedRetryAfter = "30"
 
-// accountQuality counts each degraded result in /metrics, for the
-// endpoints and campaign items alike, and reports whether there was
-// any.
-func (s *Server) accountQuality(degradedBudgets map[string]int64) (degradedAtAll bool) {
-	for budget, n := range degradedBudgets {
-		s.met.degraded(budget, n)
+// noteDegraded counts n results of the response w degraded by budget in
+// /metrics, and sets Retry-After when a retry can help: when budget is
+// not reproducible (see degrade.Info.Reproducible). A reproducible
+// degradation (a diverging busy window, the combination cap) is a
+// function of the system and options, so the store keeps it and a
+// retry would get the same answer.
+func (s *Server) noteDegraded(w http.ResponseWriter, budget string, n int64) {
+	s.met.degraded(budget, n)
+	if !(degrade.Info{Budget: budget}).Reproducible() {
+		w.Header().Set("Retry-After", degradedRetryAfter)
 	}
-	return len(degradedBudgets) > 0
 }
 
 // dmmResponse is schema.Analysis plus service envelope fields. The
@@ -645,8 +649,8 @@ func (s *Server) handleDMM(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "dmm", err)
 		return
 	}
-	if s.accountQuality(doc.stats.Degraded) {
-		w.Header().Set("Retry-After", degradedRetryAfter)
+	for budget, n := range doc.stats.Degraded {
+		s.noteDegraded(w, budget, n)
 	}
 	s.met.request("dmm", http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
@@ -721,8 +725,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if q := res.Quality; q.Degraded() {
-		s.met.degraded(q.Budget, 1)
-		w.Header().Set("Retry-After", degradedRetryAfter)
+		s.noteDegraded(w, q.Budget, 1)
 	}
 	s.met.request("latency", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, latencyResponse{
@@ -810,15 +813,15 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			Quality: r.Quality.Quality.String(), Budget: r.Quality.Budget,
 		})
 	}
-	if s.accountQuality(degraded) {
-		w.Header().Set("Retry-After", degradedRetryAfter)
+	for budget, n := range degraded {
+		s.noteDegraded(w, budget, n)
 	}
 	s.met.request("verify", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // sensitivityResponse is schema.Sensitivity plus service envelope
-// fields. WarmStart tags whether the query was allowed to use the
+// fields. Warm tags whether the query was allowed to use the
 // server's shared warm store — an envelope echo of the request option,
 // NOT part of the analysis document: cache warmth stays wire-invisible
 // (the schema.Sensitivity body is byte-identical warm or cold, which
@@ -827,7 +830,7 @@ type sensitivityResponse struct {
 	schema.Sensitivity
 	SystemHash string  `json:"system_hash"`
 	Cache      string  `json:"cache"`
-	WarmStart  bool    `json:"warm_start"`
+	Warm       bool    `json:"warm_start"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
@@ -837,12 +840,12 @@ type sensitivityResponse struct {
 // solves in the process however wide a query fans out. The query itself
 // holds no slot, so its probes cannot deadlock against it, and a warm
 // repeat whose probes all hit the warm store takes none.
-func (s *Server) gatedProbe(ctx context.Context, sys *repro.System, _, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
+func (s *Server) gatedProbe(ctx context.Context, sys *repro.System, _, chain string, opts repro.Options) (*repro.Analysis, error) {
 	if err := s.gate.Acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.gate.Release()
-	return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMMWarm(ctx, warm)
+	return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMM(ctx)
 }
 
 func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
@@ -890,15 +893,14 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.addBisectionSteps(res.Probes)
 	if res.Quality.Degraded() {
-		s.met.degraded(res.Quality.Budget, 1)
-		w.Header().Set("Retry-After", degradedRetryAfter)
+		s.noteDegraded(w, res.Quality.Budget, 1)
 	}
 	s.met.request("sensitivity", http.StatusOK)
 	s.writeJSON(w, http.StatusOK, sensitivityResponse{
 		Sensitivity: schema.FromSensitivity(res),
 		SystemHash:  hash,
 		Cache:       store.OutcomeMiss,
-		WarmStart:   !req.Sensitivity.NoWarmStart,
+		Warm:        !req.Sensitivity.NoWarmStart,
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
 	})
 }

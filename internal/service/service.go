@@ -244,8 +244,8 @@ func New(cfg Config) (*Server, error) {
 	// keeps N artifacts keeps the hashes of at most N request bodies.
 	s.memo = newSystemMemo(cfg.CacheSize)
 	// One process-wide warm store: sensitivity queries across requests
-	// warm-start each other's probes (purely an optimization — responses
-	// are byte-identical whether the store is hot or cold).
+	// reuse each other's probe outcomes (purely an optimization —
+	// responses are byte-identical whether the store is hot or cold).
 	s.warm = repro.NewSensitivityWarmStore()
 	s.met = newMetrics(s.gate.InUse)
 	s.met.storeStats = s.store.Stats

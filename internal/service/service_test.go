@@ -546,8 +546,8 @@ func TestSensitivityProbeReuse(t *testing.T) {
 		t.Errorf("second query reused no probe analyses (warm hits %d -> %d)", warmBefore, warmAfter)
 	}
 
-	// Opting out of warm starts bypasses the store: no warm hit, the
-	// same analysis body.
+	// no_warm_start bypasses the store: no warm hit, the same analysis
+	// body.
 	warmBefore = svc.warm.Stats().Hits
 	cold := base
 	cold.Sensitivity = &reqSensitivity{M: 5, K: 10, Tasks: []string{"tau3c"}, NoWarmStart: true}

@@ -11,9 +11,9 @@ import (
 // CapacityVector is Theorem 3's capacity vector for k.
 func (a *Analysis) CapacityVector(k int64) []int64 { return a.boundsAt(nil, k) }
 
-// SolveCold solves k's knapsack afresh: no memo, no incumbent.
+// SolveCold solves k's knapsack afresh, without the memo.
 func (a *Analysis) SolveCold(ctx context.Context, k int64) (ilp.Solution, error) {
-	return a.tmpl.Solve(ctx, nil, a.boundsAt(nil, k), nil)
+	return a.tmpl.Solve(ctx, nil, a.boundsAt(nil, k))
 }
 
 // RowUsage is the per-row capacity an assignment of the knapsack uses.

@@ -183,17 +183,11 @@ type Analysis struct {
 	// knapsack compiled for the ILP (objective N_b per variable). Only
 	// the capacity vector varies with k, so every solve runs tmpl
 	// directly, and rows serves the per-row usage of cached optima.
-	// Both are immutable and shared with warm-started neighbors; nil
-	// when the ILP path is unreachable (see buildOrAdoptTemplate).
+	// Both are immutable after construction; nil when the ILP path is
+	// unreachable (see buildProblemTemplate).
 	rows     []ilp.Row
 	rowChain []*model.Chain // rows[i] belongs to this overload chain
 	tmpl     *ilp.Template
-
-	// warmFrom is the warm-start neighbor whose constraint template this
-	// analysis adopted (see adoptTemplate); its solved knapsacks seed the
-	// branch-and-bound incumbent of fresh solves. nil for cold analyses
-	// or when the template had to be rebuilt.
-	warmFrom *Analysis
 
 	mu      sync.RWMutex
 	cache   []dmmCacheEntry
@@ -201,8 +195,8 @@ type Analysis struct {
 	inexact bool    // cache holds a node-capped solve (see solveCached), guarded by mu
 	bounds  []int64 // scratch capacity vector, guarded by mu
 	// scratch holds the ILP work buffers of memoized solves, guarded by
-	// mu. It belongs to this Analysis alone — never to the shared tmpl —
-	// and the unlocked Options.NoCache path does not touch it.
+	// mu. It belongs to this Analysis alone — never to tmpl — and the
+	// unlocked Options.NoCache path does not touch it.
 	scratch ilp.Scratch
 }
 
@@ -231,12 +225,6 @@ func New(sys *model.System, b *model.Chain, opts Options) (*Analysis, error) {
 // constraint-template build all check ctx, and the returned error wraps
 // ctx.Err() when the context ended the analysis early.
 func NewCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options) (*Analysis, error) {
-	return newCtx(ctx, sys, b, opts, nil)
-}
-
-// newCtx is the shared construction behind NewCtx (warm == nil) and
-// NewWarmCtx. Warm hints never change any result, only the work spent.
-func newCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options, warm *WarmStart) (*Analysis, error) {
 	opts = opts.withDefaults()
 	if b.Deadline <= 0 {
 		return nil, fmt.Errorf("twca: chain %q: %w", b.Name, ErrNoDeadline)
@@ -252,7 +240,7 @@ func newCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 		return nil, fmt.Errorf("twca: chain %q: %w", b.Name, err)
 	}
 	info := pol.Structure(sys, b, opts.Flat)
-	lat, err := latency.AnalyzeInfoWarmCtx(ctx, info, opts.Latency, warm.latencySeeds(b, opts))
+	lat, err := latency.AnalyzeInfoCtx(ctx, info, opts.Latency)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +310,7 @@ func newCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 		}
 		a.Unschedulable = append(a.Unschedulable, c)
 	}
-	if err := a.buildOrAdoptTemplate(warm); err != nil {
+	if err := a.buildProblemTemplate(); err != nil {
 		return nil, fmt.Errorf("twca: chain %q: %w", b.Name, err)
 	}
 	return a, nil
@@ -363,8 +351,14 @@ func (a *Analysis) degradableBudget(err error) (string, bool) {
 // capacity row per active segment of each overload chain, with the 0/1
 // coefficient matrix answered by the combinations' bitmasks. Only the
 // row bounds (the clamped Ω capacities) change with k, so every DMM
-// solve runs the one compiled template.
+// solve runs the one compiled template. It builds nothing when DMM can
+// never reach the ILP: without unschedulable combinations, without
+// misses per window, or on a typically unschedulable system (whose U
+// also holds the empty combination, a column no row caps).
 func (a *Analysis) buildProblemTemplate() error {
+	if len(a.Unschedulable) == 0 || !a.TypicalSchedulable || a.Latency.MissesPerWindow == 0 {
+		return nil
+	}
 	objective := make([]int64, len(a.Unschedulable))
 	for j := range objective {
 		objective[j] = a.Latency.MissesPerWindow
@@ -585,7 +579,7 @@ func (a *Analysis) omegaSum(k int64) int64 {
 // fresh, without the lock; the equivalence tests pin them.
 func (a *Analysis) solveCached(ctx context.Context, k int64) (bound int64, exact bool, nodes int64, err error) {
 	if a.opts.NoCache {
-		sol, err := a.solve(ctx, nil, a.boundsAt(make([]int64, 0, len(a.rows)), k))
+		sol, err := a.tmpl.Solve(ctx, nil, a.boundsAt(make([]int64, 0, len(a.rows)), k))
 		return sol.Bound, sol.Exact, sol.Nodes, err
 	}
 	a.mu.RLock()
@@ -602,7 +596,7 @@ func (a *Analysis) solveCached(ctx context.Context, k int64) (bound int64, exact
 		a.answered(k, a.cache[i].sol.Bound)
 		return a.cache[i].sol.Bound, a.cache[i].sol.Exact, 0, nil
 	}
-	sol, err := a.solve(ctx, &a.scratch, a.bounds)
+	sol, err := a.tmpl.Solve(ctx, &a.scratch, a.bounds)
 	if err != nil {
 		return 0, false, 0, err
 	}
@@ -672,13 +666,6 @@ func fitsUnder(x, y []int64) bool {
 		}
 	}
 	return true
-}
-
-// solve runs one fresh knapsack solve under the given capacity vector
-// in sc (nil: fresh buffers), seeding the branch-and-bound with the
-// warm-start neighbor's best feasible assignment when one exists.
-func (a *Analysis) solve(ctx context.Context, sc *ilp.Scratch, bounds []int64) (ilp.Solution, error) {
-	return a.tmpl.Solve(ctx, sc, bounds, a.incumbentFor(bounds))
 }
 
 // DMMWindow bounds the number of deadline misses of the target chain

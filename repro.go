@@ -236,29 +236,18 @@ type (
 	// for perturbed systems; see AnalysisRequest.SensitivityWarm. The
 	// hash argument is the perturbed system's CanonicalHash ("" when
 	// the system has no JSON form), precomputed so caching layers can
-	// key on it directly. The final WarmStart argument carries the
-	// engine's incremental hints; pass it through to DMMWarm (or
-	// NewWarmCtx) on a cache miss — it never changes result values, so
-	// caches may ignore it for keying.
+	// key on it directly.
 	ProbeFunc = sensitivity.AnalyzeFunc
 	// SensitivityWarmStore retains completed probe analyses across
 	// sensitivity queries, keyed by perturbation coordinate. Sharing one
 	// store across queries (AnalysisRequest.SensitivityWarm) makes
 	// repeated sweeps over the same system incremental: re-probed
-	// coordinates are answered from the store, and fresh probes are
-	// warm-started from their nearest solved neighbor. Purely an
-	// optimization — results are byte-identical with or without it, and
+	// coordinates are answered from the store. Purely an optimization — results are byte-identical with or without it, and
 	// SensitivityOptions.NoWarmStart opts a query out entirely.
 	SensitivityWarmStore = sensitivity.WarmStore
 	// SensitivityWarmStats is a snapshot of a warm store's hit/miss
 	// counters.
 	SensitivityWarmStats = sensitivity.WarmStats
-	// WarmStart carries incremental warm-start hints into a DMM
-	// analysis (AnalysisRequest.DMMWarm): the completed analysis of a
-	// demand-dominated neighbor system seeds the busy-window fixed
-	// points and the Theorem-3 ILP incumbents. Hints are advisory and
-	// never change result values.
-	WarmStart = twca.WarmStart
 )
 
 // NewSensitivityWarmStore returns an empty warm store for incremental
@@ -381,20 +370,10 @@ func (r AnalysisRequest) Validate() error {
 // matches ErrCanceled (and the underlying context error) under
 // errors.Is.
 func (r AnalysisRequest) DMM(ctx context.Context) (*Analysis, error) {
-	return r.DMMWarm(ctx, nil)
-}
-
-// DMMWarm is DMM with incremental warm-start hints: warm (usually the
-// completed analysis of a demand-dominated neighbor system, as selected
-// by a SensitivityWarmStore) seeds the busy-window fixed points and the
-// ILP incumbents. Hints are advisory — unusable ones are silently
-// ignored and every returned value is identical to DMM's; only the work
-// spent shrinks. A nil warm is exactly DMM.
-func (r AnalysisRequest) DMMWarm(ctx context.Context, warm *WarmStart) (*Analysis, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	an, err := twca.NewWarmCtx(ctx, r.System, r.System.ChainByName(r.Chain), r.Options, warm)
+	an, err := twca.NewCtx(ctx, r.System, r.System.ChainByName(r.Chain), r.Options)
 	return an, mapErr(err)
 }
 
@@ -434,14 +413,13 @@ func (r AnalysisRequest) Sensitivity(ctx context.Context, sopts SensitivityOptio
 // which receives the perturbed system's CanonicalHash so a caller can
 // admit, count, instrument or cache probe analyses by content (the
 // analysis service takes an admission slot for each solve this way); a
-// nil probe analyzes directly. warm carries completed probe analyses across queries, so
-// repeated sweeps over the same system (a parameter study, the
-// service's sensitivity endpoint) skip re-solving coordinates they have
-// already probed and warm-start the rest from their nearest solved
-// neighbor. The store is purely an optimization — results are
-// byte-identical for any store state, and sopts.NoWarmStart bypasses
-// it entirely. A nil warm gives the query a private store (probes
-// still warm-start each other within the query).
+// nil probe analyzes directly. warm carries completed probe analyses
+// across queries, so repeated sweeps over the same system (a parameter
+// study, the service's sensitivity endpoint) skip re-solving
+// coordinates they have already probed. The store is purely an
+// optimization — results are byte-identical for any store state, and
+// sopts.NoWarmStart bypasses it entirely. A nil warm gives the query a
+// private store.
 func (r AnalysisRequest) SensitivityWarm(ctx context.Context, sopts SensitivityOptions, probe ProbeFunc, warm *SensitivityWarmStore) (*SensitivityResult, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err

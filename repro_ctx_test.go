@@ -55,9 +55,9 @@ func TestFacadeSentinels(t *testing.T) {
 	bad := sopts
 	bad.Tasks = []string{"no_such_task"}
 	var probes atomic.Int64
-	_, err = req.SensitivityWarm(ctx, bad, func(ctx context.Context, sys *repro.System, _, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
+	_, err = req.SensitivityWarm(ctx, bad, func(ctx context.Context, sys *repro.System, _, chain string, opts repro.Options) (*repro.Analysis, error) {
 		probes.Add(1)
-		return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMMWarm(ctx, warm)
+		return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMM(ctx)
 	}, nil)
 	if !errors.Is(err, repro.ErrInvalidOptions) {
 		t.Errorf("unknown task err = %v, want ErrInvalidOptions", err)

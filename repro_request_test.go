@@ -148,7 +148,7 @@ func TestFacadeSensitivity(t *testing.T) {
 	// The probe hook sees every analysis with a precomputed content hash.
 	// Probes run on parallel workers, hence the atomic counter.
 	var probes atomic.Int64
-	_, err = req.SensitivityWarm(ctx, sopts, func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
+	_, err = req.SensitivityWarm(ctx, sopts, func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options) (*repro.Analysis, error) {
 		probes.Add(1)
 		if len(hash) != 64 {
 			t.Errorf("probe hash = %q, want 64 hex chars", hash)
@@ -156,7 +156,7 @@ func TestFacadeSensitivity(t *testing.T) {
 		if chain != "sigma_c" {
 			t.Errorf("probe chain = %q", chain)
 		}
-		return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMMWarm(ctx, warm)
+		return repro.AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMM(ctx)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
