@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzDecodeClusterRequest -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzOmegaJSON -fuzztime 10s -run NONE ./internal/schema/
+	$(GO) test -fuzz FuzzDMMHead -fuzztime 10s -run NONE ./internal/service/
 
 serve:
 	$(GO) run ./cmd/twca-serve

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"strings"
 	"testing"
 
 	"repro"
@@ -55,5 +56,27 @@ func TestExampleDataInSync(t *testing.T) {
 	}
 	if lat.WCL != 331 {
 		t.Errorf("JSON sample analyzes to WCL %d, want 331", lat.WCL)
+	}
+}
+
+// TestDuplicateChainNameRejected: renaming σa to σb in the shipped JSON
+// sample must fail to load, naming both chains. Accepted, the two
+// overload chains would share one Ω entry in every dmm point, and
+// ChainByName would silently pick the first of them.
+func TestDuplicateChainNameRejected(t *testing.T) {
+	jsonText, err := os.ReadFile("examples/data/thales.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := strings.Replace(string(jsonText), `"name":"sigma_a"`, `"name":"sigma_b"`, 1)
+	if renamed == string(jsonText) {
+		t.Fatal("examples/data/thales.json names no chain sigma_a")
+	}
+	_, err = repro.LoadSystem(strings.NewReader(renamed))
+	if err == nil {
+		t.Fatal("a system with two chains named sigma_b loaded")
+	}
+	if want := `chain name "sigma_b" used by both chains[2] and chains[3]`; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name both chains (%s)", err, want)
 	}
 }

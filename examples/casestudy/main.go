@@ -49,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("dmm_c(%d) = %d  (Ω: σa=%d σb=%d)\n",
-			k, r.Value, r.Omega["sigma_a"], r.Omega["sigma_b"])
+			k, r.Value, an.Omega(sys.ChainByName("sigma_a"), k), an.Omega(sys.ChainByName("sigma_b"), k))
 	}
 
 	fmt.Println("\n== Weakly-hard guarantees for σc ==")

@@ -166,8 +166,8 @@ func (s *System) TaskCount() int {
 //
 //   - the system has at least one chain and every chain at least one task;
 //   - every chain has an activation model;
-//   - task names are unique system-wide, and so are priorities (the
-//     paper assumes a strict priority order);
+//   - chain names are unique, and so are task names system-wide and
+//     priorities (the paper assumes a strict priority order);
 //   - execution time bounds satisfy 0 ≤ BCET ≤ WCET and WCET > 0;
 //   - deadlines are non-negative.
 //
@@ -178,10 +178,15 @@ func (s *System) Validate() error {
 	}
 	prios := make(map[int]string)
 	names := make(map[string]string)
-	for _, c := range s.Chains {
+	chains := make(map[string]int, len(s.Chains))
+	for i, c := range s.Chains {
 		if c == nil {
 			return fmt.Errorf("model: system %q contains a nil chain", s.Name)
 		}
+		if prev, dup := chains[c.Name]; dup {
+			return fmt.Errorf("model: chain name %q used by both chains[%d] and chains[%d]", c.Name, prev, i)
+		}
+		chains[c.Name] = i
 		if c.Len() == 0 {
 			return fmt.Errorf("model: chain %q has no tasks", c.Name)
 		}

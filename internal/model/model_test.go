@@ -70,6 +70,8 @@ func TestValidateRejects(t *testing.T) {
 		{"bcet above wcet", func(s *model.System) { s.Chains[0].Tasks[0].BCET = 1000 }, "BCET"},
 		{"duplicate priority", func(s *model.System) { s.Chains[0].Tasks[0].Priority = 1 }, "priority 1"},
 		{"duplicate name", func(s *model.System) { s.Chains[0].Tasks[0].Name = "tau1c" }, "task name"},
+		{"duplicate chain name", func(s *model.System) { s.ChainByName("sigma_a").Name = "sigma_b" },
+			`chain name "sigma_b" used by both chains[2] and chains[3]`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -13,9 +13,6 @@ package schema
 
 import (
 	"context"
-	"encoding/json"
-	"slices"
-	"strconv"
 
 	"repro/internal/latency"
 	"repro/internal/model"
@@ -47,9 +44,10 @@ type DMMPoint struct {
 	// solve ("schedulable", "typical-unschedulable", ...); empty when
 	// the ILP ran.
 	Trivial string `json:"trivial,omitempty"`
-	// Omega maps overload chain names to their Ω^a_b capacity of
-	// Lemma 4. The value 9223372036854775807 (math.MaxInt64) means
-	// "unbounded" (sporadic target activation).
+	// Omega is the Ω^a_b capacity of Lemma 4 for each overload chain,
+	// on the wire an object keyed by chain name. The value
+	// 9223372036854775807 (math.MaxInt64) means "unbounded" (sporadic
+	// target activation).
 	Omega Omega `json:"omega,omitempty"`
 	// Quality names the degradation rung that produced this value:
 	// "exact", "safe-upper-bound", or "trivial". Always emitted — a
@@ -59,59 +57,6 @@ type DMMPoint struct {
 	// Budget names the exhausted budget that forced a degraded quality
 	// ("deadline", "ilp-nodes", "combinations", ...); empty when exact.
 	Budget string `json:"budget,omitempty"`
-}
-
-// Omega maps overload chain names to their Ω^a_b capacities. It
-// encodes to the bytes encoding/json's map encoder writes (keys sorted,
-// HTML-safe escaping) without reflection: every dmm point carries one,
-// so a wide sweep spent most of its encoding time in the map encoder.
-type Omega map[string]int64
-
-// MarshalJSON implements json.Marshaler. A key encoding/json would
-// escape sends the whole map through json.Marshal, which stays the
-// reference for the rare names that need it.
-func (o Omega) MarshalJSON() ([]byte, error) {
-	if o == nil {
-		return []byte("null"), nil
-	}
-	var stack [8]string
-	keys := stack[:0]
-	for k := range o {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	size := len("{}")
-	for _, k := range keys {
-		if !plainKey(k) {
-			return json.Marshal(map[string]int64(o))
-		}
-		size += len(k) + len(`"":,`) + len("-9223372036854775808")
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '"')
-		buf = append(buf, k...)
-		buf = append(buf, '"', ':')
-		buf = strconv.AppendInt(buf, o[k], 10)
-	}
-	return append(buf, '}'), nil
-}
-
-// plainKey reports whether encoding/json writes s verbatim between
-// quotes: printable ASCII other than the quote, the backslash and the
-// HTML-escaped <, > and &.
-func plainKey(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		}
-	}
-	return true
 }
 
 // Latency is the wire form of a §IV worst-case latency analysis.
@@ -282,7 +227,7 @@ type Report struct {
 // FromDMM converts one DMM evaluation.
 func FromDMM(r twca.DMMResult) DMMPoint {
 	return DMMPoint{
-		K: r.K, DMM: r.Value, Exact: r.Exact, Trivial: r.Trivial, Omega: r.Omega,
+		K: r.K, DMM: r.Value, Exact: r.Exact, Trivial: r.Trivial, Omega: Omega(r.Omega),
 		Quality: r.Quality.Quality.String(), Budget: r.Quality.Budget,
 	}
 }
@@ -358,8 +303,14 @@ func FromAnalysisStats(ctx context.Context, an *twca.Analysis, ks []int64, break
 		Budget:             an.Degraded.Budget,
 	}
 	var st Stats
+	if len(ks) > 0 {
+		out.DMM = make([]DMMPoint, 0, len(ks))
+	}
+	// Every point's Ω is carved from one slab and capped, so that an
+	// append to one cannot overwrite the next.
+	slab := make([]twca.OmegaEntry, 0, len(ks)*an.NumOmegas())
 	for _, k := range ks {
-		r, err := an.DMMCtx(ctx, k)
+		r, err := an.DMMValueCtx(ctx, k)
 		if err != nil {
 			return Analysis{}, st, err
 		}
@@ -367,13 +318,20 @@ func FromAnalysisStats(ctx context.Context, an *twca.Analysis, ks []int64, break
 		if r.Quality.Degraded() {
 			st.noteDegraded(r.Quality.Budget)
 		}
-		out.DMM = append(out.DMM, FromDMM(r))
+		p := FromDMM(r)
+		if an.NumOmegas() > 0 {
+			n := len(slab)
+			slab = an.AppendOmegas(slab, k)
+			p.Omega = slab[n:len(slab):len(slab)]
+		}
+		out.DMM = append(out.DMM, p)
 	}
 	if breakpointsMaxK > 0 {
 		bps, err := an.BreakpointsCtx(ctx, breakpointsMaxK)
 		if err != nil {
 			return Analysis{}, st, err
 		}
+		out.Breakpoints = make([]DMMPoint, 0, len(bps))
 		for _, r := range bps {
 			st.ILPNodes += r.ILPNodes
 			if r.Quality.Degraded() {

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/casestudy"
@@ -215,16 +216,37 @@ func TestGoldenCampaignLines(t *testing.T) {
 }
 
 // FuzzOmegaJSON pins the Ω encoder to encoding/json's map encoder:
-// for any keys — HTML characters, quotes, control bytes, invalid UTF-8
-// — and any values, Omega encodes to the bytes the plain map does, on
-// its own and inside an indented dmm point.
+// for any names — HTML characters, quotes, control bytes, invalid
+// UTF-8 — and any values, Omega encodes to the bytes the plain map
+// does, on its own and inside an indented dmm point, whether its pairs
+// come sorted (as AppendOmegas makes them) or not; and it decodes to
+// the sorted pairs of the map encoding/json decodes. The first name
+// doubles as raw JSON, which Omega must accept or reject as the map
+// decoder does.
 func FuzzOmegaJSON(f *testing.F) {
 	f.Add("sigma_a", "sigma_b", "", int64(3), int64(9223372036854775807))
 	f.Add("<", ">", "&", int64(-1), int64(0))
 	f.Add(`"q"`, `back\slash`, "\x7f", int64(5), int64(5))
 	f.Add("a\x00b", "\x1f", "\u2028\u2029", int64(-9223372036854775808), int64(42))
 	f.Add("\xff", "\xc3\x28", "é", int64(1), int64(-7))
+	f.Add(`{"sigma_a":3,"sigma_b":-9223372036854775808}`, "", "", int64(0), int64(0))
+	f.Add(` { "b" : 1 ,"a":2 } `, `{"a":1,"a":2}`, "", int64(0), int64(0))
+	f.Add(`{"a":01}`, `{"a":1.0}`, `{"a":1e2}`, int64(0), int64(0))
+	f.Add(`{"a":-0}`, `{"a":9223372036854775808}`, `{"<":1}`, int64(0), int64(0))
+	f.Add(`{"a":1}x`, `{"a\u0062":1}`, `null`, int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, a, b, c string, x, y int64) {
+		for _, raw := range []string{a, b, c} {
+			var m map[string]int64
+			var o schema.Omega
+			mapErr := json.Unmarshal([]byte(raw), &m)
+			err := json.Unmarshal([]byte(raw), &o)
+			if (err == nil) != (mapErr == nil) {
+				t.Fatalf("%q: Omega decode error %v, map decode error %v", raw, err, mapErr)
+			}
+			if want := omegaOf(m); err == nil && !slices.Equal(o, want) {
+				t.Fatalf("%q decodes to %q, want %q", raw, o, want)
+			}
+		}
 		for _, m := range []map[string]int64{
 			nil,
 			{},
@@ -238,14 +260,19 @@ func FuzzOmegaJSON(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// MarshalJSON itself, not only json.Marshal's compacted and
-			// HTML-escaped copy of its output.
-			got, err := schema.Omega(m).MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("Omega %q encodes to\n%s\nwant\n%s", m, got, want)
+			sorted := omegaOf(m)
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			for _, o := range []schema.Omega{sorted, reversed} {
+				// MarshalJSON itself, not only json.Marshal's compacted
+				// and HTML-escaped copy of its output.
+				got, err := o.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("Omega %q encodes to\n%s\nwant\n%s", o, got, want)
+				}
 			}
 			type mapPoint struct {
 				K     int64            `json:"k"`
@@ -255,16 +282,47 @@ func FuzzOmegaJSON(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = json.MarshalIndent(struct {
+			type omegaPoint struct {
 				K     int64        `json:"k"`
 				Omega schema.Omega `json:"omega,omitempty"`
-			}{K: x, Omega: m}, "", "  ")
+			}
+			got, err := json.MarshalIndent(omegaPoint{K: x, Omega: sorted}, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("point with Omega %q encodes to\n%s\nwant\n%s", m, got, want)
+				t.Fatalf("point with Omega %q encodes to\n%s\nwant\n%s", sorted, got, want)
+			}
+			// Decoding yields the sorted pairs of the map encoding/json
+			// decodes (invalid UTF-8 comes back replaced).
+			var back omegaPoint
+			var mapBack mapPoint
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(got, &mapBack); err != nil {
+				t.Fatal(err)
+			}
+			if want := omegaOf(mapBack.Omega); !slices.Equal(back.Omega, want) {
+				t.Fatalf("point with Omega %q decodes to %q, want %q", sorted, back.Omega, want)
 			}
 		}
 	})
+}
+
+// omegaOf returns m's pairs sorted by name; nil for a nil map.
+func omegaOf(m map[string]int64) schema.Omega {
+	if m == nil {
+		return nil
+	}
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	o := make(schema.Omega, len(names))
+	for i, name := range names {
+		o[i] = twca.OmegaEntry{Name: name, Value: m[name]}
+	}
+	return o
 }

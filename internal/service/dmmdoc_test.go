@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -78,9 +79,9 @@ func TestDMMDocSplice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		head, err := encodeDMMHead(doc, hash)
-		if err != nil {
-			t.Fatal(err)
+		head := encodeDMMHead(doc, hash)
+		if cap(head) != len(head) {
+			t.Errorf("%s: head of %d bytes retains capacity %d", c.name, len(head), cap(head))
 		}
 		for _, state := range states {
 			for _, ms := range elapsed {
@@ -104,6 +105,139 @@ func TestDMMDocSplice(t *testing.T) {
 			t.Errorf("%s: decoded head\n%s\nwant\n%s", c.name, b, a)
 		}
 	}
+}
+
+// TestColdDMMDocAllocs gates the cold-sweep document on allocations,
+// which do not depend on the host: a fresh σc analysis under the
+// service's default options, schema.FromAnalysisStats over the
+// cold-sweep's 80 log-spaced k in [2, 1.6e5], and the head encode. It
+// measures 236 on go1.24 linux/amd64, also under -race; the ceiling
+// leaves about 25% headroom. An Ω map per point, a reflected head
+// encode and two allocations per memoized solve cost 556 (608).
+func TestColdDMMDocAllocs(t *testing.T) {
+	sys := casestudy.New()
+	hash, err := model.CanonicalHash(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweep []int64
+	for i := 0; i < 80; i++ {
+		sweep = append(sweep, int64(math.Round(2*math.Pow(80_000, float64(i)/79))))
+	}
+	opts := reqOptions{}.twca()
+	allocs := testing.AllocsPerRun(3, func() {
+		an, err := twca.New(sys, sys.ChainByName("sigma_c"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, _, err := schema.FromAnalysisStats(context.Background(), an, sweep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encodeDMMHead(doc, hash)
+	})
+	const ceiling = 295
+	t.Logf("%.0f allocs (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("the cold-sweep document allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
+// FuzzDMMHead pins the head appender to encoding/json: for any chain,
+// policy, trivial, quality, budget and error strings and any Ω names
+// and values, encodeDMMHead writes the bytes json.MarshalIndent writes
+// for a mirror of dmmHead that holds Ω as a map and has no Marshaler
+// anywhere, cut at the closing "\n}", in a buffer of exactly their
+// length. The points' Ω come sorted, as FromAnalysisStats makes them.
+func FuzzDMMHead(f *testing.F) {
+	f.Add("sigma_c", "spp", "", "exact", "", "", "sigma_a", "sigma_b", int64(3), int64(9223372036854775807))
+	f.Add("chain0", "edf", "schedulable", "safe-upper-bound", "ilp-nodes", "", "irq", "irq", int64(-9223372036854775808), int64(0))
+	f.Add("<b>", "np&spp", "a\u2028b", `"q"`, `back\slash`, "boom: \x00", "\xff", "é", int64(-1), int64(42))
+	f.Add("", "", "\x7f", "", "\xc3\x28", "<script>", "", "&", int64(5), int64(5))
+	f.Fuzz(func(t *testing.T, chain, pol, trivial, quality, budget, errText, a, b string, x, y int64) {
+		type mirrorPoint struct {
+			K       int64            `json:"k"`
+			DMM     int64            `json:"dmm"`
+			Exact   bool             `json:"exact"`
+			Trivial string           `json:"trivial,omitempty"`
+			Omega   map[string]int64 `json:"omega,omitempty"`
+			Quality string           `json:"quality"`
+			Budget  string           `json:"budget,omitempty"`
+		}
+		type mirrorHead struct {
+			SchemaVersion      int           `json:"schema_version"`
+			Chain              string        `json:"chain"`
+			Policy             string        `json:"policy"`
+			Deadline           int64         `json:"deadline"`
+			WCL                int64         `json:"wcl"`
+			Schedulable        bool          `json:"schedulable"`
+			TypicalSchedulable bool          `json:"typical_schedulable"`
+			MinSlack           int64         `json:"min_slack"`
+			Combinations       int           `json:"combinations"`
+			Unschedulable      int           `json:"unschedulable_combinations"`
+			DMM                []mirrorPoint `json:"dmm,omitempty"`
+			Breakpoints        []mirrorPoint `json:"breakpoints,omitempty"`
+			Error              string        `json:"error,omitempty"`
+			Quality            string        `json:"quality"`
+			Budget             string        `json:"budget,omitempty"`
+			SystemHash         string        `json:"system_hash"`
+		}
+		omega := map[string]int64{a: x, b: y}
+		names := []string{a, b}
+		slices.Sort(names)
+		sorted := schema.Omega{{Name: names[0], Value: omega[names[0]]}}
+		if names[1] != names[0] {
+			sorted = append(sorted, twca.OmegaEntry{Name: names[1], Value: omega[names[1]]})
+		}
+		points := []struct {
+			p schema.DMMPoint
+			m mirrorPoint
+		}{
+			{schema.DMMPoint{K: x, DMM: y, Exact: x > y, Trivial: trivial, Omega: sorted, Quality: quality, Budget: budget},
+				mirrorPoint{K: x, DMM: y, Exact: x > y, Trivial: trivial, Omega: omega, Quality: quality, Budget: budget}},
+			{schema.DMMPoint{K: 1, Quality: quality},
+				mirrorPoint{K: 1, Quality: quality}},
+			{schema.DMMPoint{K: y, DMM: x, Exact: true, Omega: sorted[:1], Quality: "exact"},
+				mirrorPoint{K: y, DMM: x, Exact: true, Omega: map[string]int64{sorted[0].Name: sorted[0].Value}, Quality: "exact"}},
+		}
+		for shape := 0; shape < 4; shape++ {
+			doc := schema.Analysis{
+				SchemaVersion: schema.Version, Chain: chain, Policy: pol,
+				Deadline: x, WCL: y, Schedulable: x < y, TypicalSchedulable: x != y,
+				MinSlack: x ^ y, Combinations: int(x % 1000), Unschedulable: int(y % 1000),
+				Error: errText, Quality: quality, Budget: budget,
+			}
+			mirror := mirrorHead{
+				SchemaVersion: doc.SchemaVersion, Chain: chain, Policy: pol,
+				Deadline: x, WCL: y, Schedulable: x < y, TypicalSchedulable: x != y,
+				MinSlack: x ^ y, Combinations: doc.Combinations, Unschedulable: doc.Unschedulable,
+				Error: errText, Quality: quality, Budget: budget, SystemHash: chain + pol,
+			}
+			// Bit 0 adds dmm points, bit 1 breakpoints.
+			for i, pt := range points {
+				if shape&1 != 0 {
+					doc.DMM = append(doc.DMM, pt.p)
+					mirror.DMM = append(mirror.DMM, pt.m)
+				}
+				if shape&2 != 0 && i != 1 {
+					doc.Breakpoints = append(doc.Breakpoints, pt.p)
+					mirror.Breakpoints = append(mirror.Breakpoints, pt.m)
+				}
+			}
+			want, err := json.MarshalIndent(mirror, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = want[:len(want)-len("\n}")]
+			got := encodeDMMHead(doc, chain+pol)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("shape %d: head\n%s\nwant\n%s", shape, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("shape %d: head of %d bytes has capacity %d", shape, len(got), cap(got))
+			}
+		}
+	})
 }
 
 // TestDMMResponseBytes checks the handler's own bytes, cold and warm:

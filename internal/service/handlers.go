@@ -503,16 +503,6 @@ type dmmHead struct {
 	SystemHash string `json:"system_hash"`
 }
 
-// encodeDMMHead encodes a dmmDoc head: the indented dmmHead without
-// its closing "\n}".
-func encodeDMMHead(doc schema.Analysis, hash string) ([]byte, error) {
-	data, err := json.MarshalIndent(dmmHead{Analysis: doc, SystemHash: hash}, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return data[:len(data)-len("\n}")], nil
-}
-
 // appendDMMTail completes a dmmDoc head into the bytes writeJSON would
 // write for the whole dmmResponse. state is a store outcome, a plain
 // identifier that needs no escaping; AppendFloat's 'f' form is
@@ -585,11 +575,7 @@ func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazy
 		return dmmDoc{}, state, err
 	}
 	s.met.addILPNodes(stats.ILPNodes)
-	head, err := encodeDMMHead(doc, hash)
-	if err != nil {
-		return dmmDoc{}, state, err
-	}
-	d := dmmDoc{head: head, stats: stats}
+	d := dmmDoc{head: encodeDMMHead(doc, hash), stats: stats}
 	for budget := range stats.Degraded {
 		if !(degrade.Info{Budget: budget}).Reproducible() {
 			return d, state, nil

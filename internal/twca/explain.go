@@ -86,8 +86,7 @@ func (a *Analysis) Explain(w io.Writer, k int64) error {
 	}
 	fmt.Fprintln(w)
 	for _, c := range a.overload {
-		omega := r.Omega[c.Name]
-		fmt.Fprintf(w, "  Ω^%s = %d activations can impact the %d-sequence\n", c.Name, omega, k)
+		fmt.Fprintf(w, "  Ω^%s = %d activations can impact the %d-sequence\n", c.Name, a.Omega(c, k), k)
 	}
 	if r.Value > 0 && r.Trivial == "" {
 		fmt.Fprintf(w, "  interpretation: at most %d of any %d consecutive %s instances miss D=%d\n",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/casestudy"
@@ -158,8 +159,8 @@ func TestOmegaUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Omega["irq"] != twca.OmegaUnbounded {
-		t.Errorf("reported Ω = %d, want OmegaUnbounded", r.Omega["irq"])
+	if want := []twca.OmegaEntry{{Name: "irq", Value: twca.OmegaUnbounded}}; !slices.Equal(r.Omega, want) {
+		t.Errorf("reported Ω = %v, want %v", r.Omega, want)
 	}
 	if r.Value < 0 || r.Value > 5 {
 		t.Errorf("dmm(5) = %d, want within [0, 5]", r.Value)

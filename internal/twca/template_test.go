@@ -3,7 +3,7 @@ package twca
 import (
 	"context"
 	"errors"
-	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -102,7 +102,7 @@ func TestConcurrentDMMQueries(t *testing.T) {
 					if r.Value != w.Value || r.Exact != w.Exact || r.Quality != w.Quality || r.Trivial != w.Trivial {
 						t.Errorf("analysis %d goroutine %d: dmm(%d) = %+v, want %+v", ai, g, k, r, w)
 					}
-					if r.Omega != nil && !maps.Equal(r.Omega, w.Omega) {
+					if r.Omega != nil && !slices.Equal(r.Omega, w.Omega) {
 						t.Errorf("analysis %d: dmm(%d) Omega %v, want %v", ai, k, r.Omega, w.Omega)
 					}
 					if (r.Omega == nil) != ((i+g)%2 == 1) {

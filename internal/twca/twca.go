@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/curves"
@@ -174,8 +175,11 @@ type Analysis struct {
 
 	info     *segments.Info
 	overload []*model.Chain
-	opts     Options
-	pol      policy.Analyzer
+	// omegaOrder is overload sorted by name in byte order, the order
+	// AppendOmegas reports Ω in.
+	omegaOrder []*model.Chain
+	opts       Options
+	pol        policy.Analyzer
 
 	// rows is the Theorem-3 constraint matrix, built once: one row per
 	// active segment of each overload chain (in that order), with 0/1
@@ -244,15 +248,17 @@ func NewCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 	if err != nil {
 		return nil, err
 	}
+	overload, omegaOrder := overloadChains(sys)
 	a := &Analysis{
-		Sys:      sys,
-		Target:   b,
-		Latency:  lat,
-		info:     info,
-		overload: sys.OverloadChains(),
-		opts:     opts,
-		pol:      pol,
-		MinSlack: curves.Infinity,
+		Sys:        sys,
+		Target:     b,
+		Latency:    lat,
+		info:       info,
+		overload:   overload,
+		omegaOrder: omegaOrder,
+		opts:       opts,
+		pol:        pol,
+		MinSlack:   curves.Infinity,
 	}
 	if lat.Quality.Degraded() {
 		// The busy-window analysis already fell to its Lemma-3 floor: no
@@ -314,6 +320,28 @@ func NewCtx(ctx context.Context, sys *model.System, b *model.Chain, opts Options
 		return nil, fmt.Errorf("twca: chain %q: %w", b.Name, err)
 	}
 	return a, nil
+}
+
+// overloadChains returns the overload chains of sys twice, carved from
+// one allocation: in system order, and sorted by name in byte order, the
+// key order of encoding/json's map encoder. The sort is stable, so even
+// an unvalidated system that repeats a chain name gets one order.
+func overloadChains(sys *model.System) (inOrder, byName []*model.Chain) {
+	n := 0
+	for _, c := range sys.Chains {
+		if c.Overload {
+			n++
+		}
+	}
+	buf := make([]*model.Chain, 0, 2*n)
+	for _, c := range sys.Chains {
+		if c.Overload {
+			buf = append(buf, c)
+		}
+	}
+	byName = append(buf[n:n], buf...)
+	slices.SortStableFunc(byName, func(x, y *model.Chain) int { return strings.Compare(x.Name, y.Name) })
+	return buf[:n:n], byName
 }
 
 // degradeConstruction abandons the Theorem-3 combination analysis and
@@ -400,13 +428,50 @@ func (a *Analysis) Omega(over *model.Chain, k int64) int64 {
 	return omega
 }
 
+// OmegaEntry is Ω^a_b of one overload chain a at one k.
+type OmegaEntry struct {
+	Name  string // the overload chain's name
+	Value int64
+}
+
+// AppendOmegas appends Ω^a_b(k) of every overload chain a to dst, sorted
+// by chain name in byte order (the key order of encoding/json's map
+// encoder), and returns the extended slice. It is the one producer of
+// DMMResult.Omega; NumOmegas is how many entries it appends.
+func (a *Analysis) AppendOmegas(dst []OmegaEntry, k int64) []OmegaEntry {
+	for _, over := range a.omegaOrder {
+		dst = append(dst, OmegaEntry{Name: over.Name, Value: a.Omega(over, k)})
+	}
+	return dst
+}
+
+// NumOmegas is the number of overload chains, the entries AppendOmegas
+// appends per k.
+func (a *Analysis) NumOmegas() int { return len(a.omegaOrder) }
+
+// fillOmegas sets the Omega of every result in rs, carving all of them
+// from one slab. Each is capped, so appending to one cannot overwrite
+// the next.
+func (a *Analysis) fillOmegas(rs []DMMResult) {
+	if len(a.omegaOrder) == 0 {
+		return
+	}
+	slab := make([]OmegaEntry, 0, len(rs)*len(a.omegaOrder))
+	for i := range rs {
+		n := len(slab)
+		slab = a.AppendOmegas(slab, rs[i].K)
+		rs[i].Omega = slab[n:len(slab):len(slab)]
+	}
+}
+
 // DMMResult carries dmm_b(k) along with the quantities that produced
 // it, for reporting and debugging.
 type DMMResult struct {
 	K     int64
 	Value int64
-	// Omega maps overload chain names to their Ω^a_b capacity.
-	Omega map[string]int64
+	// Omega holds Ω^a_b(k) of each overload chain, in AppendOmegas's
+	// order; nil from DMMValueCtx, and when there is no overload chain.
+	Omega []OmegaEntry
 	// ILPNodes is the number of branch-and-bound nodes explored (0 when
 	// the ILP was skipped because the answer was trivial, or when a
 	// memoized solution answered the query).
@@ -447,24 +512,17 @@ func (a *Analysis) DMMCtx(ctx context.Context, k int64) (DMMResult, error) {
 	if err != nil {
 		return DMMResult{}, err
 	}
-	res.Omega = a.omegas(k)
+	if len(a.omegaOrder) > 0 {
+		res.Omega = a.AppendOmegas(make([]OmegaEntry, 0, len(a.omegaOrder)), k)
+	}
 	return res, nil
 }
 
-// omegas returns Ω^a_b(k) keyed by overload chain name.
-func (a *Analysis) omegas(k int64) map[string]int64 {
-	m := make(map[string]int64, len(a.overload))
-	for _, over := range a.overload {
-		m[over.Name] = a.Omega(over, k)
-	}
-	return m
-}
-
-// DMMValueCtx is DMMCtx without the Omega map: the same K, Value,
+// DMMValueCtx is DMMCtx without Omega: the same K, Value,
 // ILPNodes, Exact, Trivial and Quality, for callers that only compare
 // the value against a bound m (weakly-hard verification, sensitivity
 // probes). A memoized query allocates nothing. It is the one dmm(k)
-// core: DMMCtx and Breakpoints add the Omega map to what it returns.
+// core: DMMCtx, Curve and Breakpoints add Omega to what it returns.
 func (a *Analysis) DMMValueCtx(ctx context.Context, k int64) (DMMResult, error) {
 	if k <= 0 {
 		return DMMResult{}, fmt.Errorf("twca: dmm(%d): k must be positive", k)
@@ -600,14 +658,18 @@ func (a *Analysis) solveCached(ctx context.Context, k int64) (bound int64, exact
 	if err != nil {
 		return 0, false, 0, err
 	}
-	usage := make([]int64, len(a.rows))
+	// One allocation per entry: usage is capped so that no append can
+	// reach the copy of a.bounds, the reused scratch vector, behind it.
+	n := len(a.rows)
+	buf := make([]int64, 2*n)
+	usage, bounds := buf[:n:n], buf[n:]
+	copy(bounds, a.bounds)
 	for i, r := range a.rows {
 		for j, x := range sol.X {
 			usage[i] += r.Coeffs[j] * x
 		}
 	}
-	// a.bounds is the reused scratch vector: the entry keeps a copy.
-	a.cache = append(a.cache, dmmCacheEntry{bounds: slices.Clone(a.bounds), sol: sol, usage: usage})
+	a.cache = append(a.cache, dmmCacheEntry{bounds: bounds, sol: sol, usage: usage})
 	a.inexact = a.inexact || !sol.Exact
 	a.answered(k, sol.Bound)
 	return sol.Bound, sol.Exact, sol.Nodes, nil
@@ -678,7 +740,7 @@ func fitsUnder(x, y []int64) bool {
 func (a *Analysis) DMMWindow(dt curves.Time) (DMMResult, error) {
 	k := a.Target.Activation.EtaPlus(dt)
 	if k <= 0 {
-		return DMMResult{K: 0, Omega: map[string]int64{}, Exact: true, Trivial: "no-activations", Quality: degrade.ExactInfo()}, nil
+		return DMMResult{K: 0, Exact: true, Trivial: "no-activations", Quality: degrade.ExactInfo()}, nil
 	}
 	return a.DMM(k)
 }
@@ -692,12 +754,13 @@ func (a *Analysis) Curve(ks []int64) ([]DMMResult, error) {
 func (a *Analysis) CurveCtx(ctx context.Context, ks []int64) ([]DMMResult, error) {
 	out := make([]DMMResult, 0, len(ks))
 	for _, k := range ks {
-		r, err := a.DMMCtx(ctx, k)
+		r, err := a.DMMValueCtx(ctx, k)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
 	}
+	a.fillOmegas(out)
 	return out, nil
 }
 
@@ -741,10 +804,10 @@ func (a *Analysis) BreakpointsCtx(ctx context.Context, maxK int64) ([]DMMResult,
 		if r.Value == last {
 			continue
 		}
-		r.Omega = a.omegas(k)
 		out = append(out, r)
 		last = r.Value
 	}
+	a.fillOmegas(out)
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package twca_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/casestudy"
@@ -62,8 +63,9 @@ func TestTableII(t *testing.T) {
 	if r.Value != 3 {
 		t.Errorf("dmm_c(3) = %d, want 3", r.Value)
 	}
-	if r.Omega["sigma_a"] != 3 || r.Omega["sigma_b"] != 3 {
-		t.Errorf("Ω = %v, want σa:3 σb:3", r.Omega)
+	// Sorted by name, although the system lists σb before σa.
+	if want := []twca.OmegaEntry{{Name: "sigma_a", Value: 3}, {Name: "sigma_b", Value: 3}}; !slices.Equal(r.Omega, want) {
+		t.Errorf("Ω = %v, want %v", r.Omega, want)
 	}
 	if r.Trivial != "" {
 		t.Errorf("expected the ILP to run, got trivial result %q", r.Trivial)
@@ -106,6 +108,39 @@ func TestBreakpoints(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("breakpoints = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestOmegaSlab: Curve and Breakpoints carve every result's Ω from one
+// slab. Each must equal what DMM reports for its k, and appending to one
+// must leave the next untouched.
+func TestOmegaSlab(t *testing.T) {
+	a := analyzeC(t)
+	curve, err := a.Curve([]int64{1, 3, 10, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bps, err := a.Breakpoints(260)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range [][]twca.DMMResult{curve, bps} {
+		for i, r := range rs {
+			want, err := a.DMM(r.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(r.Omega, want.Omega) || len(r.Omega) != 2 {
+				t.Errorf("k=%d: Ω %v, DMM reports %v", r.K, r.Omega, want.Omega)
+			}
+			if i+1 < len(rs) {
+				next := slices.Clone(rs[i+1].Omega)
+				_ = append(r.Omega, twca.OmegaEntry{Name: "appended"})
+				if !slices.Equal(rs[i+1].Omega, next) {
+					t.Errorf("k=%d: appending to its Ω changed the next result's to %v", r.K, rs[i+1].Omega)
+				}
+			}
 		}
 	}
 }
