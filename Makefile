@@ -145,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzOptionsValidate -fuzztime 10s -run NONE .
 	$(GO) test -fuzz FuzzLatencyOptionsValidate -fuzztime 10s -run NONE .
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s -run NONE ./internal/service/
+	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzDecodeClusterRequest -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzOmegaJSON -fuzztime 10s -run NONE ./internal/schema/
 	$(GO) test -fuzz FuzzDMMHead -fuzztime 10s -run NONE ./internal/service/

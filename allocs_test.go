@@ -166,6 +166,13 @@ func TestAllocCeilings(t *testing.T) {
 			var sys repro.System
 			return json.Unmarshal(thalesJSON, &sys)
 		}},
+		// The service's decode of a system the envelope decoder has
+		// already checked: (*System).UnmarshalJSON without
+		// json.Unmarshal's outer scan, 70 (DecodeThales' path costs 76).
+		{"UnmarshalThales", 20, 88, func() error {
+			var sys repro.System
+			return sys.UnmarshalJSON(thalesJSON)
+		}},
 		// BenchmarkSimMapped's run: 6,244. A mapped run that allocated
 		// its running set on every step cost 13,392.
 		{"SimMapped", 3, 8000, func() error {

@@ -109,8 +109,10 @@ func Load(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// UnmarshalJSON checks data itself; json.Unmarshal would scan it
+	// once more first.
 	var s System
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := s.UnmarshalJSON(data); err != nil {
 		return nil, err
 	}
 	return &s, nil

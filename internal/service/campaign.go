@@ -45,7 +45,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req campaignRequest
-	if err := decodeStrict(body, &req); err != nil {
+	if err := decodeCampaign(body, &req); err != nil {
 		s.fail(w, "campaign", err)
 		return
 	}
@@ -85,6 +85,8 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	type indexed struct {
 		i    int
 		line schema.CampaignLine
+		// raw, when set, is the line already encoded.
+		raw []byte
 	}
 	results := make(chan indexed, 2*workers)
 	go func() {
@@ -93,9 +95,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		// campaign_partial line via the store/parallel recovery, so the
 		// error return here is always nil.
 		parallel.ForEach(workers, len(req.Items), func(i int) error {
-			line := s.campaignLine(ctx, req.Items[i], i, req.Defaults)
+			line, raw := s.campaignLine(ctx, req.Items[i], i, req.Defaults)
 			select {
-			case results <- indexed{i, line}:
+			case results <- indexed{i, line, raw}:
 			case <-ctx.Done():
 			}
 			return nil
@@ -104,11 +106,11 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 
 	enc := json.NewEncoder(w) // compact marshal; Encode terminates each line with \n
 	next, failed := 0, 0
-	pending := make(map[int]schema.CampaignLine, workers)
+	pending := make(map[int]indexed, workers)
 	for res := range results {
-		pending[res.i] = res.line
+		pending[res.i] = res
 		for {
-			line, ok := pending[next]
+			res, ok := pending[next]
 			if !ok {
 				break
 			}
@@ -117,12 +119,16 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			if ctx.Err() != nil {
 				continue // client gone: drain the pool without writing
 			}
-			ok = line.Kind != schema.CampaignKindPartial
+			ok = res.line.Kind != schema.CampaignKindPartial
 			if !ok {
 				failed++
 			}
 			s.met.campaignItem(ok)
-			enc.Encode(line)
+			if res.raw != nil {
+				w.Write(res.raw)
+			} else {
+				enc.Encode(res.line)
+			}
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -146,16 +152,17 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // campaignLine evaluates one item to its stream line: validated,
 // routed to the owning replica when the fleet is sharded (with local
 // fallback if the owner is unreachable), computed through the shared
-// document helpers otherwise.
-func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, defaults *reqOptions) schema.CampaignLine {
-	line := schema.CampaignLine{SchemaVersion: schema.Version, Index: i, ID: item.ID}
+// document helpers otherwise. A dmm line computed here comes back
+// encoded as well (raw), spliced from the retained document head.
+func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, defaults *reqOptions) (line schema.CampaignLine, raw []byte) {
+	line = schema.CampaignLine{SchemaVersion: schema.Version, Index: i, ID: item.ID}
 	kind := item.Kind
 	if kind == "" {
 		kind = schema.CampaignKindDMM
 	}
 	if kind != schema.CampaignKindDMM && kind != schema.CampaignKindLatency {
 		return partialLine(line, fmt.Sprintf("unknown item kind %q (want %q or %q)",
-			item.Kind, schema.CampaignKindDMM, schema.CampaignKindLatency), "invalid_options")
+			item.Kind, schema.CampaignKindDMM, schema.CampaignKindLatency), "invalid_options"), nil
 	}
 	line.Kind = kind
 	if defaults != nil && item.Options == (reqOptions{}) {
@@ -163,7 +170,7 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 	}
 	hash, sys, err := s.system(&item.analyzeRequest)
 	if err != nil {
-		return partialLine(line, err.Error(), "bad_request")
+		return partialLine(line, err.Error(), "bad_request"), nil
 	}
 	line.SystemHash = hash
 	ictx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -176,19 +183,19 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 				doc, state, err := s.relayItemDMM(ictx, cands, &item.analyzeRequest)
 				if err == nil {
 					line.Analysis, line.Cache = &doc, state
-					return line
+					return line, nil
 				}
 				if line, ok := remoteOutcome(line, err); ok {
-					return line
+					return line, nil
 				}
 			case schema.CampaignKindLatency:
 				doc, state, err := s.relayItemLatency(ictx, cands, &item.analyzeRequest)
 				if err == nil {
 					line.Latency, line.Cache = &doc, state
-					return line
+					return line, nil
 				}
 				if line, ok := remoteOutcome(line, err); ok {
-					return line
+					return line, nil
 				}
 			}
 			// Every candidate arc exhausted (or the owner is shedding
@@ -203,20 +210,17 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 	case schema.CampaignKindDMM:
 		d, state, err := s.dmmDocument(ictx, &item.analyzeRequest, sys, hash)
 		if err != nil {
-			return s.localFailure(line, err)
-		}
-		doc, err := decodeDMMHead(d.head)
-		if err != nil {
-			return s.localFailure(line, err)
+			return s.localFailure(line, err), nil
 		}
 		for budget, n := range d.stats.Degraded {
 			s.met.degraded(budget, n)
 		}
-		line.Analysis, line.Cache = &doc, state
+		line.Cache = state
+		return line, appendDMMLine(make([]byte, 0, len(d.head)+256+len(line.ID)), &line, d.head)
 	case schema.CampaignKindLatency:
 		res, state, err := s.latencyResult(ictx, &item.analyzeRequest, sys, hash)
 		if err != nil {
-			return s.localFailure(line, err)
+			return s.localFailure(line, err), nil
 		}
 		if q := res.Quality; q.Degraded() {
 			s.met.degraded(q.Budget, 1)
@@ -224,7 +228,7 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 		doc := schema.FromLatency(res)
 		line.Latency, line.Cache = &doc, state
 	}
-	return line
+	return line, nil
 }
 
 // partialLine converts line into a campaign_partial error line.

@@ -341,3 +341,67 @@ func TestDrainCancelsInflight(t *testing.T) {
 		t.Error("canceled in-flight response has no Retry-After")
 	}
 }
+
+// TestPointSolvesHoldAdmissionSlot: the dmm(k) solves of a dmm sweep or
+// a verify on a cached artifact hold an admission slot, so -inflight
+// bounds them. With MaxInflight 1 and a 400 ms delay at the ILP seam,
+// twca_analyses_inflight reads 1, and never more, while two dmm requests
+// for new points on a cached σc artifact solve (it read 0 when those
+// solves ran outside the gate); a verify on the same artifact then
+// answers.
+func TestPointSolvesHoldAdmissionSlot(t *testing.T) {
+	defer faultinject.Disarm()
+	faultinject.Disarm()
+	thales := thalesJSON(t)
+	_, ts := newTestServer(t, Config{MaxInflight: 1})
+	if status, doc := post(t, ts.URL+"/v1/analyze/dmm", analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{1}}); status != http.StatusOK {
+		t.Fatalf("warming query = %d: %v", status, doc["error"])
+	}
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointILPBranch, Action: faultinject.ActionDelay, Delay: 400 * time.Millisecond, Times: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 2)
+	for _, k := range []int64{160000, 150000} {
+		go func() {
+			body, err := json.Marshal(analyzeRequest{System: thales, Chain: "sigma_c", K: []int64{k}})
+			if err != nil {
+				done <- 0
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/analyze/dmm", "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- 0
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+	}
+	const series = "twca_analyses_inflight"
+	seen := 0.0
+	for finished := 0; finished < 2; {
+		select {
+		case status := <-done:
+			if status != http.StatusOK {
+				t.Errorf("point query = %d, want 200", status)
+			}
+			finished++
+		case <-time.After(20 * time.Millisecond):
+			v := scrapeMetrics(t, ts.URL, series)[series]
+			if v > 1 {
+				t.Errorf("%s = %v with MaxInflight 1", series, v)
+			}
+			seen = max(seen, v)
+		}
+	}
+	if seen != 1 {
+		t.Errorf("%s read at most %v while two point queries solved, want 1", series, seen)
+	}
+	faultinject.Disarm()
+	req := analyzeRequest{System: thales, Chain: "sigma_c", Constraints: []wireConstraint{{M: 5, K: 140000}}}
+	if status, doc := post(t, ts.URL+"/v1/verify", req); status != http.StatusOK {
+		t.Errorf("verify = %d: %v", status, doc["error"])
+	}
+}

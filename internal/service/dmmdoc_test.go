@@ -27,8 +27,8 @@ import (
 // head completed by appendDMMTail is byte-for-byte
 // MarshalIndent(dmmResponse)+"\n", what writeJSON writes for the whole
 // document, for every cache state and a range of elapsed times; and
-// decodeDMMHead gives the campaign path back the document it was
-// encoded from.
+// appendDMMLine writes the campaign line json.Encoder writes for the
+// document.
 func TestDMMDocSplice(t *testing.T) {
 	type docCase struct {
 		name  string
@@ -95,14 +95,20 @@ func TestDMMDocSplice(t *testing.T) {
 				}
 			}
 		}
-		back, err := decodeDMMHead(head)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		a, _ := json.Marshal(doc)
-		b, _ := json.Marshal(back)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: decoded head\n%s\nwant\n%s", c.name, b, a)
+		for i, id := range []string{"", "item-7", "<a&b>\u2028\"\xff"} {
+			for _, state := range states {
+				line := schema.CampaignLine{SchemaVersion: schema.Version, Index: i, ID: id,
+					Kind: schema.CampaignKindDMM, SystemHash: hash, Cache: state}
+				got := appendDMMLine(nil, &line, head)
+				line.Analysis = &doc
+				var want bytes.Buffer
+				if err := json.NewEncoder(&want).Encode(line); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("%s, id %q, cache %s: campaign line\n%s\nwant\n%s", c.name, id, state, got, want.Bytes())
+				}
+			}
 		}
 	}
 }

@@ -146,3 +146,64 @@ func (w *headWriter) points(open string, ps []schema.DMMPoint) {
 	}
 	w.raw("\n  ]")
 }
+
+// headHashField is what encodeDMMHead writes between the analysis and
+// the system hash.
+const headHashField = ",\n  \"system_hash\": "
+
+// appendDMMLine appends the NDJSON line json.Encoder writes for line, a
+// campaign item's dmm line whose analysis is the one head holds (and
+// whose every field after "analysis" is empty): the envelope, then the
+// head's analysis without its indentation, so a campaign line costs no
+// decode and no reflected encode of the document.
+func appendDMMLine(dst []byte, line *schema.CampaignLine, head []byte) []byte {
+	dst = append(dst, `{"schema_version":`...)
+	dst = strconv.AppendInt(dst, int64(line.SchemaVersion), 10)
+	dst = append(dst, `,"index":`...)
+	dst = strconv.AppendInt(dst, int64(line.Index), 10)
+	if line.ID != "" {
+		dst = append(dst, `,"id":`...)
+		dst = schema.AppendString(dst, line.ID)
+	}
+	dst = append(dst, `,"kind":`...)
+	dst = schema.AppendString(dst, line.Kind)
+	if line.SystemHash != "" {
+		dst = append(dst, `,"system_hash":`...)
+		dst = schema.AppendString(dst, line.SystemHash)
+	}
+	if line.Cache != "" {
+		dst = append(dst, `,"cache":`...)
+		dst = schema.AppendString(dst, line.Cache)
+	}
+	dst = append(dst, `,"analysis":`...)
+	var hash [80]byte
+	cut := len(head) - len(headHashField) - len(schema.AppendString(hash[:0], line.SystemHash))
+	dst = appendCompact(dst, head[:cut])
+	return append(dst, "}}\n"...)
+}
+
+// appendCompact appends src, JSON that encodeDMMHead wrote, without the
+// whitespace between its tokens.
+func appendCompact(dst, src []byte) []byte {
+	start := 0
+	for i := 0; i < len(src); {
+		switch src[i] {
+		case '"':
+			for i++; src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+			i++
+		case ' ', '\n':
+			dst = append(dst, src[start:i]...)
+			for i < len(src) && (src[i] == ' ' || src[i] == '\n') {
+				i++
+			}
+			start = i
+		default:
+			i++
+		}
+	}
+	return append(dst, src[start:]...)
+}

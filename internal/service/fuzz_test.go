@@ -2,8 +2,8 @@ package service
 
 import "testing"
 
-// FuzzDecodeRequest drives the request-ingestion path — strict JSON
-// decode, system materialization (native JSON or DSL), option
+// FuzzDecodeRequest drives the request-ingestion path — strict envelope
+// decode (decodeRequest), system materialization (native JSON or DSL), option
 // translation and validation — with adversarial bodies. The contract:
 // no input may panic; malformed bodies fail with an error, not a crash.
 // This is the same code path the HTTP handlers run before any analysis.
@@ -27,7 +27,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req analyzeRequest
-		if err := decodeStrict(data, &req); err != nil {
+		if err := decodeRequest(data, &req); err != nil {
 			return // rejected at the door, as the handlers would
 		}
 		// Decoded bodies flow on: materialization and option validation

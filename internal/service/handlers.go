@@ -216,8 +216,10 @@ func (req *analyzeRequest) decodeSystem() (*repro.System, error) {
 		}
 		return s, nil
 	}
+	// The envelope decoder has checked that System is one JSON value,
+	// so encoding/json's outer validity scan would be a second one.
 	var s repro.System
-	if err := json.Unmarshal(req.System, &s); err != nil {
+	if err := s.UnmarshalJSON(req.System); err != nil {
 		return nil, fmt.Errorf("bad system: %w", err)
 	}
 	return &s, nil
@@ -426,7 +428,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 // anything but whitespace after the value are rejected: silently
 // ignoring a typo like "max_combination" would analyze with defaults
 // and report a wrong answer as a right one, and a second document
-// after the first would be dropped unread.
+// after the first would be dropped unread. Request envelopes are read
+// by decodeRequest and decodeCampaign instead, which accept exactly
+// what decodeStrict accepts (FuzzDecodeEnvelope).
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -440,13 +444,13 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // decode reads and strictly parses the request body, returning the raw
-// bytes alongside for relaying.
+// bytes alongside for relaying; req.System is a slice of them.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *analyzeRequest) ([]byte, error) {
 	body, err := s.readBody(w, r)
 	if err != nil {
 		return nil, err
 	}
-	return body, decodeStrict(body, req)
+	return body, decodeRequest(body, req)
 }
 
 // dmmArtifact returns the prepared DMM analysis for the request's
@@ -516,13 +520,6 @@ func appendDMMTail(dst []byte, state string, elapsedMS float64) []byte {
 	return append(dst, "\n}\n"...)
 }
 
-// decodeDMMHead recovers the analysis document from a dmmDoc head.
-func decodeDMMHead(head []byte) (schema.Analysis, error) {
-	var doc dmmHead
-	err := json.Unmarshal(append(head[:len(head):len(head)], "\n}"...), &doc)
-	return doc.Analysis, err
-}
-
 // dmmKs resolves the requested dmm(k) points (default 1, 10, 100 when
 // neither points nor a breakpoint sweep were asked for).
 func (req *analyzeRequest) dmmKs() []int64 {
@@ -570,7 +567,15 @@ func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *lazy
 	if v, ok := s.store.Peek(docKey); ok {
 		return v.(dmmDoc), state, nil
 	}
-	doc, stats, err := schema.FromAnalysisStats(ctx, an, ks, req.BreakpointsMaxK)
+	// The sweep's knapsack solves take an admission slot, like the
+	// analysis did, so -inflight bounds them too.
+	if err := s.gate.Acquire(ctx); err != nil {
+		return dmmDoc{}, state, err
+	}
+	doc, stats, err := func() (schema.Analysis, schema.Stats, error) {
+		defer s.gate.Release()
+		return schema.FromAnalysisStats(ctx, an, ks, req.BreakpointsMaxK)
+	}()
 	if err != nil {
 		return dmmDoc{}, state, err
 	}
@@ -780,12 +785,31 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := verifyResponse{SchemaVersion: schema.Version, Chain: req.Chain, SystemHash: hash, Cache: state}
+	degraded, err := s.verifyAll(ctx, an, req.Constraints, &resp)
+	if err != nil {
+		s.fail(w, "verify", err)
+		return
+	}
+	for budget, n := range degraded {
+		s.noteDegraded(w, budget, n)
+	}
+	s.met.request("verify", http.StatusOK)
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// verifyAll appends the verdict on each constraint to resp.Results and
+// counts the degraded ones by budget. Its dmm(k) solves hold an
+// admission slot, so -inflight bounds them.
+func (s *Server) verifyAll(ctx context.Context, an *repro.Analysis, cs []wireConstraint, resp *verifyResponse) (map[string]int64, error) {
+	if err := s.gate.Acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer s.gate.Release()
 	var degraded map[string]int64
-	for _, c := range req.Constraints {
+	for _, c := range cs {
 		r, err := an.DMMValueCtx(ctx, c.K)
 		if err != nil {
-			s.fail(w, "verify", err)
-			return
+			return nil, err
 		}
 		s.met.addILPNodes(r.ILPNodes)
 		if r.Quality.Degraded() {
@@ -799,11 +823,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			Quality: r.Quality.Quality.String(), Budget: r.Quality.Budget,
 		})
 	}
-	for budget, n := range degraded {
-		s.noteDegraded(w, budget, n)
-	}
-	s.met.request("verify", http.StatusOK)
-	s.writeJSON(w, http.StatusOK, resp)
+	return degraded, nil
 }
 
 // sensitivityResponse is schema.Sensitivity plus service envelope

@@ -336,12 +336,13 @@ func TestCoalescingOverHTTP(t *testing.T) {
 
 // repeatQueryAllocsCeiling bounds the allocations of one warmed repeat
 // of TestRepeatQuerySpeedup's BreakpointsMaxK: 10000 read through the
-// handler. Measured at 55 on go1.24 linux/amd64 (57 under -race): a hit
-// writes the retained encoded document, whatever its size. The ceiling
-// leaves about 25% headroom for toolchain and stdlib drift.
-// Re-encoding the retained document on every hit cost 14,389; skipping
-// the document and re-sweeping the breakpoints costs 8,691.
-const repeatQueryAllocsCeiling = 70
+// handler. Measured at 37 on go1.24 linux/amd64 (39 under -race): a
+// hit writes the retained encoded document, whatever its size. The
+// ceiling leaves about 25% headroom for toolchain and stdlib drift.
+// Decoding the envelope with encoding/json cost 55 (57); re-encoding the
+// retained document on every hit cost 14,389; skipping the document and
+// re-sweeping the breakpoints costs 8,691.
+const repeatQueryAllocsCeiling = 46
 
 // TestRepeatQuerySpeedup pins what makes a repeat query fast, in
 // counters rather than a wall-clock ratio, which flaked under a loaded
@@ -469,11 +470,12 @@ func TestSensitivityEndToEnd(t *testing.T) {
 
 // sensitivityRepeatAllocsCeiling bounds the allocations of one warm
 // repeat of the full σc sensitivity query (all tasks, FrontierMaxK 20)
-// through the handler. Measured at 272 on go1.24 linux/amd64, and 283
-// under -race; the ceiling leaves about 25% (20% under -race) headroom
-// for toolchain and stdlib drift. A no_warm_start repeat, which solves
-// every probe cold, costs about 28,400 and fails it.
-const sensitivityRepeatAllocsCeiling = 340
+// through the handler. Measured at 255 on go1.24 linux/amd64, and 261
+// under -race; the ceiling leaves about 25% headroom for toolchain and
+// stdlib drift. Decoding the envelope with encoding/json cost 272 (283
+// under -race). A no_warm_start repeat, which solves every probe cold,
+// costs about 28,400 and fails it.
+const sensitivityRepeatAllocsCeiling = 320
 
 // TestSensitivityRepeatSpeedup pins what makes a repeat sensitivity
 // query fast, in counters rather than a wall-clock ratio: every probe of

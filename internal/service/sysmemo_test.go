@@ -276,13 +276,14 @@ func TestDeferredDecodeErrorIsBadRequest(t *testing.T) {
 }
 
 // hotReadAllocsCeiling bounds the allocations of one warmed repeat dmm
-// read through the handler. Measured at 55 on go1.24 linux/amd64, and 56
-// under -race; the ceiling leaves about 25% headroom for toolchain and
-// stdlib drift. Re-encoding the retained document on every hit, with
-// encoding/json's map encoder for each point's Ω, cost 82 (90 under
-// -race); a request path that decodes and hashes the system on every
-// read costs about 180.
-const hotReadAllocsCeiling = 70
+// read through the handler. Measured at 37 on go1.24 linux/amd64, and
+// 38 under -race; the ceiling leaves about 25% headroom for toolchain
+// and stdlib drift. Decoding the envelope with encoding/json cost 55
+// (56 under -race); re-encoding the retained document on every hit,
+// with encoding/json's map encoder for each point's Ω, cost 82 (90); a
+// request path that decodes and hashes the system on every read costs
+// about 180.
+const hotReadAllocsCeiling = 46
 
 // TestHotReadAllocs is the host-independent allocation gate for the hot
 // read path: envelope decode, memo lookup, store hit, document reuse and
