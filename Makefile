@@ -129,13 +129,9 @@ chaos:
 # miss, ILP node or decode and stays under an allocation ceiling,
 # concurrent identical queries coalesce to one computation, a repeated
 # relayed read decodes its system on neither hop, and killing a replica
-# mid-campaign completes the stream with byte-exact documents.
-# It also runs the self-healing rounds: the admin join/leave surface
-# with fleet-wide propagation, relay retry and fallback under injected
-# faults, the one-source down-state oracle, and the membership-churn
-# chaos round (join a fourth replica mid-campaign, drain one, kill one
-# and let heartbeats evict it) — all asserting byte-exact documents
-# against single-node ground truth.
+# mid-campaign completes the stream with byte-exact documents against
+# single-node ground truth. It also runs relay retry and fallback under
+# injected faults and the one-source down-state oracle.
 cluster-smoke:
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/service/
 
@@ -146,7 +142,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzLatencyOptionsValidate -fuzztime 10s -run NONE .
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 10s -run NONE ./internal/service/
-	$(GO) test -fuzz FuzzDecodeClusterRequest -fuzztime 10s -run NONE ./internal/service/
 	$(GO) test -fuzz FuzzOmegaJSON -fuzztime 10s -run NONE ./internal/schema/
 	$(GO) test -fuzz FuzzDMMHead -fuzztime 10s -run NONE ./internal/service/
 

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	twca-serve [-addr :8443] [-cache 128] [-inflight 0] [-timeout 30s] [-drain 30s] [-faults spec] [-pprof]
-//	           [-self URL -peers URL,URL,...] [-cluster-secret S]
-//	           [-heartbeat 2s]
+//	           [-self URL -peers URL,URL,...] [-heartbeat 2s]
 //
 // Endpoints (see docs/SERVICE.md for the full reference and a worked
 // curl session):
@@ -17,9 +16,7 @@
 //	POST /v1/analyze/sensitivity  sensitivity queries (slack, jitter, frontiers)
 //	POST /v1/verify               weakly-hard (m, k) constraints
 //	POST /v1/campaign             many systems, NDJSON-streamed results
-//	POST /v1/cluster/join         admit a replica (loopback or -cluster-secret)
-//	POST /v1/cluster/leave        remove a replica (loopback or -cluster-secret)
-//	GET  /v1/cluster              versioned membership view with peer health
+//	GET  /v1/cluster              membership view with peer health
 //	GET  /healthz                 liveness
 //	GET  /metrics                 Prometheus text exposition
 //
@@ -33,17 +30,12 @@
 // replicas shards that artifact tier by consistent hashing on the
 // system's canonical hash: the replica owning a system computes and
 // caches its artifacts exactly once fleet-wide while the others relay.
-// The fleet self-heals: membership is dynamic (POST /v1/cluster/join
-// and /v1/cluster/leave reshape the ring at runtime, one call
-// propagating fleet-wide; mutations are accepted only from loopback or
-// with the shared -cluster-secret credential, which every replica of a
-// multi-host fleet must set — the cluster decides whose responses are
-// served verbatim, so admission is never authenticated by a spoofable
-// relay header), a jittered -heartbeat loop probes peer /healthz and
-// is the one detector of dead or draining replicas: a failed relay
-// reports its peer to it, and a peer stays out of routing until a
-// probe finds it alive. Relays retry the next ring arc with backoff
-// and fall back to local compute when every arc is exhausted —
+// The peer list is fixed at start-up; to change it, restart the
+// replicas with the new -peers. A jittered -heartbeat loop probes peer
+// /healthz and is the one detector of dead or draining replicas: a
+// failed relay reports its peer to it, and a peer stays out of routing
+// until a probe finds it alive. Relays retry the next ring arc with
+// backoff and fall back to local compute when every arc is exhausted —
 // duplicated work at worst, never a wrong-side bound.
 // SIGINT/SIGTERM drain gracefully:
 // new analysis requests are refused with 503 + Retry-After, in-flight
@@ -93,9 +85,7 @@ func run(args []string, stdout io.Writer) error {
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown window for in-flight analyses")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	self := fs.String("self", "", "this replica's base URL in -peers (enables the sharded fleet tier)")
-	peers := fs.String("peers", "", "comma-separated replica base URLs, including -self")
-	clusterSecret := fs.String("cluster-secret", os.Getenv("TWCA_CLUSTER_SECRET"),
-		"shared credential authorizing off-host /v1/cluster mutations (default $TWCA_CLUSTER_SECRET; empty = loopback-only)")
+	peers := fs.String("peers", "", "comma-separated replica base URLs (scheme://host:port), including -self; fixed until restart")
 	maxCampaign := fs.Int("max-campaign-items", 0, "max systems per /v1/campaign request (0 = 1024)")
 	heartbeat := fs.Duration("heartbeat", 0, "peer health-probe interval (0 = 2s)")
 	faults := fs.String("faults", os.Getenv("TWCA_FAULTS"),
@@ -129,7 +119,6 @@ func run(args []string, stdout io.Writer) error {
 		DrainTimeout:      *drain,
 		Self:              *self,
 		Peers:             peerList,
-		ClusterSecret:     *clusterSecret,
 		MaxCampaignItems:  *maxCampaign,
 		HeartbeatInterval: *heartbeat,
 	})

@@ -99,6 +99,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-faults", "no.such.point:error"}, &out); err == nil {
 		t.Error("bogus fault spec accepted")
 	}
+	if err := run([]string{"-self", "10.0.0.1:8443", "-peers", "10.0.0.1:8443,10.0.0.2:8443"}, &out); err == nil {
+		t.Error("schemeless peer URLs accepted")
+	}
 }
 
 // TestFaultSpecLogged boots with an armed harness and verifies the plan

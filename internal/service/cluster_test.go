@@ -3,7 +3,9 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,8 +13,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/faultinject"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
@@ -68,40 +72,12 @@ func newCluster(t testing.TB, n int, cfg Config) *cluster {
 		c.handlers[i].Store(http.HandlerFunc(svc.Handler().ServeHTTP))
 	}
 	t.Cleanup(func() {
-		// Ranges the slices at cleanup time, so replicas added by
-		// expand() are torn down too.
 		for i := range c.servers {
 			c.servers[i].Close()
 			c.svcs[i].Close()
 		}
 	})
 	return c
-}
-
-// expand spins up one more replica whose own membership view already
-// includes the whole fleet plus itself, the way an operator boots a
-// joiner before POSTing /v1/cluster/join to a member. It does NOT
-// touch the existing replicas' rings — that is the join call's job.
-func (c *cluster) expand(t testing.TB, cfg Config) int {
-	t.Helper()
-	ts, hv := clusterListener()
-	peers := make([]string, 0, len(c.servers)+1)
-	for _, s := range c.servers {
-		peers = append(peers, s.URL)
-	}
-	peers = append(peers, ts.URL)
-	cfg.Self = ts.URL
-	cfg.Peers = peers
-	svc, err := New(cfg)
-	if err != nil {
-		ts.Close()
-		t.Fatal(err)
-	}
-	hv.Store(http.HandlerFunc(svc.Handler().ServeHTTP))
-	c.svcs = append(c.svcs, svc)
-	c.servers = append(c.servers, ts)
-	c.handlers = append(c.handlers, hv)
-	return len(c.svcs) - 1
 }
 
 func (c *cluster) url(i int) string { return c.servers[i].URL }
@@ -131,6 +107,24 @@ func (c *cluster) fleetStats() store.Stats {
 		sum.LocalFallbacks += st.LocalFallbacks
 	}
 	return sum
+}
+
+// getCluster fetches and decodes GET /v1/cluster.
+func getCluster(t testing.TB, url string) clusterResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cluster = %d", resp.StatusCode)
+	}
+	var view clusterResponse
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	return view
 }
 
 // fleetSystems builds n distinct thales-scale systems: the case-study
@@ -336,7 +330,8 @@ func TestClusterSingleflight(t *testing.T) {
 // right: items owned by the dead replica re-route (next ring arc or
 // local compute), costing duplicated work but never a wrong or missing
 // bound. Ground truth is the same campaign on an isolated single-node
-// server — documents must match byte for byte.
+// server — documents must match byte for byte. The heartbeat sleeps
+// out its hour, so only relay reports write the down set.
 func TestClusterChaosKillReplica(t *testing.T) {
 	req := fleetCampaign(fleetSystems(t, 40))
 
@@ -344,7 +339,21 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	_, truthTS := newTestServer(t, Config{})
 	truth := runCampaign(t, truthTS.URL, req)
 
-	c := newCluster(t, 3, Config{CampaignWorkers: 2})
+	c := newCluster(t, 3, Config{CampaignWorkers: 2, HeartbeatInterval: time.Hour})
+	// The probe item is one the doomed replica owns. The ring owner is a
+	// pure function of the peer set, so it is picked before the kill.
+	ring := store.NewRing(c.svcs[0].store.Peers(), 0)
+	probe := -1
+	for i, line := range truth[:len(req.Items)] {
+		if ring.Owner(routeKey(line.SystemHash)) == c.url(1) {
+			probe = i
+			break
+		}
+	}
+	if probe < 0 {
+		t.Fatal("no campaign item is owned by the replica to kill — fixture is degenerate")
+	}
+
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -393,30 +402,24 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	}
 	// Observe the kill deterministically (whether the campaign itself
 	// raced the kill is timing): restore the corpse into replica 0's
-	// routing, as a successful probe would, then send one request it
-	// owns — the relay attempt must fail, report it down again, and
-	// still answer 200 via the next arc or local fallback.
+	// routing, as a successful probe would, then send the item it owns —
+	// the relay attempt must fail, report it down again, and still
+	// answer 200 via the next arc or local fallback.
 	c.svcs[0].store.MarkUp(c.url(1))
 	before := c.svcs[0].StoreStats()
-	probed := false
-	for i, line := range lines[:len(req.Items)] {
-		if owner, local := c.svcs[0].store.Route(routeKey(line.SystemHash)); !local && owner == c.url(1) {
-			status, doc := post(t, c.url(0)+"/v1/analyze/dmm", req.Items[i].analyzeRequest)
-			if status != http.StatusOK {
-				t.Fatalf("request owned by dead replica answered %d %v — failover broken", status, doc)
-			}
-			probed = true
-			break
-		}
-	}
-	if !probed {
-		t.Fatal("no campaign item routes to the killed replica — fixture is degenerate")
+	if status, doc := post(t, c.url(0)+"/v1/analyze/dmm", req.Items[probe].analyzeRequest); status != http.StatusOK {
+		t.Fatalf("request owned by dead replica answered %d %v — failover broken", status, doc)
 	}
 	if st := c.svcs[0].StoreStats(); st.PeerUnavailable == before.PeerUnavailable {
 		t.Error("no peer failure recorded for a relay to the killed replica")
 	}
 	if !c.svcs[0].store.Down(c.url(1)) {
 		t.Error("killed replica not marked down after the failed relay")
+	}
+	for _, p := range getCluster(t, c.url(0)).Peers {
+		if p.URL == c.url(1) && p.State != "down" {
+			t.Errorf("GET /v1/cluster reports the killed replica %q, want down", p.State)
+		}
 	}
 }
 
@@ -485,4 +488,111 @@ func TestClusterDecodeOnce(t *testing.T) {
 	if status != http.StatusOK || !bytes.Equal(warm, want) {
 		t.Errorf("relayed repeat differs from the single-node answer:\n%s\nwant\n%s", warm, want)
 	}
+}
+
+// TestClusterRelayRetry pins the relay loop: a failed attempt reports
+// its peer down and moves to the next ring arc after backoff; each
+// candidate is tried at most once, so a lone candidate falls back at
+// once; a deadline budget too short for the backoff gives up instead
+// of outliving the caller's patience; and a slow owner that answers
+// within budget is not reported down -- slowness is not death.
+func TestClusterRelayRetry(t *testing.T) {
+	defer faultinject.Disarm()
+	body, err := json.Marshal(analyzeRequest{System: thalesJSON(t), Chain: "sigma_c", K: []int64{1, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm := func(t *testing.T, rules ...faultinject.Rule) {
+		t.Helper()
+		faultinject.Disarm()
+		if err := faultinject.Configure(rules); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retries := func(s *Server) int64 {
+		s.met.mu.Lock()
+		defer s.met.mu.Unlock()
+		return s.met.relayRetries
+	}
+	relay := func(t *testing.T, s *Server, ctx context.Context, cands ...string) (int, string, error) {
+		t.Helper()
+		resp, peer, err := s.relay(ctx, cands, "/v1/analyze/dmm", body)
+		if err != nil {
+			return 0, "", err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, peer, nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	t.Run("next arc after a failure", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError, Times: 1})
+		status, peer, err := relay(t, c.svcs[0], ctx, c.url(1), c.url(2))
+		if err != nil {
+			t.Fatalf("relay with one injected failure: %v", err)
+		}
+		if status != http.StatusOK || peer != c.url(2) {
+			t.Fatalf("relay answered %d via %q, want 200 via the second arc %q", status, peer, c.url(2))
+		}
+		if got := retries(c.svcs[0]); got != 1 {
+			t.Errorf("relayRetries = %d, want 1", got)
+		}
+		if !c.svcs[0].store.Down(c.url(1)) {
+			t.Error("failed arc not marked down")
+		}
+	})
+
+	t.Run("lone candidate falls back at once", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError, Times: 1})
+		_, _, err := relay(t, c.svcs[0], ctx, c.url(1))
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("relay to a failed lone candidate = %v, want ErrPeerUnavailable (local fallback)", err)
+		}
+		if got := retries(c.svcs[0]); got != 0 {
+			t.Errorf("relayRetries = %d, want 0: the failed peer was retried", got)
+		}
+		if !c.svcs[0].store.Down(c.url(1)) {
+			t.Error("failed candidate not marked down")
+		}
+	})
+
+	t.Run("budget too short for the backoff", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionError})
+		start := time.Now()
+		bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer bcancel()
+		_, _, err := relay(t, c.svcs[0], bctx, c.url(1), c.url(2))
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("budget-starved relay took %v -- retried past the deadline", elapsed)
+		}
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Errorf("relay error = %v, want ErrPeerUnavailable", err)
+		}
+		if got := retries(c.svcs[0]); got != 0 {
+			t.Errorf("budget-starved relay recorded %d retries, want 0", got)
+		}
+	})
+
+	t.Run("slow owner within budget is not down", func(t *testing.T) {
+		c := newCluster(t, 3, Config{HeartbeatInterval: time.Hour})
+		arm(t, faultinject.Rule{Point: faultinject.PointServiceRelay, Action: faultinject.ActionDelay, Delay: 300 * time.Millisecond, Times: 1})
+		status, peer, err := relay(t, c.svcs[0], ctx, c.url(1), c.url(2))
+		if err != nil {
+			t.Fatalf("slow relay: %v", err)
+		}
+		if status != http.StatusOK || peer != c.url(1) {
+			t.Fatalf("slow relay answered %d via %q, want 200 via the owner %q", status, peer, c.url(1))
+		}
+		if got := retries(c.svcs[0]); got != 0 {
+			t.Errorf("relayRetries = %d, want 0", got)
+		}
+		if c.svcs[0].store.Down(c.url(1)) {
+			t.Error("slow-but-alive owner was reported down")
+		}
+	})
 }

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/casestudy"
 	"repro/internal/degrade"
@@ -293,18 +292,12 @@ func TestDMMResponseBytes(t *testing.T) {
 // answers 400 bad_request when anything but whitespace follows the
 // value, and still accepts trailing whitespace.
 func TestTrailingDataRejected(t *testing.T) {
-	handler := func(cfg Config) http.Handler {
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(svc.Close)
-		return svc.Handler()
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h := handler(Config{})
-	// Membership mutations need a fleet identity; local_only keeps the
-	// accepted join from propagating to the (unreachable) peers.
-	fleet := handler(Config{Self: "http://a", Peers: []string{"http://a", "http://b"}, HeartbeatInterval: time.Hour})
+	t.Cleanup(svc.Close)
+	h := svc.Handler()
 	sys := thalesJSON(t)
 	valid := func(v any) string {
 		data, err := json.Marshal(v)
@@ -313,35 +306,30 @@ func TestTrailingDataRejected(t *testing.T) {
 		}
 		return string(data)
 	}
-	for _, c := range []struct {
-		h          http.Handler
-		path, body string
-	}{
-		{h, "/v1/analyze/dmm", valid(analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1, 10}})},
-		{h, "/v1/analyze/latency", valid(analyzeRequest{System: sys, Chain: "sigma_c"})},
-		{h, "/v1/verify", valid(analyzeRequest{System: sys, Chain: "sigma_c", Constraints: []wireConstraint{{M: 1, K: 2}}})},
-		{h, "/v1/analyze/sensitivity", valid(analyzeRequest{System: sys, Chain: "sigma_c", Sensitivity: &reqSensitivity{M: 5, K: 10}})},
-		{h, "/v1/campaign", valid(campaignRequest{Items: []campaignItem{{analyzeRequest: analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1}}}}})},
-		{fleet, "/v1/cluster/join", `{"peer": "http://c", "local_only": true}`},
+	for _, c := range []struct{ path, body string }{
+		{"/v1/analyze/dmm", valid(analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1, 10}})},
+		{"/v1/analyze/latency", valid(analyzeRequest{System: sys, Chain: "sigma_c"})},
+		{"/v1/verify", valid(analyzeRequest{System: sys, Chain: "sigma_c", Constraints: []wireConstraint{{M: 1, K: 2}}})},
+		{"/v1/analyze/sensitivity", valid(analyzeRequest{System: sys, Chain: "sigma_c", Sensitivity: &reqSensitivity{M: 5, K: 10}})},
+		{"/v1/campaign", valid(campaignRequest{Items: []campaignItem{{analyzeRequest: analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1}}}}})},
 	} {
 		for _, tail := range []string{` {"chain":"x"} garbage`, `{}`, `}`, `garbage`, "\n\x00"} {
-			rec := serveBody(c.h, c.path, c.body+tail)
+			rec := serveBody(h, c.path, c.body+tail)
 			var e errorResponse
 			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Kind != "bad_request" {
 				t.Errorf("%s with trailing %q = %d: %s, want 400 bad_request", c.path, tail, rec.Code, rec.Body)
 			}
 		}
-		if rec := serveBody(c.h, c.path, c.body+" \t\r\n"); rec.Code != http.StatusOK {
+		if rec := serveBody(h, c.path, c.body+" \t\r\n"); rec.Code != http.StatusOK {
 			t.Errorf("%s with trailing whitespace = %d: %s, want 200", c.path, rec.Code, rec.Body)
 		}
 	}
 }
 
-// serveBody posts body to path from loopback through h.
+// serveBody posts body to path through h.
 func serveBody(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
-	req.RemoteAddr = "127.0.0.1:9"
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec

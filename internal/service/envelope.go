@@ -17,9 +17,9 @@ import (
 // that is most of the request's cost. envDecoder walks the body once,
 // slices System out of it and sets the fields directly.
 //
-// It accepts exactly what decodeStrict (a json.Decoder with
-// DisallowUnknownFields) accepts and decodes it to the same values,
-// which FuzzDecodeEnvelope checks:
+// It accepts exactly what a json.Decoder with DisallowUnknownFields
+// accepts and decodes it to the same values, which FuzzDecodeEnvelope
+// checks against that Decoder:
 //   - keys match a field's name exactly first, then case-folded as
 //     encoding/json folds them (so "CHAIN" and the Kelvin sign "K" for
 //     "k" are accepted), escaped keys included;
@@ -109,8 +109,9 @@ func (d *envDecoder) top(typ string) (open bool, err error) {
 	return false, nil
 }
 
-// end turns the outcome of a decode into decodeStrict's error: a syntax
-// error, else the first field error, else data after the value.
+// end turns the outcome of a decode into the handlers' error, worded
+// as a json.Decoder words it: a syntax error, else the first field
+// error, else data after the value.
 func (d *envDecoder) end(err error) error {
 	if err == nil {
 		err = d.err

@@ -1,12 +1,32 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 )
+
+// decodeStrict is the envelope decoder's oracle: encoding/json's
+// Decoder with DisallowUnknownFields, reading exactly one JSON value
+// from data into v. Anything but whitespace after the value is
+// rejected, and errors are wrapped as the handlers wrap them.
+// decodeRequest and decodeCampaign must accept exactly what it
+// accepts, decode to the same values and fail with the same text.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequestError{fmt.Errorf("bad request body: %w", err)}
+	}
+	if off := dec.InputOffset(); len(bytes.TrimLeft(data[off:], " \t\r\n")) > 0 {
+		return badRequestError{fmt.Errorf("bad request body: data after the JSON value at offset %d", off)}
+	}
+	return nil
+}
 
 // envelopeSeeds are request and campaign bodies on the edges of
 // encoding/json's rules: case-folded and escaped keys, repeated keys,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/faultinject"
@@ -48,10 +47,10 @@ import (
 
 // forwardHeader marks a relayed request with the sender's identity. Its
 // presence is the loop guard: an owner never re-forwards a relayed
-// request, even if a stale ring disagrees about ownership — which is
-// what makes membership churn safe: during the window where replicas
-// hold different membership versions, the worst case is one extra hop
-// ending in a local compute.
+// request, even if its ring disagrees about ownership — which is what
+// makes a rolling restart onto a new peer list safe: while replicas
+// hold different peer lists, the worst case is one extra hop ending in
+// a local compute.
 const forwardHeader = "X-Twca-Forward"
 
 // servedByHeader names the replica whose store actually answered a
@@ -256,13 +255,6 @@ func (s *Server) forward(ctx context.Context, peer, path string, body []byte) (*
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(forwardHeader, s.store.Self())
-	// Membership mutations need a real credential at the receiver; the
-	// forward header alone is a loop guard, not authorization. Analysis
-	// relays never carry the secret — they don't need it, and keeping it
-	// off them narrows where the credential travels.
-	if s.cfg.ClusterSecret != "" && strings.HasPrefix(path, "/v1/cluster/") {
-		req.Header.Set(clusterSecretHeader, s.cfg.ClusterSecret)
-	}
 	resp, err := s.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, peer, err)

@@ -7,6 +7,7 @@ import "testing"
 // translation and validation — with adversarial bodies. The contract:
 // no input may panic; malformed bodies fail with an error, not a crash.
 // This is the same code path the HTTP handlers run before any analysis.
+// The envelope decode is also held to its oracle, decodeStrict.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"system_dsl": "system s\nchain c periodic(100) deadline(100) { t prio 1 wcet 10 }\n", "chain": "c", "k": [1, 10]}`))
 	f.Add([]byte(`{"system": {"name": "s", "chains": []}, "chain": "c"}`))
@@ -26,8 +27,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req analyzeRequest
-		if err := decodeRequest(data, &req); err != nil {
+		var want, req analyzeRequest
+		err := decodeRequest(data, &req)
+		compareDecoders(t, "request", decodeStrict(data, &want), err, want, req)
+		if err != nil {
 			return // rejected at the door, as the handlers would
 		}
 		// Decoded bodies flow on: materialization and option validation
@@ -52,51 +55,6 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		for _, c := range req.Constraints {
 			_ = (wireConstraint{M: c.M, K: c.K}) // shape only; Valid() is checked in handlers
-		}
-	})
-}
-
-// FuzzDecodeClusterRequest drives the cluster-admin ingestion path —
-// strict decode of the membership mutation body plus peer-URL
-// validation — with adversarial bodies. The contract matches the other
-// decoders: no input may panic, malformed bodies fail with an error,
-// and a URL that survives validation must round-trip through the
-// normalizer unchanged (propagation re-sends the normalized form).
-func FuzzDecodeClusterRequest(f *testing.F) {
-	f.Add([]byte(`{"peer": "http://10.0.0.4:8443"}`))
-	f.Add([]byte(`{"peer": "https://replica-3.internal", "local_only": true}`))
-	f.Add([]byte(`{"peer": "http://10.0.0.4:8443/"}`))
-	f.Add([]byte(`{"peer": ""}`))
-	f.Add([]byte(`{"peer": "ftp://nope"}`))
-	f.Add([]byte(`{"peer": "http://host/path?q=1#frag"}`))
-	f.Add([]byte(`{"peer": "http://[::1]:8443"}`))
-	f.Add([]byte(`{"peer": "://missing-scheme"}`))
-	f.Add([]byte(`{"peer": "http://a", "bogus": 1}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-
-	srv, err := New(Config{CacheSize: 8})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(srv.Close)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var req clusterRequest
-		if err := decodeStrict(data, &req); err != nil {
-			return // rejected at the door, as the handlers would
-		}
-		peer, err := validatePeerURL(req.Peer)
-		if err != nil {
-			return
-		}
-		// Normalization must be idempotent: the propagated body carries
-		// the normalized URL, and the receiving replica validates again.
-		again, err := validatePeerURL(peer)
-		if err != nil {
-			t.Fatalf("normalized peer %q failed re-validation: %v", peer, err)
-		}
-		if again != peer {
-			t.Fatalf("validatePeerURL not idempotent: %q -> %q", peer, again)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -422,25 +421,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 		return nil, badRequestError{fmt.Errorf("bad request body: longer than its Content-Length %d", n)}
 	}
 	return data, nil
-}
-
-// decodeStrict parses data, one JSON value, into v. Unknown fields and
-// anything but whitespace after the value are rejected: silently
-// ignoring a typo like "max_combination" would analyze with defaults
-// and report a wrong answer as a right one, and a second document
-// after the first would be dropped unread. Request envelopes are read
-// by decodeRequest and decodeCampaign instead, which accept exactly
-// what decodeStrict accepts (FuzzDecodeEnvelope).
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequestError{fmt.Errorf("bad request body: %w", err)}
-	}
-	if off := dec.InputOffset(); len(bytes.TrimLeft(data[off:], " \t\r\n")) > 0 {
-		return badRequestError{fmt.Errorf("bad request body: data after the JSON value at offset %d", off)}
-	}
-	return nil
 }
 
 // decode reads and strictly parses the request body, returning the raw

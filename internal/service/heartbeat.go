@@ -21,7 +21,7 @@ import (
 //   - Relay reports. A relay attempt that fails calls report, which
 //     marks the peer down at once: traffic already paid for the
 //     failure, so the next request must not pay again.
-//   - Probes. Every member's /healthz is probed on a jittered interval.
+//   - Probes. Every peer's /healthz is probed on a jittered interval.
 //     heartbeatDownAfter consecutive failures mark a peer down (a
 //     single blip does not flap the ring); one successful probe marks
 //     it up. A downed peer keeps being probed, and a probe is the only
@@ -31,7 +31,7 @@ import (
 // and probe outcomes cannot drift apart: whichever lands last decides.
 //
 // Determinism contract: the store's routing stays a pure function of
-// the membership and down sets (no wall clock — internal/store is in
+// the peer and down sets (no wall clock — internal/store is in
 // the determinism lint scope). The heartbeat lives here in the service
 // layer, where time belongs, and keeps its own time injectable: the
 // probe function, the timer source (after) and the jitter stream are
@@ -90,20 +90,14 @@ func (h *heartbeat) jittered(round uint64) time.Duration {
 	return h.interval - span/2 + time.Duration(splitmix64(h.seed^round)%uint64(span))
 }
 
-// runOnce probes every remote member once and applies the outcomes.
+// runOnce probes every remote peer once and applies the outcomes.
 // Probes run without holding the state lock (they are HTTP
 // round-trips); each outcome is applied as its probe returns.
 func (h *heartbeat) runOnce(ctx context.Context) {
-	m := h.store.Membership()
-	remotes := make([]string, 0, len(m.Peers))
-	for _, p := range m.Peers {
-		if p != m.Self {
-			remotes = append(remotes, p)
+	for _, peer := range h.store.Peers() {
+		if peer != h.store.Self() {
+			h.record(peer, h.probe(ctx, peer))
 		}
-	}
-	h.prune(remotes)
-	for _, peer := range remotes {
-		h.record(peer, h.probe(ctx, peer))
 	}
 }
 
@@ -132,22 +126,6 @@ func (h *heartbeat) report(peer string) {
 	if h.store.MarkDown(peer) {
 		h.met.heartbeatTransition(false)
 	}
-}
-
-// prune drops the failure streaks of peers no longer in the
-// membership.
-func (h *heartbeat) prune(remotes []string) {
-	keep := make(map[string]bool, len(remotes))
-	for _, p := range remotes {
-		keep[p] = true
-	}
-	h.mu.Lock()
-	for p := range h.fails {
-		if !keep[p] {
-			delete(h.fails, p)
-		}
-	}
-	h.mu.Unlock()
 }
 
 // probePeer is the production probe: GET peer/healthz with a bounded

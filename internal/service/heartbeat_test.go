@@ -90,32 +90,6 @@ func TestHeartbeatStateMachine(t *testing.T) {
 	}
 }
 
-// TestHeartbeatPrunesLeavers: a peer that leaves the membership loses
-// its probe state, so a later rejoin starts from a clean machine.
-func TestHeartbeatPrunesLeavers(t *testing.T) {
-	h, st, outcomes := hbFixture(t)
-	boom := errors.New("probe failed")
-	ctx := context.Background()
-
-	outcomes["http://b"] = []error{boom}
-	h.runOnce(ctx) // fail 1 of 2 — state accumulated, not yet down
-	st.RemovePeer("http://b")
-	h.runOnce(ctx) // prunes the leaver before probing
-	h.mu.Lock()
-	_, tracked := h.fails["http://b"]
-	h.mu.Unlock()
-	if tracked {
-		t.Fatal("probe state survived the peer leaving")
-	}
-
-	// Rejoin: the old failure streak must not count toward eviction.
-	st.AddPeer("http://b")
-	h.runOnce(ctx) // fail 1 on the fresh machine
-	if st.Down("http://b") {
-		t.Error("rejoined peer inherited the pre-leave failure streak")
-	}
-}
-
 // TestHeartbeatJitterDeterministic: the jittered interval stays within
 // ±20% of the configured interval and is a pure function of (seed,
 // round) — no shared RNG, so replicas desynchronize reproducibly.
@@ -142,7 +116,7 @@ func TestHeartbeatJitterDeterministic(t *testing.T) {
 
 // TestHeartbeatLoopShutdown: the loop ticks on the injected timer
 // source, probes each tick, and exits promptly when its context is
-// canceled; a server with a fleet identity always runs the loop, and
+// canceled; a server on a multi-peer ring always runs the loop, and
 // its Close waits for it (a hang fails the test by timeout).
 func TestHeartbeatLoopShutdown(t *testing.T) {
 	h, _, _ := hbFixture(t)
@@ -186,7 +160,7 @@ func TestHeartbeatLoopShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	if svc.hb == nil || svc.hbStopped == nil {
-		t.Fatal("a server with a fleet identity started without its prober")
+		t.Fatal("a server on a multi-peer ring started without its prober")
 	}
 	done := make(chan struct{})
 	go func() { svc.Close(); close(done) }()

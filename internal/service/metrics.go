@@ -53,12 +53,7 @@ type metrics struct {
 	// store's down set (from probes and relay reports).
 	heartbeatOK, heartbeatFail   int64
 	heartbeatUps, heartbeatDowns int64
-	// membership admin counters: applied mutations by endpoint and
-	// best-effort propagations that failed.
-	membershipChanges   map[string]int64
-	propagationFailures int64
-	// membership samples the store's versioned membership view at
-	// scrape time (nil on a single-node service).
+	// membership samples the store's membership view at scrape time.
 	membership func() store.Membership
 	// analysis duration histograms by kind ("dmm", "latency",
 	// "sensitivity").
@@ -79,12 +74,11 @@ type metrics struct {
 
 func newMetrics(inflight func() int) *metrics {
 	return &metrics{
-		start:             time.Now(),
-		requests:          make(map[string]int64),
-		durations:         make(map[string]*histogram),
-		degradedResults:   make(map[string]int64),
-		membershipChanges: make(map[string]int64),
-		inflight:          inflight,
+		start:           time.Now(),
+		requests:        make(map[string]int64),
+		durations:       make(map[string]*histogram),
+		degradedResults: make(map[string]int64),
+		inflight:        inflight,
 	}
 }
 
@@ -236,23 +230,6 @@ func (m *metrics) heartbeatTransition(up bool) {
 	}
 }
 
-// membershipChange accounts one applied cluster mutation by endpoint
-// ("cluster_join"/"cluster_leave").
-func (m *metrics) membershipChange(endpoint string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.membershipChanges[endpoint]++
-}
-
-// membershipPropagationFailure accounts one member that could not be
-// told about a mutation (best-effort; the loop guard keeps the stale
-// view safe).
-func (m *metrics) membershipPropagationFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.propagationFailures++
-}
-
 // write renders the Prometheus text exposition. Keys are emitted in
 // sorted order so scrapes (and tests) are deterministic.
 func (m *metrics) write(w io.Writer) {
@@ -383,26 +360,8 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"up\"} %d\n", m.heartbeatUps)
 	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"down\"} %d\n", m.heartbeatDowns)
 
-	fmt.Fprintf(w, "# HELP twca_cluster_membership_changes_total Applied cluster membership mutations by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE twca_cluster_membership_changes_total counter\n")
-	endpoints := make([]string, 0, len(m.membershipChanges))
-	for e := range m.membershipChanges {
-		endpoints = append(endpoints, e)
-	}
-	sort.Strings(endpoints)
-	for _, e := range endpoints {
-		fmt.Fprintf(w, "twca_cluster_membership_changes_total{endpoint=%q} %d\n", e, m.membershipChanges[e])
-	}
-
-	fmt.Fprintf(w, "# HELP twca_cluster_propagation_failures_total Members unreachable during best-effort mutation propagation.\n")
-	fmt.Fprintf(w, "# TYPE twca_cluster_propagation_failures_total counter\n")
-	fmt.Fprintf(w, "twca_cluster_propagation_failures_total %d\n", m.propagationFailures)
-
 	if m.membership != nil {
 		mb := m.membership()
-		fmt.Fprintf(w, "# HELP twca_cluster_membership_version Monotonic version of this replica's membership view.\n")
-		fmt.Fprintf(w, "# TYPE twca_cluster_membership_version gauge\n")
-		fmt.Fprintf(w, "twca_cluster_membership_version %d\n", mb.Version)
 		fmt.Fprintf(w, "# HELP twca_cluster_peers Members of this replica's ring view by state.\n")
 		fmt.Fprintf(w, "# TYPE twca_cluster_peers gauge\n")
 		fmt.Fprintf(w, "twca_cluster_peers{state=\"up\"} %d\n", len(mb.Peers)-len(mb.Down))

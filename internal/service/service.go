@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -83,30 +82,19 @@ type Config struct {
 	// healthy instance).
 	DrainTimeout time.Duration
 	// Self and Peers configure the sharded analysis tier: Peers is the
-	// initial set of replica base URLs (e.g. "http://10.0.0.1:8443"),
-	// Self this replica's own entry in it. Artifact ownership is
-	// consistent-hashed on the model hash across the membership;
-	// requests for models owned elsewhere are relayed to the owner,
-	// with local fallback when it is unreachable. Fewer than two peers
-	// disables routing until /v1/cluster/join grows the membership at
-	// runtime (see docs/SERVICE.md, "Cluster operations").
+	// fixed set of replica base URLs (e.g. "http://10.0.0.1:8443", a
+	// scheme and host with no path), Self this replica's own entry in
+	// it. Artifact ownership is consistent-hashed on the model hash
+	// across the peer set; requests for models owned elsewhere are
+	// relayed to the owner, with local fallback when it is
+	// unreachable. Fewer than two peers disables routing. The ring is
+	// built once at start-up: a new peer list takes a restart (see
+	// docs/SERVICE.md, "Changing the peer list").
 	Self  string
 	Peers []string
-	// ClusterSecret authenticates cluster membership mutations
-	// (POST /v1/cluster/join|leave) from off-host callers: a request
-	// carrying it in the X-Twca-Cluster-Secret header is authorized,
-	// and propagated mutations between replicas attach it
-	// automatically. Requests from loopback are always authorized, so
-	// an operator on the replica's own host needs no credential. Empty
-	// (the default) means mutations are loopback-only: a multi-host
-	// fleet must then configure the same secret on every replica for
-	// one POST to propagate fleet-wide — otherwise receivers reject
-	// the propagation and each replica must be scripted individually
-	// over loopback with "local_only": true.
-	ClusterSecret string
 	// HeartbeatInterval is the period of the active peer health probe
 	// (jittered ±20% per round; default 2s). The prober runs whenever
-	// the replica has a fleet identity (Self): it is the one failure
+	// the replica is on a multi-peer ring: it is the one failure
 	// detector, and its probes are the only way a downed peer returns
 	// to routing (see heartbeat.go).
 	HeartbeatInterval time.Duration
@@ -139,16 +127,19 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
 	}
-	c.Self = strings.TrimRight(c.Self, "/")
+	// Normalize into a fresh slice: the caller's Peers stay untouched.
+	c.Self = trimPeerURL(c.Self)
+	peers := make([]string, len(c.Peers))
 	for i, p := range c.Peers {
-		c.Peers[i] = strings.TrimRight(p, "/")
+		peers[i] = trimPeerURL(p)
 	}
+	c.Peers = peers
 	return c
 }
 
 // Validate rejects nonsensical configurations (negative sizes or
-// timeouts, a fleet without a self identity); zero values select the
-// defaults.
+// timeouts, a peer URL that is not a bare http(s) base URL, a fleet
+// without a self identity); zero values select the defaults.
 func (c Config) Validate() error {
 	if c.CacheSize < 0 {
 		return errNegative("CacheSize", int64(c.CacheSize))
@@ -174,17 +165,23 @@ func (c Config) Validate() error {
 	if c.HeartbeatInterval < 0 {
 		return errNegative("HeartbeatInterval", int64(c.HeartbeatInterval))
 	}
+	if c.Self != "" {
+		if _, err := validatePeerURL(c.Self); err != nil {
+			return fmt.Errorf("%w: service config: Self: %v", repro.ErrInvalidOptions, err)
+		}
+	}
 	if len(c.Peers) > 0 {
 		if c.Self == "" {
 			return fmt.Errorf("%w: service config: Peers set without Self", repro.ErrInvalidOptions)
 		}
-		self := strings.TrimRight(c.Self, "/")
+		self := trimPeerURL(c.Self)
 		found := false
 		for _, p := range c.Peers {
-			if strings.TrimRight(p, "/") == self {
-				found = true
-				break
+			peer, err := validatePeerURL(p)
+			if err != nil {
+				return fmt.Errorf("%w: service config: Peers: %v", repro.ErrInvalidOptions, err)
 			}
+			found = found || peer == self
 		}
 		if !found {
 			return fmt.Errorf("%w: service config: Self %q is not in Peers", repro.ErrInvalidOptions, c.Self)
@@ -211,7 +208,7 @@ type Server struct {
 	// relaySeq feeds the deterministic splitmix64 stream behind relay
 	// backoff jitter.
 	relaySeq atomic.Uint64
-	// hb is the peer health prober (nil without a fleet identity);
+	// hb is the peer health prober (nil off a multi-peer ring);
 	// hbStopped is closed when its loop has exited, so Close can wait
 	// for it.
 	hb        *heartbeat
@@ -260,8 +257,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/analyze/sensitivity", s.handleSensitivity)
 	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
 	s.mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
-	s.mux.HandleFunc("POST /v1/cluster/join", s.handleClusterJoin)
-	s.mux.HandleFunc("POST /v1/cluster/leave", s.handleClusterLeave)
 	s.mux.HandleFunc("GET /v1/cluster", s.handleClusterGet)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -272,10 +267,9 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	// Active health checking runs whenever this replica has a fleet
-	// identity, even if the initial membership is single-node — a later
-	// /v1/cluster/join must get probing without a restart.
-	if cfg.Self != "" {
+	// Active health checking runs whenever this replica routes across
+	// a multi-peer ring.
+	if s.store.Fleet() {
 		s.hb = newHeartbeat(s.store, s.met, cfg.HeartbeatInterval, hashSeed(cfg.Self))
 		s.hb.probe = s.probePeer
 		s.hbStopped = make(chan struct{})

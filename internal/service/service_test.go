@@ -799,6 +799,51 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigPeers: New normalizes Self and Peers into its own copy,
+// never into the caller's slice, and rejects at start-up any peer URL
+// that is not a bare http(s) base URL, instead of failing on every
+// relay to it.
+func TestConfigPeers(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		self  string
+		peers []string
+		ok    bool
+	}{
+		{"trailing slashes", "http://a:1/", []string{"http://a:1/", "http://b:1/"}, true},
+		{"schemeless peer", "http://a:1", []string{"http://a:1", "10.0.0.2:8443"}, false},
+		{"schemeless self", "10.0.0.1:8443", []string{"10.0.0.1:8443", "http://b:1"}, false},
+		{"peer with a path", "http://a:1", []string{"http://a:1", "http://b:1/v1"}, false},
+		{"empty peer", "http://a:1", []string{"http://a:1", ""}, false},
+		{"self not in peers", "http://c:1", []string{"http://a:1", "http://b:1"}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peers := append([]string(nil), c.peers...)
+			svc, err := New(Config{Self: c.self, Peers: peers, HeartbeatInterval: time.Hour})
+			if !reflect.DeepEqual(peers, c.peers) {
+				t.Errorf("New rewrote the caller's Peers: %q, was %q", peers, c.peers)
+			}
+			if !c.ok {
+				if err == nil {
+					svc.Close()
+					t.Fatalf("New accepted Self %q, Peers %q", c.self, c.peers)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			if got, want := svc.store.Peers(), []string{"http://a:1", "http://b:1"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("ring peers = %q, want %q", got, want)
+			}
+			if got := svc.store.Self(); got != "http://a:1" {
+				t.Errorf("ring self = %q, want http://a:1", got)
+			}
+		})
+	}
+}
+
 // BenchmarkRepeatQuery measures the warm path end to end: HTTP round
 // trip + cache hit + dmm re-evaluation from the memo.
 func BenchmarkRepeatQuery(b *testing.B) {

@@ -10,7 +10,7 @@ import (
 // peer owns the arc of key space between its virtual nodes and their
 // predecessors, so adding or removing one peer remaps only the keys on
 // that peer's arcs (~1/N of the space) instead of reshuffling
-// everything — the property that lets a replica join or die without
+// everything — the property that lets a replica die without
 // invalidating the whole fleet's warm artifacts.
 //
 // The ring is immutable after construction and safe for concurrent
@@ -91,7 +91,7 @@ func (r *Ring) Owner(key string) string {
 
 // Owners returns every distinct peer in ring order starting from the
 // key's successor — the preference order a requester walks when owners
-// are unavailable (the "re-hash" on membership change: the next arc
+// are unavailable (the "re-hash" when an owner is down: the next arc
 // over takes the key).
 func (r *Ring) Owners(key string) []string {
 	if len(r.vnodes) == 0 {

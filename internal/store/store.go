@@ -12,13 +12,12 @@
 // fleet-wide no matter how many replicas receive the same query
 // concurrently.
 //
-// Membership is dynamic: AddPeer and RemovePeer swap the immutable
-// ring for a rebuilt one under a versioned membership view, moving
-// only the joining or leaving peer's keys (the consistent-hashing
-// property the ring tests pin). The service layer drives those
-// mutations from its cluster admin surface; its heartbeat prober is
-// the only writer of the down set. The store itself stays a pure data
-// structure with no clock: LRU + flights + ring + the down set.
+// Membership is fixed at start-up: New builds the ring once from
+// Config.Peers and never rebuilds it, so ownership is a pure function
+// of (peer set, key). To change the fleet, restart the replicas with a
+// new peer list. The service layer's heartbeat prober is the only
+// writer of the down set. The store itself stays a pure data structure
+// with no clock: LRU + flights + ring + the down set.
 //
 // The store holds live Go values and never serializes them; the
 // transport between replicas is the service's own HTTP API (a
@@ -71,9 +70,9 @@ type Config struct {
 	Base context.Context
 	// Capacity bounds retained artifacts (default 128).
 	Capacity int
-	// Self is this node's name on the ring; Peers is the initial peer
-	// set (including Self). Fewer than two peers disables routing until
-	// AddPeer grows the membership; every key is owned locally.
+	// Self is this node's name on the ring; Peers is the fixed peer
+	// set (including Self). Fewer than two distinct peers disables
+	// routing: every key is owned locally.
 	Self  string
 	Peers []string
 	// Replicas is the virtual-node count per peer (≤ 0 selects the
@@ -84,24 +83,20 @@ type Config struct {
 // Store is one node's view of the artifact tier. All methods are safe
 // for concurrent use.
 type Store struct {
-	base     context.Context
-	self     string
-	replicas int
+	base context.Context
+	self string
+	// ring is the consistent-hash view over the peer set, built once by
+	// New (nil when the peer set routes everything locally).
+	ring *Ring
 
 	mu      sync.Mutex
 	max     int
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
 	flights map[string]*flight
-	// ring is the current consistent-hash view over members (nil when
-	// membership routes everything locally); members is the mutable
-	// peer set the ring is rebuilt from, version its mutation counter.
-	ring    *Ring
-	members map[string]bool
-	version uint64
 	// down holds the peers currently routed around. It has no expiry:
-	// a peer leaves it only by MarkUp or by leaving the membership, so
-	// routing is a pure function of the peer set and this set.
+	// a peer leaves it only by MarkUp, so routing is a pure function of
+	// the peer set and this set.
 	down map[string]bool
 
 	// Counters are atomics so the fleet layer can account outcomes
@@ -126,16 +121,12 @@ type Stats struct {
 	PeerUnavailable, LocalFallbacks int64
 }
 
-// Membership is a versioned snapshot of this node's view of the fleet:
-// the peer set the ring is built over and the peers currently routed
-// around. Version increments on every AddPeer/RemovePeer mutation, so
-// operators (and tests) can tell two views apart without diffing peer
-// lists.
+// Membership is a snapshot of this node's view of the fleet: the peer
+// set the ring is built over and the peers currently routed around.
 type Membership struct {
-	Version uint64
-	Self    string
-	Peers   []string // sorted
-	Down    []string // sorted subset of Peers
+	Self  string
+	Peers []string // sorted
+	Down  []string // sorted subset of Peers
 }
 
 type lruEntry struct {
@@ -156,7 +147,7 @@ type flight struct {
 	waiters int
 }
 
-// New builds a Store from cfg.
+// New builds a Store from cfg, with its ring over cfg.Peers.
 func New(cfg Config) *Store {
 	if cfg.Base == nil {
 		cfg.Base = context.Background()
@@ -165,69 +156,46 @@ func New(cfg Config) *Store {
 		cfg.Capacity = 128
 	}
 	s := &Store{
-		base:     cfg.Base,
-		self:     cfg.Self,
-		replicas: cfg.Replicas,
-		max:      cfg.Capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
-		members:  make(map[string]bool),
-		down:     make(map[string]bool),
+		base:    cfg.Base,
+		self:    cfg.Self,
+		max:     cfg.Capacity,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flight),
+		down:    make(map[string]bool),
 	}
-	for _, p := range cfg.Peers {
-		if p != "" {
-			s.members[p] = true
-		}
+	if ring := NewRing(cfg.Peers, cfg.Replicas); len(ring.Peers()) > 1 {
+		s.ring = ring
 	}
-	s.rebuildRingLocked()
 	return s
-}
-
-// rebuildRingLocked recomputes the ring from the member set. A
-// membership of fewer than two peers — or of exactly the self node —
-// disables routing: every key is owned locally. Caller holds s.mu.
-func (s *Store) rebuildRingLocked() {
-	if len(s.members) < 2 && (len(s.members) == 0 || s.members[s.self]) {
-		s.ring = nil
-		return
-	}
-	peers := make([]string, 0, len(s.members))
-	for p := range s.members {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	s.ring = NewRing(peers, s.replicas)
 }
 
 // Self returns this node's ring name ("" on a single-node store).
 func (s *Store) Self() string { return s.self }
 
 // Fleet reports whether the store routes across a multi-peer ring.
-func (s *Store) Fleet() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring != nil
-}
+func (s *Store) Fleet() bool { return s.ring != nil }
 
 // Peers returns the ring's peer set (nil on a single-node store).
 func (s *Store) Peers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ring == nil {
 		return nil
 	}
 	return s.ring.Peers()
 }
 
-// Membership snapshots the versioned membership view.
+// member reports whether peer is on the ring.
+func (s *Store) member(peer string) bool {
+	peers := s.Peers()
+	i := sort.SearchStrings(peers, peer)
+	return i < len(peers) && peers[i] == peer
+}
+
+// Membership snapshots the membership view.
 func (s *Store) Membership() Membership {
+	m := Membership{Self: s.self, Peers: s.Peers()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Membership{Version: s.version, Self: s.self}
-	if s.ring != nil {
-		m.Peers = append(m.Peers, s.ring.Peers()...)
-	}
 	down := make([]string, 0, len(s.down))
 	for p := range s.down {
 		down = append(down, p)
@@ -237,56 +205,16 @@ func (s *Store) Membership() Membership {
 	return m
 }
 
-// AddPeer joins peer to the membership, rebuilding the ring so that
-// only keys on the joining peer's arcs change owner. It reports
-// whether the membership changed (an empty name or an existing member
-// is a no-op); any change bumps the membership version.
-func (s *Store) AddPeer(peer string) bool {
-	if peer == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.members[peer] {
-		return false
-	}
-	s.members[peer] = true
-	s.version++
-	s.rebuildRingLocked()
-	return true
-}
-
-// RemovePeer drops peer from the membership, rebuilding the ring so
-// that only the leaving peer's keys re-home (to the next arcs over).
-// Removing the self node is allowed and means this replica owns
-// nothing — the ownership-handoff half of a drain — while it keeps
-// serving relayed requests. Reports whether the membership changed.
-func (s *Store) RemovePeer(peer string) bool {
-	if peer == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.members[peer] {
-		return false
-	}
-	delete(s.members, peer)
-	s.version++
-	delete(s.down, peer)
-	s.rebuildRingLocked()
-	return true
-}
-
 // Route returns the peer that should serve key and whether that is
 // this node. Downed peers are skipped in ring order (the consistent
 // re-hash: the next arc over takes the key); when every remote owner
 // is down — or the store is single-node — the answer is local.
 func (s *Store) Route(key string) (owner string, local bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ring == nil {
 		return s.self, true
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, p := range s.ring.Owners(key) {
 		if p == s.self {
 			return p, true
@@ -304,11 +232,11 @@ func (s *Store) Route(key string) (owner string, local bool) {
 // first candidate is the owner; the rest are the arcs a resilient
 // relay walks on retry.
 func (s *Store) RemoteCandidates(key string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.ring == nil {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []string
 	for _, p := range s.ring.Owners(key) {
 		if p == s.self {
@@ -324,18 +252,15 @@ func (s *Store) RemoteCandidates(key string) []string {
 // MarkDown routes requests around peer until MarkUp restores it, and
 // reports whether the down set changed. The service's heartbeat is its
 // only caller: it marks a peer down on a failed relay or on
-// consecutive failed probes. Non-members are ignored — a relay attempt
-// or probe that was already in flight when its peer left the
-// membership must not re-insert it into the down set (Membership.Down
-// stays a subset of Peers; RemovePeer already cleared any existing
-// down state).
+// consecutive failed probes. Non-members are ignored, so
+// Membership.Down stays a subset of Peers.
 func (s *Store) MarkDown(peer string) bool {
-	if peer == "" || peer == s.self {
+	if peer == "" || peer == s.self || !s.member(peer) {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.down[peer] || !s.members[peer] {
+	if s.down[peer] {
 		return false
 	}
 	s.down[peer] = true
